@@ -21,7 +21,7 @@ from .geometry import Point, closed_form_vertices
 from .matrices import IsocantedSpec
 from .tropical import NEG_INF, TropMatrix, TropScalar, _NegInf
 
-_FRACTION_RE = re.compile(r"^-?\d+(/\d+)?$")
+_FRACTION_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 #: Vertex color key by label length: generators blue, then yellow, magenta, green.
 COLOR_BY_LENGTH = {
@@ -57,7 +57,7 @@ def scalar_from_json(value: object) -> TropScalar:
             return NEG_INF
         if value in ("inf", "+inf"):
             raise MatrixParseError("+inf entries are not supported")
-        if not _FRACTION_RE.match(value):
+        if not _FRACTION_RE.fullmatch(value):
             raise MatrixParseError(f"malformed rational {value!r}")
         try:
             return Fraction(value)

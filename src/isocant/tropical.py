@@ -5,16 +5,22 @@ The semiring carries addition ``x (+) y = max(x, y)`` and multiplication
 identity.  Everything here is exact: finite scalars are ``fractions.Fraction``
 values and no floating point is accepted anywhere.
 
-Tropical permanents are evaluated exhaustively over permutations together with
-their attainment multiplicity (how many permutations reach the maximum).  The
-multiplicity, not the value, is what the geometric layer consumes: a point lies
-on a tropical span when every relevant minor attains its maximum at least
-twice, and sits at a vertex when the Laplace terms of every minor coincide.
+Tropical permanents come with their attainment multiplicity (how many
+permutations reach the maximum).  The multiplicity, not the value, is what the
+geometric layer consumes: a point lies on a tropical span when every relevant
+minor attains its maximum at least twice, and sits at a vertex when the Laplace
+terms of every minor coincide.
+
+A permanent is an optimal assignment, so it is computed by a dynamic program
+over row subsets instead of over the ``k!`` permutations: columns are assigned
+in order, and each subset of rows keeps the best partial sum and the number of
+partial assignments attaining it, which costs ``O(2^k * k)`` steps.  Each call
+clears denominators once, so this program and ``mat_mul`` run on ``int`` and
+``Fraction`` appears only in their results.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,7 +55,10 @@ NEG_INF = _NegInf()
 
 TropScalar = Union[Fraction, _NegInf]
 
-#: Hard cap on permanent evaluation; minors used downstream stay tiny.
+#: Hard cap on permanent evaluation; minors used downstream stay tiny.  The
+#: subset program is ``O(2^k * k)`` and would stay fast well beyond 10, but the
+#: refusal of 11 x 11 inputs is pinned by ``test_permanent_size_limit`` and by the
+#: benchmark's oversized-permanent case, so raising it changes behaviour.
 PERMANENT_SIZE_LIMIT = 10
 
 
@@ -145,23 +154,39 @@ class TropMatrix:
         return f"TropMatrix[{body}]"
 
 
+def _scaled(
+    grid: Sequence[Sequence[TropScalar]],
+) -> tuple[list[list[int | None]], int]:
+    """Clear denominators: ``grid`` times the lcm of its finite denominators.
+
+    Returns the integer grid, with ``None`` for ``-inf``, and that lcm.
+    """
+    den = math.lcm(*(v.denominator for row in grid for v in row if v is not NEG_INF))
+    return [
+        [None if v is NEG_INF else v.numerator * (den // v.denominator) for v in row]
+        for row in grid
+    ], den
+
+
+def _unscaled(value: int | None, den: int) -> TropScalar:
+    return NEG_INF if value is None else Fraction(value, den)
+
+
 def mat_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
     """Tropical matrix product: ``(a*b)[i,k] = max_j (a[i,j] + b[j,k])``."""
     if a.n != b.n:
         raise ValueError(f"size mismatch: {a.n} vs {b.n}")
-    n = a.n
+    scaled, den = _scaled(a.entries + b.entries)
+    b_cols = list(zip(*scaled[a.n:]))
     rows = []
-    for i in range(n):
-        arow = a.entries[i]
-        out = []
-        for k in range(n):
-            best: TropScalar = NEG_INF
-            for j in range(n):
-                term = trop_mul(arow[j], b.entries[j][k])
-                if term is not NEG_INF and (best is NEG_INF or term > best):
-                    best = term
-            out.append(best)
-        rows.append(tuple(out))
+    for a_row in scaled[: a.n]:
+        rows.append(tuple(
+            _unscaled(max(
+                (x + y for x, y in zip(a_row, b_col) if x is not None and y is not None),
+                default=None,
+            ), den)
+            for b_col in b_cols
+        ))
     return TropMatrix(tuple(rows))
 
 
@@ -173,34 +198,54 @@ class MinorEvaluation:
     multiplicity: int
 
 
-def _grid_permanent(grid: Sequence[Sequence[TropScalar]]) -> MinorEvaluation:
-    """Exhaustive tropical permanent of a square grid with multiplicity."""
-    k = len(grid)
-    if k == 0:
-        # Empty product: the multiplicative identity, attained once.
-        return MinorEvaluation(Fraction(0), 1)
-    best: Fraction | None = None
-    count = 0
-    for perm in itertools.permutations(range(k)):
-        total = Fraction(0)
-        dead = False
-        for r in range(k):
-            v = grid[r][perm[r]]
-            if v is NEG_INF:
-                dead = True
-                break
-            total += v
-        if dead:
+def _assignments(
+    grid: list[list[int | None]], cols: Sequence[int]
+) -> tuple[list[int | None], list[int]]:
+    """Optimal assignments of ``cols`` to subsets of the rows of ``grid``.
+
+    For each row mask with ``m <= len(cols)`` bits, ``best[mask]`` is the
+    largest sum over bijections from the rows in ``mask`` to ``cols[:m]``
+    (``None`` when every one meets ``-inf``) and ``count[mask]`` is how many
+    bijections attain it.  Masks with more bits than columns stay unset.
+    """
+    size = 1 << len(grid)
+    best: list[int | None] = [None] * size
+    count = [0] * size
+    best[0], count[0] = 0, 1
+    for mask in range(1, size):
+        c = mask.bit_count() - 1
+        if c >= len(cols):
             continue
-        if best is None or total > best:
-            best = total
-            count = 1
-        elif total == best:
-            count += 1
-    if best is None:
+        col = cols[c]
+        top = None
+        ways = 0
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            prev = best[mask ^ bit]
+            v = grid[bit.bit_length() - 1][col]
+            if prev is None or v is None:
+                continue
+            total = prev + v
+            if top is None or total > top:
+                top, ways = total, count[mask ^ bit]
+            elif total == top:
+                ways += count[mask ^ bit]
+        best[mask], count[mask] = top, ways
+    return best, count
+
+
+def _grid_permanent(grid: Sequence[Sequence[TropScalar]]) -> MinorEvaluation:
+    """Tropical permanent of a square grid with multiplicity."""
+    k = len(grid)
+    scaled, den = _scaled(grid)
+    best, count = _assignments(scaled, range(k))
+    if best[-1] is None:
         # Every permutation hits -inf, so all of them attain the maximum.
         return MinorEvaluation(NEG_INF, math.factorial(k))
-    return MinorEvaluation(best, count)
+    # An empty grid is the empty product: the multiplicative identity, once.
+    return MinorEvaluation(Fraction(best[-1], den), count[-1])
 
 
 def _check_selection(
@@ -222,7 +267,7 @@ def _check_selection(
 
 
 def trop_permanent(a: TropMatrix, *, size_limit: int = PERMANENT_SIZE_LIMIT) -> MinorEvaluation:
-    """Tropical permanent of the whole matrix, exhaustive over permutations."""
+    """Tropical permanent of the whole matrix, with its attainment multiplicity."""
     if a.n > size_limit:
         raise ValueError(f"matrix size {a.n} exceeds permanent limit {size_limit}")
     return _grid_permanent(a.entries)
@@ -264,16 +309,16 @@ def laplace_terms(
         raise ValueError(f"expansion column {expansion_col} not in selection")
     if len(row_idx) > size_limit:
         raise ValueError(f"minor order {len(row_idx)} exceeds permanent limit {size_limit}")
-    other_cols = [j for j in col_idx if j != expansion_col]
+    grid, den = _scaled([[a.entries[i - 1][j - 1] for j in col_idx] for i in row_idx])
+    e = col_idx.index(expansion_col)
+    # One pass over the other columns yields every complementary minor: the one
+    # omitting row r sits at the mask of all rows but r.
+    best, _ = _assignments(grid, [c for c in range(len(col_idx)) if c != e])
+    full = len(best) - 1
     terms: list[TropScalar] = []
-    for i in row_idx:
-        sub = [
-            [a.entries[r - 1][c - 1] for c in other_cols]
-            for r in row_idx
-            if r != i
-        ]
-        comp = _grid_permanent(sub)
-        terms.append(trop_mul(a.entries[i - 1][expansion_col - 1], comp.value))
+    for r, row in enumerate(grid):
+        minor = best[full ^ (1 << r)]
+        terms.append(_unscaled(None if minor is None or row[e] is None else row[e] + minor, den))
     return terms
 
 
@@ -288,7 +333,7 @@ def conjugate_diag(a: TropMatrix, diag: Sequence[object]) -> TropMatrix:
     shifts = []
     for v in diag:
         s = as_scalar(v)
-        if s is NEG_INF or isinstance(s, _NegInf):
+        if s is NEG_INF:
             raise ValueError("diagonal entries must be finite")
         shifts.append(s)
     if shifts[-1] != 0:

@@ -1,5 +1,6 @@
 """Matrix JSON round trips, strict parsing, mesh construction and OFF/OBJ output."""
 
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -33,12 +34,27 @@ def test_scalar_round_trip():
     assert scalar_to_json(F(-1, 2)) == "-1/2"
 
 
+# Non-ASCII digits and a trailing newline would not round-trip byte-identically.
+UNCANONICAL = ["-\u0663", "\u0663/\u0664", "3\n", "1/2\n"]
+
+
 @pytest.mark.parametrize(
-    "bad", ["1/0", "0.5", "1e3", "inf", "+inf", "--1", "1/-2", 2.5, None, True, [1]]
+    "bad",
+    ["1/0", "0.5", "1e3", "inf", "+inf", "--1", "1/-2", 2.5, None, True, [1], *UNCANONICAL],
 )
 def test_scalar_parse_rejects_garbage(bad):
     with pytest.raises(MatrixParseError):
         scalar_from_json(bad)
+
+
+@pytest.mark.parametrize("bad", UNCANONICAL)
+def test_classify_rejects_uncanonical_rational(tmp_path, capsys, bad):
+    from isocant.cli import main
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"size": 2, "entries": [[0, bad], [0, 0]]}), encoding="utf-8")
+    assert main(["classify", str(path)]) == 2
+    assert "malformed rational" in capsys.readouterr().err
 
 
 def test_matrix_round_trip_exact(tmp_path):

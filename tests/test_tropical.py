@@ -1,6 +1,7 @@
 """Semiring arithmetic, tropical products, permanents, minors, conjugation."""
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -21,6 +22,15 @@ from isocant.tropical import (
 )
 
 SCALARS = [NEG_INF, F(-2), F(0), F(1, 2), F(1), F(7, 3)]
+
+# Value pools for random grids: small integers with sparse -inf, mixed
+# denominators, mostly -inf, and few distinct values (many tied permutations).
+GRID_POOLS = [
+    [NEG_INF, F(-2), F(-1), F(-1, 2), F(0), F(1)],
+    [F(1, 3), F(-2, 5), F(7, 6), F(0), F(-3, 4), NEG_INF],
+    [NEG_INF] * 4 + [F(1, 2), F(-5, 3)],
+    [F(0), F(1, 2)],
+]
 
 
 def test_trop_add_examples():
@@ -103,6 +113,25 @@ def _random_matrix(rng, n, pool):
     )
 
 
+def test_mat_mul_matches_fraction_reference():
+    rng = random.Random(31)
+    pools = [[NEG_INF, F(-2), F(-1), F(0), F(1, 2), F(1), F(3)], *GRID_POOLS]
+    for pool in pools:
+        for n in (2, 3, 5):
+            a = _random_matrix(rng, n, pool)
+            b = _random_matrix(rng, n, pool)
+            expected = []
+            for i in range(1, n + 1):
+                row = []
+                for k in range(1, n + 1):
+                    best = NEG_INF
+                    for j in range(1, n + 1):
+                        best = trop_add(best, trop_mul(a.entry(i, j), b.entry(j, k)))
+                    row.append(best)
+                expected.append(tuple(row))
+            assert mat_mul(a, b).entries == tuple(expected)
+
+
 def test_mat_mul_associative_random():
     rng = random.Random(20240817)
     pool = [NEG_INF, F(-2), F(-1), F(0), F(1, 2), F(1), F(3)]
@@ -128,15 +157,14 @@ def test_permanent_isocanted_unique_identity(d, ell, a):
     assert ev.multiplicity == 1
 
 
-def _brute_force_permanent(matrix):
-    """Independent recount used as the oracle for multiplicities."""
-    n = matrix.n
+def _brute_force_permanent(grid):
+    """Independent recount over all permutations, the oracle for multiplicities."""
     values = []
-    for perm in itertools.permutations(range(n)):
+    for perm in itertools.permutations(range(len(grid))):
         total = F(0)
         dead = False
         for r, c in enumerate(perm):
-            v = matrix.entries[r][c]
+            v = grid[r][c]
             if v is NEG_INF:
                 dead = True
                 break
@@ -151,15 +179,21 @@ def _brute_force_permanent(matrix):
 
 def test_permanent_multiplicity_matches_brute_force():
     rng = random.Random(7)
-    pool = [NEG_INF, F(-2), F(-1), F(-1, 2), F(0), F(1)]
-    sizes = [2, 3, 4, 5, 6, 7]
-    for n in sizes:
-        for _ in range(3 if n < 7 else 1):
-            m = _random_matrix(rng, n, pool)
-            value, mult = _brute_force_permanent(m)
-            ev = trop_permanent(m)
+    for n in [2, 3, 4, 5, 6, 7]:
+        grids = [
+            [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+            for pool in GRID_POOLS
+            for _ in range(3 if n < 7 else 1)
+        ]
+        # All -inf and all equal: every permutation attains the maximum.
+        ties = [[[NEG_INF] * n for _ in range(n)], [[F(-2, 3)] * n for _ in range(n)]]
+        for grid in grids + ties:
+            value, mult = _brute_force_permanent(grid)
+            ev = trop_permanent(TropMatrix.from_rows(grid))
             assert ev.value == value
             assert ev.multiplicity == mult
+        for grid in ties:
+            assert trop_permanent(TropMatrix.from_rows(grid)).multiplicity == math.factorial(n)
 
 
 def test_permanent_size_limit():
@@ -225,17 +259,30 @@ def test_laplace_terms_single_entry():
 
 def test_laplace_max_equals_minor():
     rng = random.Random(99)
-    pool = [NEG_INF, F(-2), F(-1), F(0), F(1)]
-    for _ in range(20):
-        m = _random_matrix(rng, 5, pool)
-        rows = sorted(rng.sample(range(1, 6), 3))
-        cols = sorted(rng.sample(range(1, 6), 3))
-        exp = rng.choice(cols)
-        terms = laplace_terms(m, rows, cols, exp)
-        best = NEG_INF
-        for t in terms:
-            best = trop_add(best, t)
-        assert best == trop_minor(m, rows, cols).value
+    for pool in [[NEG_INF, F(-2), F(-1), F(0), F(1)], *GRID_POOLS]:
+        for _ in range(20):
+            m = _random_matrix(rng, 6, pool)
+            k = rng.randint(1, 6)
+            rows = sorted(rng.sample(range(1, 7), k))
+            cols = sorted(rng.sample(range(1, 7), k))
+            exp = rng.choice(cols)
+            terms = laplace_terms(m, rows, cols, exp)
+            best = NEG_INF
+            for t in terms:
+                best = trop_add(best, t)
+            assert best == trop_minor(m, rows, cols).value
+            # Term by term against brute-force complementary minors.
+            others = [c for c in cols if c != exp]
+            expected = [
+                trop_mul(
+                    m.entry(i, exp),
+                    _brute_force_permanent(
+                        [[m.entry(r, c) for c in others] for r in rows if r != i]
+                    )[0],
+                )
+                for i in rows
+            ]
+            assert terms == expected
 
 
 def test_laplace_requires_expansion_column_in_selection():
