@@ -16,6 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import combinatorics, conjectures, geometry, matrices, serialize
+from .combinatorics import label_text
 from .matrices import IsocantedSpec
 from .serialize import MatrixParseError, scalar_to_json
 
@@ -51,12 +52,18 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _parse_precision(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError("precision must be at least 1 significant digit")
+    return value
+
+
 def _spec_from_args(args: argparse.Namespace) -> IsocantedSpec:
     return IsocantedSpec(args.dim, args.ell, args.a)
-
-
-def _label_digits(label: frozenset[int]) -> str:
-    return " ".join(str(v) for v in sorted(label))
 
 
 def _infer_labels(a, vset) -> dict | None:
@@ -74,7 +81,7 @@ def _infer_labels(a, vset) -> dict | None:
         if cant is None or len(lengths) != 1:
             return None
         spec = IsocantedSpec(a.n - 1, lengths.pop(), cant)
-        for placement, builder in (("vni", matrices.isocanted_vni), ("sni", matrices.isocanted_sni)):
+        for placement, builder in matrices.PLACEMENTS.items():
             if builder(spec) == a:
                 labeled = geometry.label_vertices(spec, vset, placement)
                 return {point: label for label, point in labeled.labels}
@@ -120,8 +127,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_build(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    builder = matrices.isocanted_vni if args.placement == "vni" else matrices.isocanted_sni
-    _emit_json(serialize.matrix_to_json(builder(spec)), args.output)
+    _emit_json(serialize.matrix_to_json(matrices.PLACEMENTS[args.placement](spec)), args.output)
     return 0
 
 
@@ -142,13 +148,12 @@ def cmd_vertices(args: argparse.Namespace) -> int:
         if args.dim is None or args.ell is None or args.a is None:
             raise ValueError("vertices needs either an input file or --dim/--ell/--a")
         spec = _spec_from_args(args)
-        vertex_map = geometry.closed_form_vertices(spec, args.placement)
         listing = [
             {
                 "label": sorted(lab),
-                "point": [scalar_to_json(c) for c in vertex_map[lab]],
+                "point": [scalar_to_json(c) for c in point],
             }
-            for lab in sorted(vertex_map, key=lambda s: (len(s), sorted(s)))
+            for lab, point in geometry.closed_form_vertices(spec, args.placement).items()
         ]
         payload = {
             "d": spec.d,
@@ -184,9 +189,7 @@ def cmd_lattice(args: argparse.Namespace) -> int:
         rows = []
         for dim in sorted(lattice):
             for face in lattice[dim]:
-                rows.append(
-                    f"{dim}\t{_label_digits(face.bottom)}\t{_label_digits(face.top)}"
-                )
+                rows.append(f"{dim}\t{label_text(face.bottom)}\t{label_text(face.top)}")
         _write_output("\n".join(rows) + "\n", args.output)
     else:
         payload = {
@@ -247,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dim", type=int, required=required, help="ambient dimension d")
         p.add_argument("--ell", type=_parse_fraction, required=required, help="box edge length")
         p.add_argument("--a", type=_parse_fraction, required=required, help="cant parameter")
-        p.add_argument("--placement", choices=["vni", "sni"], default="vni")
+        p.add_argument("--placement", choices=list(matrices.PLACEMENTS), default="vni")
 
     p = sub.add_parser("classify", help="matrix class flags and decomposition")
     p.add_argument("input", help="matrix JSON file")
@@ -286,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_spec(p)
     p.add_argument("--format", choices=["off", "obj"], default="off")
     p.add_argument("--output", default=None)
-    p.add_argument("--precision", type=int, default=serialize.DEFAULT_PRECISION)
+    p.add_argument("--precision", type=_parse_precision, default=serialize.DEFAULT_PRECISION)
     p.set_defaults(func=cmd_export)
 
     return parser

@@ -41,7 +41,18 @@ def check_label(w: Iterable[int], d: int) -> VertexLabel:
     return label
 
 
+def label_text(label: VertexLabel) -> str:
+    """A label as its sorted elements separated by spaces, e.g. ``"1 3"``."""
+    return " ".join(str(v) for v in sorted(label))
+
+
 def all_vertex_labels(d: int) -> Iterator[VertexLabel]:
+    """Proper nonempty subsets of ``1..d+1`` in the canonical label order.
+
+    Labels come by size, then lexicographically on their sorted elements.
+    Every labeled listing (vertex maps, the skeleton, meshes, CLI output)
+    follows this order, so this is the one place labels are enumerated.
+    """
     universe = list(range(1, d + 2))
     for size in range(1, d + 1):
         for combo in itertools.combinations(universe, size):
@@ -160,15 +171,12 @@ def build_face_lattice(d: int, *, dim_limit: int = LATTICE_DIM_LIMIT) -> dict[in
     _check_dim(d)
     if d > dim_limit:
         raise ValueError(f"dimension {d} exceeds lattice limit {dim_limit}")
-    universe = list(range(1, d + 2))
     by_dim: dict[int, list[FaceInterval]] = {k: [] for k in range(d)}
-    for bottom_size in range(1, d + 1):
-        for bottom in itertools.combinations(universe, bottom_size):
-            bset = frozenset(bottom)
-            rest = [v for v in universe if v not in bset]
-            for extra_size in range(d - bottom_size + 1):
-                for extra in itertools.combinations(rest, extra_size):
-                    by_dim[extra_size].append(FaceInterval(bset, bset | frozenset(extra)))
+    for bottom in all_vertex_labels(d):
+        rest = [v for v in range(1, d + 2) if v not in bottom]
+        for extra_size in range(d - len(bottom) + 1):
+            for extra in itertools.combinations(rest, extra_size):
+                by_dim[extra_size].append(FaceInterval(bottom, bottom | frozenset(extra)))
     return {k: tuple(v) for k, v in by_dim.items()}
 
 
@@ -205,7 +213,7 @@ class SkeletonGraph:
 
 def skeleton(d: int) -> SkeletonGraph:
     _check_dim(d)
-    nodes = tuple(sorted(all_vertex_labels(d), key=lambda s: (len(s), sorted(s))))
+    nodes = tuple(all_vertex_labels(d))
     edges = []
     for w in nodes:
         if len(w) < d:

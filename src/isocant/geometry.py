@@ -19,7 +19,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .matrices import IsocantedSpec, decompose, isocanted_sni, isocanted_vni
+from .combinatorics import all_vertex_labels, check_label
+from .matrices import PLACEMENTS, IsocantedSpec, decompose, isocanted_vni
 from .tropical import TropMatrix, laplace_terms, trop_minor
 
 Point = tuple[Fraction, ...]
@@ -70,35 +71,34 @@ class HRep:
         return sorted(planes)
 
     def tight_rank(self, point: Sequence[Fraction]) -> int:
-        """Rank of the normals of the constraints active at ``point``.
+        """Rank of the normals of the constraints active at ``point``; ``d`` at a vertex."""
+        edges = [(i, 0) for i, bounds in enumerate(self.single, 1) if point[i - 1] in bounds]
+        edges += [(i, j) for i, j, lo, hi in self.diff if point[i - 1] - point[j - 1] in (lo, hi)]
+        return _constraint_rank(self.d, edges)
 
-        For single/difference normals the rank is ``d + 1`` minus the number
-        of connected components of the active-constraint graph (ground node
-        included), which the oracle uses as an exact vertex certificate.
-        """
-        parent = list(range(self.d + 1))
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+def _constraint_rank(d: int, edges: Iterable[tuple[int, int]]) -> int:
+    """Rank of single/difference normals given as constraint-graph edges.
 
-        def union(x: int, y: int) -> None:
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
+    Edge ``(i, j)`` stands for the normal of ``x_i - x_j``, with ``j = 0`` the
+    ground node for a single bound ``x_i``.  The rank is ``d + 1`` minus the
+    number of connected components on the nodes ``0..d``.
+    """
+    parent = list(range(d + 1))
 
-        for i in range(self.d):
-            lo, hi = self.single[i]
-            if point[i] == lo or point[i] == hi:
-                union(i + 1, 0)
-        for i, j, lo, hi in self.diff:
-            v = point[i - 1] - point[j - 1]
-            if v == lo or v == hi:
-                union(i, j)
-        components = len({find(x) for x in range(self.d + 1)})
-        return self.d + 1 - components
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    rank = 0
+    for i, j in edges:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+            rank += 1
+    return rank
 
 
 def hrep_from_matrix(a: TropMatrix) -> HRep:
@@ -209,12 +209,8 @@ def enumerate_vertices_oracle(h: HRep, *, dim_limit: int = ORACLE_DIM_LIMIT) -> 
     if d > dim_limit:
         raise ValueError(f"dimension {d} exceeds oracle limit {dim_limit}")
     planes = h.hyperplanes()
-    denoms = [c.denominator for _, _, c in planes]
-    for lo, hi in h.single:
-        denoms.extend((lo.denominator, hi.denominator))
-    for _, _, lo, hi in h.diff:
-        denoms.extend((lo.denominator, hi.denominator))
-    scale = lcm(*denoms) if denoms else 1
+    # Every lo/hi bound of the system is some plane's constant.
+    scale = lcm(*(c.denominator for _, _, c in planes))
     iplanes = [(i, j, int(c * scale)) for i, j, c in planes]
 
     candidates: set[tuple[int, ...]] = set()
@@ -265,11 +261,6 @@ def enumerate_vertices_oracle(h: HRep, *, dim_limit: int = ORACLE_DIM_LIMIT) -> 
     return VertexSet(d, points)
 
 
-def _check_label(w: frozenset[int], n: int) -> None:
-    if not w or not w < set(range(1, n + 1)):
-        raise ValueError(f"label must be a proper nonempty subset of 1..{n}")
-
-
 def isocanted_vertex(spec: IsocantedSpec, w: Iterable[int]) -> Point:
     """Closed-form vertex of the visualized isocanted polytope for label ``w``.
 
@@ -277,8 +268,7 @@ def isocanted_vertex(spec: IsocantedSpec, w: Iterable[int]) -> Point:
     coordinates are zero and the rest are ``cant - edge_length``; when it is
     present, labeled coordinates are ``-cant`` and the rest ``-edge_length``.
     """
-    label = frozenset(w)
-    _check_label(label, spec.n)
+    label = check_label(w, spec.d)
     ell, a = spec.edge_length, spec.cant
     if spec.n in label:
         return tuple(
@@ -296,14 +286,9 @@ def isocanted_vertex_sni(spec: IsocantedSpec, w: Iterable[int]) -> Point:
 
 
 def closed_form_vertices(spec: IsocantedSpec, placement: str = "vni") -> dict[frozenset[int], Point]:
-    """Label-to-vertex map over all proper nonempty subsets of ``1..d+1``."""
+    """Label-to-vertex map over all proper nonempty subsets of ``1..d+1``, in label order."""
     fn = {"vni": isocanted_vertex, "sni": isocanted_vertex_sni}[placement]
-    out: dict[frozenset[int], Point] = {}
-    universe = list(range(1, spec.n + 1))
-    for size in range(1, spec.n):
-        for combo in itertools.combinations(universe, size):
-            out[frozenset(combo)] = fn(spec, combo)
-    return out
+    return {w: fn(spec, w) for w in all_vertex_labels(spec.d)}
 
 
 def label_vertices(spec: IsocantedSpec, vset: VertexSet, placement: str = "vni") -> VertexSet:
@@ -311,12 +296,7 @@ def label_vertices(spec: IsocantedSpec, vset: VertexSet, placement: str = "vni")
     expected = closed_form_vertices(spec, placement)
     if set(vset.points) != set(expected.values()) or len(vset.points) != len(expected):
         raise ValueError("oracle vertices do not match the closed-form vertex map")
-    point_to_label = {pt: lab for lab, pt in expected.items()}
-    labels = tuple(sorted(
-        ((point_to_label[pt], pt) for pt in vset.points),
-        key=lambda item: (len(item[0]), sorted(item[0])),
-    ))
-    return VertexSet(vset.d, vset.points, labels)
+    return VertexSet(vset.d, vset.points, tuple(expected.items()))
 
 
 def unique_vertex_conditions(c: TropMatrix, w: Iterable[int], point: Sequence[Fraction]) -> bool:
@@ -349,8 +329,7 @@ def unique_vertex_conditions(c: TropMatrix, w: Iterable[int], point: Sequence[Fr
 
 def verify_unique_vertex(spec: IsocantedSpec, w: Iterable[int]) -> bool:
     """Check the closed-form vertex against the minor-multiplicity conditions."""
-    label = frozenset(w)
-    _check_label(label, spec.n)
+    label = check_label(w, spec.d)
     c = isocanted_vni(spec)
     point = isocanted_vertex(spec, label) + (Fraction(0),)
     return unique_vertex_conditions(c, label, point)
@@ -358,8 +337,7 @@ def verify_unique_vertex(spec: IsocantedSpec, w: Iterable[int]) -> bool:
 
 def poles(spec: IsocantedSpec, placement: str = "vni") -> tuple[Point, Point]:
     """North and south poles: the polytope's maximum and minimum points."""
-    matrix = {"vni": isocanted_vni, "sni": isocanted_sni}[placement](spec)
-    mn, mx = polytope_extremes(matrix)
+    mn, mx = polytope_extremes(PLACEMENTS[placement](spec))
     return mx, mn
 
 
@@ -411,29 +389,29 @@ def zonotope_check(spec: IsocantedSpec, *, dim_limit: int = ORACLE_DIM_LIMIT) ->
 def oracle_face_counts(h: HRep, vset: VertexSet) -> tuple[int, ...]:
     """Face counts by dimension, recovered from vertex-facet incidences.
 
-    Facet vertex sets are intersected to closure (every proper face of a
-    polytope is an intersection of facets); the dimension of each face is the
-    affine rank of its vertices, computed exactly.
+    Each hyperplane's tight vertex set is an int bitmask.  Facet sets are
+    intersected to closure (every proper face of a polytope is an
+    intersection of facets).  A face's dimension is ``d`` minus the
+    constraint-graph rank of the hyperplanes tight on all its vertices: those
+    cut out its affine hull.  Hyperplanes tight on every vertex are implicit
+    equalities of a flat polytope and count towards every rank.
     """
     points = vset.points
-    npts = len(points)
-    everything = frozenset(range(npts))
-    facet_sets: set[frozenset[int]] = set()
+    everything = (1 << len(points)) - 1
+    tight = []
     for i, j, c in h.hyperplanes():
-        if j == 0:
-            tight = frozenset(k for k in range(npts) if points[k][i - 1] == c)
-        else:
-            tight = frozenset(
-                k for k in range(npts) if points[k][i - 1] - points[k][j - 1] == c
-            )
-        if tight and tight != everything:
-            facet_sets.add(tight)
+        mask = 0
+        for k, p in enumerate(points):
+            if (p[i - 1] if j == 0 else p[i - 1] - p[j - 1]) == c:
+                mask |= 1 << k
+        tight.append(((i, j), mask))
+    facets = {mask for _, mask in tight if mask and mask != everything}
 
-    faces: set[frozenset[int]] = set(facet_sets)
-    work = list(facet_sets)
+    faces = set(facets)
+    work = list(facets)
     while work:
         face = work.pop()
-        for facet in facet_sets:
+        for facet in facets:
             meet = face & facet
             if meet and meet not in faces:
                 faces.add(meet)
@@ -441,28 +419,6 @@ def oracle_face_counts(h: HRep, vset: VertexSet) -> tuple[int, ...]:
 
     counts = [0] * h.d
     for face in faces:
-        dim = _affine_dim([points[k] for k in face])
-        counts[dim] += 1
+        rank = _constraint_rank(h.d, (edge for edge, mask in tight if face & mask == face))
+        counts[h.d - rank] += 1
     return tuple(counts)
-
-
-def _affine_dim(pts: Sequence[Point]) -> int:
-    """Affine dimension of a finite exact point set, by Gaussian elimination."""
-    if len(pts) <= 1:
-        return 0
-    base = pts[0]
-    d = len(base)
-    basis: list[list[Fraction]] = []
-    for p in pts[1:]:
-        vec = [p[k] - base[k] for k in range(d)]
-        for row in basis:
-            # Eliminate against the pivot of each stored row.
-            pivot = next(k for k in range(d) if row[k] != 0)
-            if vec[pivot] != 0:
-                factor = vec[pivot] / row[pivot]
-                vec = [vec[k] - factor * row[k] for k in range(d)]
-        if any(v != 0 for v in vec):
-            basis.append(vec)
-            if len(basis) == d:
-                break
-    return len(basis)

@@ -318,6 +318,10 @@ def isocanted_sni(spec: IsocantedSpec) -> TropMatrix:
     )
 
 
+#: Isocanted matrix builders by placement name.
+PLACEMENTS = {"vni": isocanted_vni, "sni": isocanted_sni}
+
+
 def isocanted_box_vni(lengths: Sequence[Rational], cant: Rational) -> TropMatrix:
     """Extended form: isocanted matrix over a general box, ``0 < cant < min length``.
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .combinatorics import build_face_lattice
+from .combinatorics import build_face_lattice, label_text
 from .geometry import Point, closed_form_vertices
 from .matrices import IsocantedSpec
 from .tropical import NEG_INF, TropMatrix, TropScalar, _NegInf
@@ -138,7 +138,7 @@ def build_mesh(
     if spec.d != 3:
         raise ValueError("mesh export is defined for dimension 3")
     vertex_map = closed_form_vertices(spec, placement)
-    labels = tuple(sorted(vertex_map, key=lambda s: (len(s), sorted(s))))
+    labels = tuple(vertex_map)
     index = {lab: k for k, lab in enumerate(labels)}
     vertices = tuple(vertex_map[lab] for lab in labels)
     centroid = tuple(
@@ -189,8 +189,7 @@ def mesh_to_obj(mesh: MeshExport) -> str:
     key = ", ".join(f"length {k}: {name}" for k, name in COLOR_NAMES.items())
     lines.append(f"# vertex color key by label length: {key}")
     for point, label, color in zip(mesh.vertices, mesh.labels, mesh.colors):
-        digits = " ".join(str(v) for v in sorted(label))
-        lines.append(f"# label {digits} color {COLOR_NAMES[len(label)]}")
+        lines.append(f"# label {label_text(label)} color {COLOR_NAMES[len(label)]}")
         coords = " ".join(format_decimal(c, mesh.precision) for c in point)
         lines.append(f"v {coords}")
     for face in mesh.faces:

@@ -28,24 +28,12 @@ from typing import Iterable, Sequence, Union
 
 
 class _NegInf:
-    """Additive identity of the max-plus semiring; orders below every rational."""
+    """Additive identity of the max-plus semiring; unordered, so callers test ``is NEG_INF``."""
 
     __slots__ = ()
 
     def __repr__(self) -> str:
         return "-inf"
-
-    def __lt__(self, other: object) -> bool:
-        return other is not NEG_INF
-
-    def __le__(self, other: object) -> bool:
-        return True
-
-    def __gt__(self, other: object) -> bool:
-        return False
-
-    def __ge__(self, other: object) -> bool:
-        return other is NEG_INF
 
     def __neg__(self) -> "_NegInf":
         raise ArithmeticError("negation of -inf is undefined here")

@@ -238,3 +238,16 @@ def test_outputs_byte_stable(capsys):
     _, v1, _ = run_cli(capsys, "vertices", "--dim", "3", "--ell", "5/2", "--a", "3/4")
     _, v2, _ = run_cli(capsys, "vertices", "--dim", "3", "--ell", "5/2", "--a", "3/4")
     assert v1 == v2
+
+
+def test_export_precision_must_be_positive(capsys):
+    # ".0g" would still print one digit under a "# precision 0" header.
+    spec = ["export", "--dim", "3", "--ell", "5/2", "--a", "1/3", "--precision"]
+    for bad in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(spec + [bad])
+        assert exc.value.code == 2
+        assert "precision must be at least 1" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, *spec, "1")
+    assert code == 0
+    assert out.splitlines()[1] == "# precision 1"

@@ -7,6 +7,7 @@ import pytest
 
 from isocant.geometry import (
     ORACLE_DIM_LIMIT,
+    VertexSet,
     auxiliary_matrix,
     bounding_box,
     central_symmetry_check,
@@ -34,8 +35,11 @@ from isocant.matrices import (
     isocanted_box_vni,
     isocanted_sni,
     isocanted_vni,
+    is_ni,
 )
-from isocant.tropical import TropMatrix
+from isocant.tropical import TropMatrix, mat_mul
+
+import reference
 
 HEXAGON = IsocantedSpec(2, F(2), F(1))
 
@@ -329,6 +333,60 @@ def test_oracle_face_counts_match_closed_form():
         assert oracle_face_counts(h, vset) == isocanted_fvector(d)
 
 
+def _random_normal(rng, d, pool):
+    n = d + 1
+    return [[F(0) if i == j else rng.choice(pool) for j in range(n)] for i in range(n)]
+
+
+def _kleene_star(rows):
+    # Powers of a normal matrix rise to its NI closure within n - 1 squarings.
+    a = TropMatrix.from_rows(rows)
+    while (b := mat_mul(a, a)) != a:
+        a = b
+    return a
+
+
+def test_oracle_face_counts_match_affine_rank_reference():
+    # Constraint-graph rank against Gaussian elimination on the face vertices,
+    # over NI, non-NI and flat (equal-bound) polytopes; all contain the origin.
+    import random
+
+    rng = random.Random(4)
+    pool = [F(-1, 2), F(-1), F(-3, 2), F(-2), F(-3), F(-7, 3)]
+    for d in (2, 3, 4):
+        for _ in range(6 if d < 4 else 3):
+            nonni = _random_normal(rng, d, pool)
+            i, j, k = rng.sample(range(d + 1), 3)
+            # a[i][j] < a[i][k] + a[k][j] = 0, so the square differs.
+            nonni[i][k] = nonni[k][j] = F(0)
+            nonni[i][j] = F(-1)
+            flat = _random_normal(rng, d, pool)
+            i, j = rng.sample(range(d + 1), 2)
+            flat[i][j] = flat[j][i] = F(0)
+            cases = (
+                ("ni", _kleene_star(_random_normal(rng, d, pool))),
+                ("nonni", TropMatrix.from_rows(nonni)),
+                ("flat", TropMatrix.from_rows(flat)),
+                ("flat", _kleene_star(flat)),
+            )
+            for kind, a in cases:
+                h = hrep_from_matrix(a)
+                vset = enumerate_vertices_oracle(h)
+                counts = oracle_face_counts(h, vset)
+                assert counts == reference.face_counts(h, vset), (kind, a)
+                if kind == "ni":
+                    assert is_ni(a)
+                if kind == "nonni":
+                    assert not is_ni(a)
+                if kind == "flat":
+                    assert counts[-1] == 0
+    # Isocanted d=5 from its closed-form vertices, which the oracle tests match.
+    spec = IsocantedSpec(5, F(3), F(1))
+    h = hrep_from_matrix(isocanted_vni(spec))
+    vset = VertexSet(5, tuple(sorted(closed_form_vertices(spec).values())))
+    assert oracle_face_counts(h, vset) == reference.face_counts(h, vset) == isocanted_fvector(5)
+
+
 def test_geometric_faces_equal_interval_faces():
     # Beyond equal counts: the two lattices contain literally the same faces,
     # each face taken as its set of vertices.
@@ -345,30 +403,7 @@ def test_geometric_faces_equal_interval_faces():
             for faces in build_face_lattice(d).values()
             for face in faces
         }
-        npts = len(vset.points)
-        everything = frozenset(range(npts))
-        facet_sets = set()
-        for i, j, c in h.hyperplanes():
-            if j == 0:
-                tight = frozenset(k for k in range(npts) if vset.points[k][i - 1] == c)
-            else:
-                tight = frozenset(
-                    k
-                    for k in range(npts)
-                    if vset.points[k][i - 1] - vset.points[k][j - 1] == c
-                )
-            if tight and tight != everything:
-                facet_sets.add(tight)
-        geometric = set(facet_sets)
-        work = list(facet_sets)
-        while work:
-            face = work.pop()
-            for facet in facet_sets:
-                meet = face & facet
-                if meet and meet not in geometric:
-                    geometric.add(meet)
-                    work.append(meet)
-        assert geometric == interval_faces
+        assert reference.face_vertex_sets(h, vset) == interval_faces
 
 
 def test_isocanted_vertex_worked_cases_d5():

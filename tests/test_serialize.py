@@ -24,6 +24,8 @@ from isocant.serialize import (
 )
 from isocant.tropical import NEG_INF, TropMatrix
 
+import reference
+
 
 def test_scalar_round_trip():
     for value in (F(0), F(-3), F(7, 2), F(-5, 12), NEG_INF):
@@ -124,11 +126,9 @@ def test_mesh_counts_and_colors():
 
 def test_mesh_faces_are_planar_quads():
     mesh = build_mesh(_spec3())
-    from isocant.geometry import _affine_dim
-
     for face in mesh.faces:
         assert len(set(face)) == 4
-        assert _affine_dim([mesh.vertices[i] for i in face]) == 2
+        assert reference.affine_dim([mesh.vertices[i] for i in face]) == 2
 
 
 def test_mesh_quads_match_lattice_two_faces():
