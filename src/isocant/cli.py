@@ -57,9 +57,10 @@ def _parse_precision(text: str) -> int:
         value = int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError("precision must be at least 1 significant digit")
-    return value
+    try:
+        return serialize.check_precision(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _spec_from_args(args: argparse.Namespace) -> IsocantedSpec:
@@ -165,7 +166,7 @@ def cmd_vertices(args: argparse.Namespace) -> int:
     if args.format == "table":
         rows = []
         for item in payload["vertices"]:
-            label = "-" if item["label"] is None else "".join(str(v) for v in item["label"])
+            label = "-" if item["label"] is None else label_text(item["label"])
             coords = " ".join(str(c) for c in item["point"])
             rows.append(f"{label}\t{coords}")
         _write_output("\n".join(rows) + "\n", args.output)

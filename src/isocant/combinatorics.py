@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable, Iterator
@@ -166,11 +167,11 @@ class FaceInterval:
             yield FaceInterval(self.bottom, self.top - {t})
 
 
-def build_face_lattice(d: int, *, dim_limit: int = LATTICE_DIM_LIMIT) -> dict[int, tuple[FaceInterval, ...]]:
+def build_face_lattice(d: int) -> dict[int, tuple[FaceInterval, ...]]:
     """All faces grouped by dimension: intervals with nonempty bottom, proper top."""
     _check_dim(d)
-    if d > dim_limit:
-        raise ValueError(f"dimension {d} exceeds lattice limit {dim_limit}")
+    if d > LATTICE_DIM_LIMIT:
+        raise ValueError(f"dimension {d} exceeds lattice limit {LATTICE_DIM_LIMIT}")
     by_dim: dict[int, list[FaceInterval]] = {k: [] for k in range(d)}
     for bottom in all_vertex_labels(d):
         rest = [v for v in range(1, d + 2) if v not in bottom]
@@ -201,14 +202,17 @@ class SkeletonGraph:
     nodes: tuple[VertexLabel, ...]
     edges: tuple[tuple[VertexLabel, VertexLabel], ...]
 
+    @cached_property
+    def _adjacency(self) -> dict[VertexLabel, list[VertexLabel]]:
+        """Neighbour lists of every node, built once from ``edges``."""
+        adj: dict[VertexLabel, list[VertexLabel]] = {w: [] for w in self.nodes}
+        for w, v in self.edges:
+            adj[w].append(v)
+            adj[v].append(w)
+        return adj
+
     def neighbors(self, w: VertexLabel) -> list[VertexLabel]:
-        out = []
-        if len(w) > 1:
-            out.extend(w - {x} for x in w)
-        if len(w) < self.d:
-            universe = set(range(1, self.d + 2))
-            out.extend(w | {y} for y in universe - w)
-        return out
+        return list(self._adjacency[check_label(w, self.d)])
 
 
 def skeleton(d: int) -> SkeletonGraph:
@@ -244,13 +248,15 @@ def diameter(d: int) -> int:
     return d + 1
 
 
-def bfs_distances(graph: SkeletonGraph, source: VertexLabel) -> dict[VertexLabel, int]:
+def bfs_distances(graph: SkeletonGraph, source: Iterable[int]) -> dict[VertexLabel, int]:
+    source = check_label(source, graph.d)
+    adj = graph._adjacency
     dist = {source: 0}
     frontier = [source]
     while frontier:
         nxt = []
         for node in frontier:
-            for nb in graph.neighbors(node):
+            for nb in adj[node]:
                 if nb not in dist:
                     dist[nb] = dist[node] + 1
                     nxt.append(nb)
@@ -292,9 +298,9 @@ def count_flags(d: int) -> int:
     return (d + 1) * factorial(d - 1) * (2 ** (d + 1) - 4)
 
 
-def count_flags_by_chains(d: int, *, dim_limit: int = LATTICE_DIM_LIMIT) -> int:
+def count_flags_by_chains(d: int) -> int:
     """Independent flag count: maximal chains of the face lattice via covering DP."""
-    lattice = build_face_lattice(d, dim_limit=dim_limit)
+    lattice = build_face_lattice(d)
     chains: dict[FaceInterval, int] = {face: 1 for face in lattice[0]}
     for k in range(1, d):
         for face in lattice[k]:
@@ -322,8 +328,8 @@ class CaskBeltPartition:
         return tuple(len(groups.get(k, ())) for k in range(top + 1))
 
 
-def casks_and_belt(d: int, *, dim_limit: int = LATTICE_DIM_LIMIT) -> CaskBeltPartition:
-    lattice = build_face_lattice(d, dim_limit=dim_limit)
+def casks_and_belt(d: int) -> CaskBeltPartition:
+    lattice = build_face_lattice(d)
     pole_index = d + 1
     north: dict[int, list[FaceInterval]] = {}
     south: dict[int, list[FaceInterval]] = {}

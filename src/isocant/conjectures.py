@@ -277,12 +277,7 @@ def check_3d(d_min: int = DEFAULT_D_MIN, d_max: int = DEFAULT_D_MAX) -> Conjectu
     return _sweep("3d", d_min, d_max, per_d)
 
 
-def check_flag(
-    d_min: int = DEFAULT_D_MIN,
-    d_max: int = DEFAULT_D_MAX,
-    *,
-    chain_limit: int = CHAIN_CHECK_LIMIT,
-) -> ConjectureReport:
+def check_flag(d_min: int = DEFAULT_D_MIN, d_max: int = DEFAULT_D_MAX) -> ConjectureReport:
     """Flag count beats the box count ``2**d d!``; recounted by chains when small.
 
     The supporting inequality ``(2**(d-1) - 1)(d+1) > 2**(d-2) d`` (the
@@ -295,19 +290,14 @@ def check_flag(
         bound = 2**d * factorial(d)
         # Compare 4*lhs > 4*rhs to stay in integers at d = 2.
         support = (2 ** (d - 1) - 1) * (d + 1) * 4 > 2**d * d
-        chain_checked = False
-        chains = None
-        ok = flags > bound and support
-        if d <= chain_limit:
-            chains = count_flags_by_chains(d)
-            chain_checked = True
-            ok = ok and chains == flags
+        chains = count_flags_by_chains(d) if d <= CHAIN_CHECK_LIMIT else None
+        ok = flags > bound and support and (chains is None or chains == flags)
         return ok, {
             "d": d,
             "flags": flags,
             "box_flags": bound,
             "chain_recount": chains,
-            "chain_checked": chain_checked,
+            "chain_checked": chains is not None,
         }
 
     return _sweep("flag", d_min, d_max, per_d)

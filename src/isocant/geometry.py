@@ -25,7 +25,7 @@ from .tropical import TropMatrix, laplace_terms, trop_minor
 
 Point = tuple[Fraction, ...]
 
-#: Default cap for the vertex oracle; subset counts grow as C(d(d+1), d).
+#: Cap on the vertex oracle's dimension; subset counts grow as C(d(d+1), d).
 ORACLE_DIM_LIMIT = 6
 
 
@@ -197,7 +197,7 @@ def _find_with_offset(parent: list[int], offset: list[int], x: int) -> tuple[int
     return root, (offset[x] if chain else 0)
 
 
-def enumerate_vertices_oracle(h: HRep, *, dim_limit: int = ORACLE_DIM_LIMIT) -> VertexSet:
+def enumerate_vertices_oracle(h: HRep) -> VertexSet:
     """All vertices of the polytope, by exhausting d-subsets of hyperplanes.
 
     Every subset whose constraint graph is a spanning tree is solved exactly;
@@ -206,8 +206,8 @@ def enumerate_vertices_oracle(h: HRep, *, dim_limit: int = ORACLE_DIM_LIMIT) -> 
     independent active constraints.
     """
     d = h.d
-    if d > dim_limit:
-        raise ValueError(f"dimension {d} exceeds oracle limit {dim_limit}")
+    if d > ORACLE_DIM_LIMIT:
+        raise ValueError(f"dimension {d} exceeds oracle limit {ORACLE_DIM_LIMIT}")
     planes = h.hyperplanes()
     # Every lo/hi bound of the system is some plane's constant.
     scale = lcm(*(c.denominator for _, _, c in planes))
@@ -346,14 +346,14 @@ def bounding_box(a: TropMatrix) -> HRep:
     return hrep_from_matrix(decompose(a).box)
 
 
-def central_symmetry_check(a: TropMatrix, *, dim_limit: int = ORACLE_DIM_LIMIT) -> bool:
+def central_symmetry_check(a: TropMatrix) -> bool:
     """True when the vertex set of the polytope is closed under negation."""
-    vset = enumerate_vertices_oracle(hrep_from_matrix(a), dim_limit=dim_limit)
+    vset = enumerate_vertices_oracle(hrep_from_matrix(a))
     pts = set(vset.points)
     return all(tuple(-v for v in p) in pts for p in pts)
 
 
-def zonotope_check(spec: IsocantedSpec, *, dim_limit: int = ORACLE_DIM_LIMIT) -> bool:
+def zonotope_check(spec: IsocantedSpec) -> bool:
     """Verify the polytope is the sum of a shrunken box and a diagonal segment.
 
     Candidates are all sums of a vertex of ``prod [-(edge_length - cant), 0]``
@@ -365,7 +365,7 @@ def zonotope_check(spec: IsocantedSpec, *, dim_limit: int = ORACLE_DIM_LIMIT) ->
     d = spec.d
     ell, a = spec.edge_length, spec.cant
     h = hrep_from_matrix(isocanted_vni(spec))
-    vset = enumerate_vertices_oracle(h, dim_limit=dim_limit)
+    vset = enumerate_vertices_oracle(h)
 
     box_side = ell - a
     box_vertices = [

@@ -102,9 +102,16 @@ def read_matrix(path: str | Path) -> TropMatrix:
     return matrix_from_json(payload)
 
 
+def check_precision(precision: int) -> int:
+    """Validate a count of significant digits: at least 1."""
+    if precision < 1:
+        raise ValueError("precision must be at least 1 significant digit")
+    return precision
+
+
 def format_decimal(value: Fraction, precision: int = DEFAULT_PRECISION) -> str:
     """Render an exact rational as a decimal with fixed significant digits."""
-    return format(float(value), f".{precision}g")
+    return format(float(value), f".{check_precision(precision)}g")
 
 
 @dataclass(frozen=True)
@@ -121,6 +128,9 @@ class MeshExport:
     faces: tuple[tuple[int, int, int, int], ...]
     colors: tuple[tuple[int, int, int], ...]
     precision: int = DEFAULT_PRECISION
+
+    def __post_init__(self) -> None:
+        check_precision(self.precision)
 
 
 def _cross(u: tuple[Fraction, ...], v: tuple[Fraction, ...]) -> tuple[Fraction, ...]:

@@ -148,6 +148,16 @@ def test_vertices_table_format(capsys):
     assert lines[0] == "1\t0 -1"
 
 
+def test_vertices_table_labels_are_distinct(capsys):
+    # From d=11 on, labels written without separators would collide ({1, 2} and {12}).
+    code, out, _ = run_cli(
+        capsys, "vertices", "--dim", "11", "--ell", "2", "--a", "1", "--format", "table"
+    )
+    assert code == 0
+    labels = [line.split("\t")[0] for line in out.splitlines()]
+    assert len(labels) == len(set(labels)) == 2**12 - 2
+
+
 def test_vertices_requires_spec_or_input(capsys):
     code, _, err = run_cli(capsys, "vertices")
     assert code == 2

@@ -82,8 +82,9 @@ def test_lattice_counts_match_formula():
         lattice = build_face_lattice(d)
         counts = tuple(len(lattice[k]) for k in range(d))
         assert counts == isocanted_fvector(d)
-    with pytest.raises(ValueError):
-        build_face_lattice(9)
+    for beyond_cap in (build_face_lattice, count_flags_by_chains, casks_and_belt):
+        with pytest.raises(ValueError, match="^dimension 9 exceeds lattice limit 8$"):
+            beyond_cap(9)
 
 
 def test_vertex_faces_are_proper_subsets():
@@ -164,6 +165,17 @@ def test_skeleton_degrees_equal_valence():
     graph = skeleton(4)
     for node in graph.nodes:
         assert len(graph.neighbors(node)) == valence(node, 4)
+
+
+def test_bfs_rejects_non_vertex_source():
+    graph = skeleton(3)
+    for source in (frozenset(), frozenset({1, 2, 3, 4}), frozenset({5})):
+        with pytest.raises(ValueError, match="proper nonempty subset"):
+            bfs_distances(graph, source)
+        with pytest.raises(ValueError, match="proper nonempty subset"):
+            graph.neighbors(source)
+    # The adjacency built for the walk is not a field: equality is unchanged.
+    assert graph == skeleton(3)
 
 
 def test_distance_formula_vs_bfs():

@@ -248,11 +248,16 @@ def test_oracle_counts_respect_sharp_alcoved_bound():
 
 
 def test_oracle_rejects_large_dimension():
-    spec = IsocantedSpec(4, F(2), F(1))
-    h = hrep_from_matrix(isocanted_vni(spec))
-    with pytest.raises(ValueError):
-        enumerate_vertices_oracle(h, dim_limit=3)
     assert ORACLE_DIM_LIMIT == 6
+    d = ORACLE_DIM_LIMIT + 1
+    spec = IsocantedSpec(d, F(2), F(1))
+    message = f"^dimension {d} exceeds oracle limit {ORACLE_DIM_LIMIT}$"
+    with pytest.raises(ValueError, match=message):
+        enumerate_vertices_oracle(hrep_from_matrix(isocanted_vni(spec)))
+    with pytest.raises(ValueError, match=message):
+        central_symmetry_check(isocanted_vni(spec))
+    with pytest.raises(ValueError, match=message):
+        zonotope_check(spec)
 
 
 def test_oracle_empty_polytope():

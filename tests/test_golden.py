@@ -2,13 +2,16 @@
 
 Each case runs ``isocant`` in-process and compares its stdout with
 ``tests/golden/<name>.out``.  The golden files were written by this module
-before the label, placement and face-recovery code was consolidated; after
-an intended output change, rewrite them with
-``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+before the label, placement and face-recovery code was consolidated, and the
+two vertex tables again when table labels gained separators.  After an
+intended output change, rewrite them with
+``PYTHONPATH=src python tests/test_golden.py [NAME ...]`` and review the diff.
+Named cases are rewritten alone; with no names, every case is rewritten.
 """
 
 import contextlib
 import io
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,7 +76,12 @@ def test_cli_golden_bytes(name):
 
 
 if __name__ == "__main__":
-    for name, (expected_code, argv) in CASES.items():
+    names = sys.argv[1:] or list(CASES)
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        raise SystemExit(f"unknown case names: {', '.join(unknown)}")
+    for name in names:
+        expected_code, argv = CASES[name]
         code, out = run_case(argv)
         if code != expected_code:
             raise SystemExit(f"{name}: exit code {code}, expected {expected_code}")

@@ -10,6 +10,7 @@ from isocant.matrices import IsocantedSpec, isocanted_sni, isocanted_vni
 from isocant.serialize import (
     COLOR_BY_LENGTH,
     MatrixParseError,
+    MeshExport,
     build_mesh,
     format_decimal,
     matrix_from_json,
@@ -106,6 +107,20 @@ def test_format_decimal():
     assert format_decimal(F(-1)) == "-1"
     assert format_decimal(F(5, 2)) == "2.5"
     assert format_decimal(F(1, 3), 6) == "0.333333"
+    assert format_decimal(F(1, 3), 1) == "0.3"
+
+
+def test_precision_must_be_positive():
+    message = "^precision must be at least 1 significant digit$"
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match=message):
+            format_decimal(F(1, 3), bad)
+        with pytest.raises(ValueError, match=message):
+            build_mesh(_spec3(), precision=bad)
+    mesh = build_mesh(_spec3())
+    with pytest.raises(ValueError, match=message):
+        MeshExport(mesh.vertices, mesh.labels, mesh.faces, mesh.colors, 0)
+    assert build_mesh(_spec3(), precision=1).precision == 1
 
 
 def _spec3():

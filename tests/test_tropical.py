@@ -198,12 +198,16 @@ def test_permanent_multiplicity_matches_brute_force():
 
 def test_permanent_size_limit():
     big = TropMatrix.from_rows([[0] * 11 for _ in range(11)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^matrix size 11 exceeds permanent limit 10$"):
         trop_permanent(big)
-    small = TropMatrix.from_rows([[0] * 5 for _ in range(5)])
-    with pytest.raises(ValueError):
-        trop_permanent(small, size_limit=4)
-    assert trop_permanent(small, size_limit=5).multiplicity == 120
+    at_cap = TropMatrix.from_rows([[0] * 10 for _ in range(10)])
+    assert trop_permanent(at_cap) == MinorEvaluation(F(0), math.factorial(10))
+    full = range(1, 12)
+    message = "^minor order 11 exceeds permanent limit 10$"
+    with pytest.raises(ValueError, match=message):
+        trop_minor(big, full, full)
+    with pytest.raises(ValueError, match=message):
+        laplace_terms(big, full, full, 1)
 
 
 def test_minor_ragged_selection():
