@@ -2,13 +2,14 @@
 
 An alcoved polytope is cut out by bounds on single coordinates and on
 coordinate differences, so every defining hyperplane has the form ``x_i = c``
-or ``x_i - x_j = c``.  The brute-force vertex oracle exploits that structure:
-a subset of ``d`` hyperplanes determines a unique point exactly when its
-constraint graph (ground node for the single bounds, one node per coordinate)
-is a spanning tree, and the system is then solved exactly by propagating
-offsets along the tree.  All arithmetic is integer after clearing denominators
-once, so the oracle is exact and fast enough for exhaustive sweeps at small
-dimension.
+or ``x_i - x_j = c``.  Adding a ground node 0 with ``x_0 = 0`` makes every
+bound a difference bound on the nodes ``0..d``; closing them under shortest
+paths gives the tightest bounds (the Kleene star, the normal idempotent form).
+Every edge of such a polytope runs along a cut direction ``+1_S`` for a node
+set ``S``, so the vertex enumerator walks the edge graph from the maximum
+point without any linear programming, trying the ``2^(d+1) - 2`` cuts at each
+vertex: its cost is ``vertices * 2^(d+1)`` cut checks.  All arithmetic is
+integer after clearing denominators once, so the enumeration is exact.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .tropical import TropMatrix, laplace_terms, trop_minor
 
 Point = tuple[Fraction, ...]
 
-#: Cap on the vertex oracle's dimension; subset counts grow as C(d(d+1), d).
-ORACLE_DIM_LIMIT = 6
+#: Cap on the vertex oracle's dimension; each vertex costs 2^(d+1) cut checks.
+ORACLE_DIM_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -178,86 +179,90 @@ class VertexSet:
         return len(self.points)
 
 
-def _find_with_offset(parent: list[int], offset: list[int], x: int) -> tuple[int, int]:
-    """Weighted union-find lookup: root of ``x`` and value(x) - value(root)."""
-    root = x
-    while parent[root] != root:
-        root = parent[root]
-    # Second pass: path-compress while accumulating offsets toward the root.
-    chain = []
-    node = x
-    while parent[node] != node:
-        chain.append(node)
-        node = parent[node]
-    run = 0
-    for nd in reversed(chain):
-        run += offset[nd]
-        offset[nd] = run
-        parent[nd] = root
-    return root, (offset[x] if chain else 0)
+def _closed_bounds(h: HRep, scale: int) -> list[list[int]]:
+    """Tightest bounds ``x_i - x_j <= bound[i][j]`` on the nodes ``0..d`` (``x_0 = 0``), times ``scale``.
+
+    Each pair starts from its bound through the ground and its own difference
+    bound, then Floyd-Warshall closes them (the Kleene star).  A negative
+    diagonal entry is a negative cycle: the system has no solution.
+    """
+    nodes = range(h.d + 1)
+    top = [0] + [int(hi * scale) for _, hi in h.single]
+    floor = [0] + [-int(lo * scale) for lo, _ in h.single]
+    bound = [[0 if i == j else top[i] + floor[j] for j in nodes] for i in nodes]
+    for i, j, lo, hi in h.diff:
+        bound[i][j] = min(bound[i][j], int(hi * scale))
+        bound[j][i] = min(bound[j][i], -int(lo * scale))
+    for k in nodes:
+        bound = [[min(b, row[k] + via) for b, via in zip(row, bound[k])] for row in bound]
+    return bound
+
+
+def _subset_unions(masks: Sequence[int]) -> list[int]:
+    """Table indexed by a node set ``s``: the union of ``masks[k]`` over ``k`` in ``s``."""
+    table = [0]
+    for mask in masks:
+        table += [m | mask for m in table]
+    return table
+
+
+def _connected(part: int, reach: Sequence[int]) -> bool:
+    """True when the node set ``part`` is connected in the graph whose neighbour table is ``reach``."""
+    comp = part & -part
+    while True:
+        grown = comp | reach[comp] & part
+        if grown == comp:
+            return comp == part
+        comp = grown
 
 
 def enumerate_vertices_oracle(h: HRep) -> VertexSet:
-    """All vertices of the polytope, by exhausting d-subsets of hyperplanes.
+    """All vertices of the polytope, by walking its edge graph from the maximum point.
 
-    Every subset whose constraint graph is a spanning tree is solved exactly;
-    solutions are deduplicated and filtered by feasibility against the full
-    system.  Every vertex arises this way because a vertex has ``d``
-    independent active constraints.
+    The bounds are scaled to integers once and closed (:func:`_closed_bounds`);
+    an empty closure means an empty polytope.  The walk starts at the vertex
+    where every ``x_i`` sits at its closed upper bound.  Every edge of an
+    alcoved polytope runs along a cut direction ``+1_S`` for a proper nonempty
+    node set ``S`` (ground included, points re-grounded to ``x_0 = 0``), so
+    from each vertex the walk tries all ``2^(d+1) - 2`` cuts.  A cut is an
+    edge when the tight bounds not crossing it leave exactly the two
+    components ``S`` and its complement, and no tight bound leaving ``S``
+    blocks the step; the step length is the least slack of the bounds
+    leaving ``S``.  The cost is ``vertices * 2^(d+1)`` cut checks, with no
+    linear programming.  The name keeps "oracle" from the exhaustive
+    hyperplane-subset sweep this replaced, for compatibility.
     """
     d = h.d
     if d > ORACLE_DIM_LIMIT:
         raise ValueError(f"dimension {d} exceeds oracle limit {ORACLE_DIM_LIMIT}")
-    planes = h.hyperplanes()
-    # Every lo/hi bound of the system is some plane's constant.
-    scale = lcm(*(c.denominator for _, _, c in planes))
-    iplanes = [(i, j, int(c * scale)) for i, j, c in planes]
-
-    candidates: set[tuple[int, ...]] = set()
-    for combo in itertools.combinations(iplanes, d):
-        parent = list(range(d + 1))
-        offset = [0] * (d + 1)
-        ok = True
-        for i, j, c in combo:
-            ri, pi = _find_with_offset(parent, offset, i)
-            rj, pj = _find_with_offset(parent, offset, j)
-            if ri == rj:
-                ok = False
-                break
-            # Attach ri below rj so that value(i) - value(j) = c holds.
-            parent[ri] = rj
-            offset[ri] = pj + c - pi
-        if not ok:
-            continue
-        # d independent edges on d+1 nodes: a spanning tree, hence one solution.
-        _, p0 = _find_with_offset(parent, offset, 0)
-        point = tuple(
-            _find_with_offset(parent, offset, k)[1] - p0 for k in range(1, d + 1)
-        )
-        candidates.add(point)
-
-    isingle = [(int(lo * scale), int(hi * scale)) for lo, hi in h.single]
-    idiff = [(i, j, int(lo * scale), int(hi * scale)) for i, j, lo, hi in h.diff]
-
-    feasible: list[tuple[int, ...]] = []
-    for p in candidates:
-        good = True
-        for i in range(d):
-            lo, hi = isingle[i]
-            if not lo <= p[i] <= hi:
-                good = False
-                break
-        if good:
-            for i, j, lo, hi in idiff:
-                v = p[i - 1] - p[j - 1]
-                if not lo <= v <= hi:
-                    good = False
-                    break
-        if good:
-            feasible.append(p)
-    if not feasible:
+    scale = lcm(*(c.denominator for _, _, c in h.hyperplanes()))
+    bound = _closed_bounds(h, scale)
+    nodes = range(d + 1)
+    if any(bound[k][k] < 0 for k in nodes):
         raise ValueError("empty polytope: no feasible vertex found")
-    points = tuple(sorted(tuple(Fraction(v, scale) for v in p) for p in feasible))
+
+    full = (1 << (d + 1)) - 1
+    start = tuple(bound[k][0] for k in nodes)
+    seen = {start}
+    work = [start]
+    while work:
+        x = work.pop()
+        # up[i]: the nodes j with x_i - x_j at its bound, so that i cannot rise without j.
+        up = [sum(1 << j for j in nodes if x[i] - x[j] == bound[i][j]) for i in nodes]
+        tight = [up[i] | sum(1 << j for j in nodes if up[j] >> i & 1) for i in nodes]
+        blocked = _subset_unions(up)
+        reach = _subset_unions(tight)
+        for cut in range(1, full):
+            if blocked[cut] & ~cut or not _connected(cut, reach) or not _connected(full ^ cut, reach):
+                continue
+            step = min(bound[i][j] - x[i] + x[j]
+                       for i in nodes if cut >> i & 1 for j in nodes if not cut >> j & 1)
+            lift = [step if cut >> k & 1 else 0 for k in nodes]
+            y = tuple(x[k] + lift[k] - lift[0] for k in nodes)
+            if y not in seen:
+                seen.add(y)
+                work.append(y)
+    points = tuple(sorted(tuple(Fraction(v, scale) for v in p[1:]) for p in seen))
     return VertexSet(d, points)
 
 

@@ -103,7 +103,9 @@ def read_matrix(path: str | Path) -> TropMatrix:
 
 
 def check_precision(precision: int) -> int:
-    """Validate a count of significant digits: at least 1."""
+    """Validate a count of significant digits: an ``int`` (not a ``bool``), at least 1."""
+    if not isinstance(precision, int) or isinstance(precision, bool):
+        raise ValueError(f"precision must be an integer, not {precision!r}")
     if precision < 1:
         raise ValueError("precision must be at least 1 significant digit")
     return precision

@@ -161,48 +161,8 @@ def test_oracle_vertex_counts(d, expected):
     assert len(vset) == expected == 2 ** (d + 1) - 2
 
 
-def _naive_vertex_enumeration(h):
-    """Independent oracle: Gaussian elimination over the rationals per subset."""
-    planes = h.hyperplanes()
-    d = h.d
-    vertices = set()
-    for combo in itertools.combinations(planes, d):
-        rows = []
-        rhs = []
-        for i, j, c in combo:
-            row = [F(0)] * d
-            row[i - 1] += 1
-            if j != 0:
-                row[j - 1] -= 1
-            rows.append(row)
-            rhs.append(c)
-        # Forward elimination with partial pivoting by first nonzero entry.
-        m = [row + [b] for row, b in zip(rows, rhs)]
-        rank = 0
-        for col in range(d):
-            pivot = next((r for r in range(rank, d) if m[r][col] != 0), None)
-            if pivot is None:
-                continue
-            m[rank], m[pivot] = m[pivot], m[rank]
-            for r in range(d):
-                if r != rank and m[r][col] != 0:
-                    factor = m[r][col] / m[rank][col]
-                    m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
-            rank += 1
-        if rank < d:
-            continue
-        solution = [F(0)] * d
-        for r in range(d):
-            col = next(c for c in range(d) if m[r][c] != 0)
-            solution[col] = m[r][d] / m[r][col]
-        point = tuple(solution)
-        if h.contains(point):
-            vertices.add(point)
-    return vertices
-
-
 def test_oracle_agrees_with_gaussian_elimination():
-    # The constraint-graph solver against a plain linear-algebra route.
+    # The edge walk against a plain linear-algebra route.
     samples = [
         isocanted_vni(IsocantedSpec(2, F(2), F(1))),
         isocanted_vni(IsocantedSpec(3, F(5, 2), F(3, 4))),
@@ -213,7 +173,7 @@ def test_oracle_agrees_with_gaussian_elimination():
     for matrix in samples:
         h = hrep_from_matrix(matrix)
         fast = set(enumerate_vertices_oracle(h).points)
-        assert fast == _naive_vertex_enumeration(h)
+        assert fast == reference.naive_vertex_enumeration(h)
 
 
 def test_conjugation_translates_vertices():
@@ -248,7 +208,7 @@ def test_oracle_counts_respect_sharp_alcoved_bound():
 
 
 def test_oracle_rejects_large_dimension():
-    assert ORACLE_DIM_LIMIT == 6
+    assert ORACLE_DIM_LIMIT == 8
     d = ORACLE_DIM_LIMIT + 1
     spec = IsocantedSpec(d, F(2), F(1))
     message = f"^dimension {d} exceeds oracle limit {ORACLE_DIM_LIMIT}$"
@@ -264,8 +224,20 @@ def test_oracle_empty_polytope():
     # x1 - x2 = 3 exactly, but both variables confined to [0, 1].
     rows = [[0, 3, 0], [-3, 0, -1], [-1, 0, 0]]
     h = hrep_from_matrix(TropMatrix.from_rows(rows))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^empty polytope: no feasible vertex found$"):
         enumerate_vertices_oracle(h)
+
+
+@pytest.mark.parametrize("d", [6, 7])
+def test_walk_matches_closed_form_beyond_sweep_reach(d):
+    # The subset sweep in reference.py needs about 40 s at d=6, so check against the closed form.
+    spec = IsocantedSpec(d, F(5, 2), F(3, 4))
+    for placement, build in (("vni", isocanted_vni), ("sni", isocanted_sni)):
+        vset = enumerate_vertices_oracle(hrep_from_matrix(build(spec)))
+        assert vset.points == tuple(sorted(closed_form_vertices(spec, placement).values()))
+    if d == 7:
+        assert central_symmetry_check(isocanted_sni(spec))
+        assert zonotope_check(spec)
 
 
 def test_oracle_vertices_have_full_active_rank():
@@ -349,6 +321,62 @@ def _kleene_star(rows):
     while (b := mat_mul(a, a)) != a:
         a = b
     return a
+
+
+def _empty_rows(rng, d):
+    # Box bounds plus one difference bound that no point of the box meets.
+    lengths = [rng.choice((F(1), F(3, 2), F(2))) for _ in range(d)] + [F(0)]
+    rows = [[F(0) if i == j or i == d else -lengths[i] for j in range(d + 1)] for i in range(d + 1)]
+    p, q = rng.sample(range(d), 2)
+    gap = lengths[q] + rng.choice((F(1, 2), F(1)))
+    rows[p][q] = gap
+    rows[q][p] = -(gap + 1)
+    return rows
+
+
+def _vertices_or_error(enumerate_vertices, h):
+    try:
+        return enumerate_vertices(h)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_walk_matches_subset_sweep():
+    # The edge walk against the exhaustive hyperplane-subset sweep it replaced,
+    # on seeded NI, non-NI, flat and empty polytopes: same sorted points, or
+    # the same error text.
+    import random
+
+    rng = random.Random(6)
+    pool = [F(-1, 2), F(-1), F(-3, 2), F(-2), F(-3), F(-7, 3)]
+    for d in (2, 3, 4):
+        for _ in range(6 if d < 4 else 1):
+            nonni = _random_normal(rng, d, pool)
+            i, j, k = rng.sample(range(d + 1), 3)
+            # a[i][j] < a[i][k] + a[k][j] = 0: the closure tightens x_i - x_j >= 0.
+            nonni[i][k] = nonni[k][j] = F(0)
+            nonni[i][j] = rng.choice(pool)
+            flat = _random_normal(rng, d, pool)
+            i, j = rng.sample(range(d + 1), 2)
+            flat[i][j] = flat[j][i] = F(0)
+            assert hrep_from_matrix(_kleene_star(nonni)) != hrep_from_matrix(TropMatrix.from_rows(nonni))
+            cases = (
+                _kleene_star(_random_normal(rng, d, pool)),
+                TropMatrix.from_rows(nonni),
+                TropMatrix.from_rows(flat),
+                _kleene_star(flat),
+                TropMatrix.from_rows(_empty_rows(rng, d)),
+            )
+            for a in cases:
+                h = hrep_from_matrix(a)
+                walk = _vertices_or_error(enumerate_vertices_oracle, h)
+                assert walk == _vertices_or_error(reference.sweep_vertices, h), a
+            assert walk == "empty polytope: no feasible vertex found"
+    # Isocanted at d=5, where the sweep tries 142,506 subsets per polytope.
+    spec = IsocantedSpec(5, F(2), F(1))
+    for a in (isocanted_vni(spec), isocanted_sni(spec)):
+        h = hrep_from_matrix(a)
+        assert enumerate_vertices_oracle(h) == reference.sweep_vertices(h)
 
 
 def test_oracle_face_counts_match_affine_rank_reference():

@@ -1,6 +1,7 @@
 """Matrix JSON round trips, strict parsing, mesh construction and OFF/OBJ output."""
 
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -121,6 +122,17 @@ def test_precision_must_be_positive():
     with pytest.raises(ValueError, match=message):
         MeshExport(mesh.vertices, mesh.labels, mesh.faces, mesh.colors, 0)
     assert build_mesh(_spec3(), precision=1).precision == 1
+
+
+def test_precision_must_be_an_integer():
+    # Non-integers used to pass the check and fail only when the mesh was rendered.
+    for bad in (2.5, True, False, F(3), "3", None):
+        message = f"^precision must be an integer, not {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            format_decimal(F(1, 3), bad)
+        with pytest.raises(ValueError, match=message):
+            build_mesh(_spec3(), precision=bad)
+    assert mesh_to_off(build_mesh(_spec3(), precision=3)).startswith("COFF\n# precision 3\n")
 
 
 def _spec3():
