@@ -11,6 +11,10 @@ is an NI box matrix and the perturbation is non-positive with zero diagonal,
 last row and last column.  An *isocanted* matrix is one whose perturbation is
 constant ``-cant`` with ``cant > 0``: geometrically, a box with every cantable
 codimension-2 face beveled by the same amount.
+
+Every box and isocanted matrix comes from one entry table, the visualized
+box canted by ``cant`` (zero for a plain box); other placements are that
+table translated by ``tropical.conjugate_diag``.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .tropical import TropMatrix, mat_mul
+from .tropical import TropMatrix, conjugate_diag, mat_mul
 
 Rational = int | Fraction
 
@@ -75,43 +79,33 @@ def _positive_lengths(lengths: Sequence[Rational]) -> tuple[Fraction, ...]:
     return out
 
 
-def box_vni(lengths: Sequence[Rational]) -> TropMatrix:
-    """Visualized box matrix for the box ``prod_i [-lengths[i], 0]``.
+def _visualized(lengths: Sequence[Fraction], cant: Fraction) -> TropMatrix:
+    """Visualized matrix of the box ``prod_i [-lengths[i], 0]`` canted by ``cant``.
 
-    Entry (i, j) is ``-lengths[i]`` whenever ``i != j`` and i is not the last
-    row, and zero otherwise.
+    Zero on the diagonal and in the last row, ``-lengths[i]`` in the last
+    column and ``cant - lengths[i]`` elsewhere; ``cant = 0`` is the plain box.
     """
-    ls = _positive_lengths(lengths)
-    d = len(ls)
+    d = len(lengths)
+    zero = Fraction(0)
     rows = []
-    for i in range(d + 1):
-        rows.append(
-            tuple(
-                Fraction(0) if (i == j or i == d) else -ls[i]
-                for j in range(d + 1)
-            )
-        )
+    for i, length in enumerate(lengths):
+        row = [cant - length] * (d + 1)
+        row[i] = zero
+        row[d] = -length
+        rows.append(tuple(row))
+    rows.append((zero,) * (d + 1))
     return TropMatrix(tuple(rows))
+
+
+def box_vni(lengths: Sequence[Rational]) -> TropMatrix:
+    """Visualized box matrix for the box ``prod_i [-lengths[i], 0]``."""
+    return _visualized(_positive_lengths(lengths), Fraction(0))
 
 
 def box_sni(lengths: Sequence[Rational]) -> TropMatrix:
     """Symmetric box matrix for the box ``prod_i [-lengths[i]/2, lengths[i]/2]``."""
     ls = _positive_lengths(lengths)
-    d = len(ls)
-    rows = []
-    for i in range(d + 1):
-        out = []
-        for j in range(d + 1):
-            if i == j:
-                out.append(Fraction(0))
-            elif j == d:
-                out.append(-ls[i] / 2)
-            elif i == d:
-                out.append(-ls[j] / 2)
-            else:
-                out.append((-ls[i] - ls[j]) / 2)
-        rows.append(tuple(out))
-    return TropMatrix(tuple(rows))
+    return conjugate_diag(_visualized(ls, Fraction(0)), [v / 2 for v in ls] + [Fraction(0)])
 
 
 def cube_vni(d: int, edge_length: Rational) -> TropMatrix:
@@ -223,35 +217,23 @@ def apply_perturbation(box: TropMatrix, perturbation: PerturbationMatrix) -> Tro
 def decompose(a: TropMatrix) -> Decomposition:
     """Split an NI matrix into its NI box matrix and perturbation parts.
 
-    The box is read off the bounding-box data carried by the last row and
-    column; the perturbation is then ``box - a`` and its sign and zero pattern
-    are validated rather than repaired.
+    The last row, negated, is the polytope's maximum (its north pole) and
+    ``-a[d][i] - a[i][d]`` its i-th edge length.  The box is the visualized box
+    of those lengths conjugated by the north-pole shift; the perturbation is
+    then ``box - a`` and its sign and zero pattern are validated rather than
+    repaired.
     """
     if not is_ni(a):
         raise ValueError("decomposition requires a normal idempotent matrix")
-    n = a.n
-    d = n - 1
-    # Translation of the polytope relative to visualized placement.
-    shifts = [-a.entries[n - 1][j] for j in range(d)] + [Fraction(0)]
-    lengths = [-a.entries[n - 1][i] - a.entries[i][n - 1] for i in range(d)]
+    *rows, last = a.entries
+    shifts = [-v for v in last[:-1]] + [Fraction(0)]
+    lengths = [-last[i] - row[-1] for i, row in enumerate(rows)]
     if any(v <= 0 for v in lengths):
         raise ValueError("degenerate bounding box: non-positive edge length")
-    rows = []
-    for i in range(n):
-        out = []
-        for j in range(n):
-            if i == j:
-                out.append(Fraction(0))
-            elif i == d:
-                out.append(-shifts[j])
-            else:
-                out.append(-lengths[i] + shifts[i] - shifts[j])
-        rows.append(tuple(out))
-    box = TropMatrix(tuple(rows))
-    pert_rows = [
-        tuple(box.entries[i][j] - a.entries[i][j] for j in range(n)) for i in range(n)
-    ]
-    perturbation = PerturbationMatrix.from_rows(pert_rows)
+    box = conjugate_diag(_visualized(lengths, Fraction(0)), shifts)
+    perturbation = PerturbationMatrix.from_rows(
+        [[b - v for b, v in zip(brow, arow)] for brow, arow in zip(box.entries, a.entries)]
+    )
     return Decomposition(box, perturbation)
 
 
@@ -290,32 +272,14 @@ class IsocantedSpec:
 
 
 def isocanted_vni(spec: IsocantedSpec) -> TropMatrix:
-    """Visualized isocanted matrix: cube matrix minus the constant perturbation.
-
-    Entry table: ``-edge_length`` in the last column (off-diagonal), zero on
-    the diagonal and the last row, ``-edge_length + cant`` elsewhere.
-    """
-    ell, a = spec.edge_length, spec.cant
-    n = spec.n
-    rows = []
-    for i in range(n):
-        out = []
-        for j in range(n):
-            if i == j or i == n - 1:
-                out.append(Fraction(0))
-            elif j == n - 1:
-                out.append(-ell)
-            else:
-                out.append(-ell + a)
-        rows.append(tuple(out))
-    return TropMatrix(tuple(rows))
+    """Visualized isocanted matrix: cube matrix minus the constant perturbation."""
+    return _visualized([spec.edge_length] * spec.d, spec.cant)
 
 
 def isocanted_sni(spec: IsocantedSpec) -> TropMatrix:
-    """Symmetric isocanted matrix: symmetric cube matrix minus the perturbation."""
-    return apply_perturbation(
-        cube_sni(spec.d, spec.edge_length), PerturbationMatrix.constant(spec.n, spec.cant)
-    )
+    """Symmetric isocanted matrix: the visualized one translated by half an edge."""
+    half = spec.edge_length / 2
+    return conjugate_diag(isocanted_vni(spec), [half] * spec.d + [Fraction(0)])
 
 
 #: Isocanted matrix builders by placement name.
@@ -332,4 +296,4 @@ def isocanted_box_vni(lengths: Sequence[Rational], cant: Rational) -> TropMatrix
     c = Fraction(cant)
     if not 0 < c < min(ls):
         raise ValueError("cant must satisfy 0 < cant < min(edge lengths)")
-    return apply_perturbation(box_vni(ls), PerturbationMatrix.constant(len(ls) + 1, c))
+    return _visualized(ls, c)

@@ -47,6 +47,16 @@ def scalar_to_json(value: TropScalar | Fraction) -> int | str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def parse_fraction(text: str) -> Fraction:
+    """An exact rational written ``n`` or ``n/q`` in ASCII digits, ``n`` optionally negative."""
+    if not _FRACTION_RE.fullmatch(text):
+        raise MatrixParseError(f"malformed rational {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise MatrixParseError(f"zero denominator in {text!r}") from exc
+
+
 def scalar_from_json(value: object) -> TropScalar:
     if isinstance(value, bool):
         raise MatrixParseError(f"entry {value!r} is not a rational")
@@ -57,12 +67,7 @@ def scalar_from_json(value: object) -> TropScalar:
             return NEG_INF
         if value in ("inf", "+inf"):
             raise MatrixParseError("+inf entries are not supported")
-        if not _FRACTION_RE.fullmatch(value):
-            raise MatrixParseError(f"malformed rational {value!r}")
-        try:
-            return Fraction(value)
-        except ZeroDivisionError as exc:
-            raise MatrixParseError(f"zero denominator in {value!r}") from exc
+        return parse_fraction(value)
     raise MatrixParseError(f"entry {value!r} is not integer, 'p/q' or '-inf'")
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import lcm
 
 from isocant.geometry import VertexSet
+from isocant.tropical import TropMatrix
 
 
 def affine_dim(pts):
@@ -184,3 +185,75 @@ def naive_vertex_enumeration(h):
         if h.contains(point):
             vertices.add(point)
     return vertices
+
+
+# The four hand-written entry tables that the box and isocanted constructors
+# and ``decompose`` used before they were built from one visualized table.
+# Each takes positive ``Fraction`` lengths (and shifts) already validated.
+
+
+def box_vni_table(ls):
+    """Visualized box matrix for the box ``prod_i [-ls[i], 0]``."""
+    d = len(ls)
+    rows = []
+    for i in range(d + 1):
+        rows.append(
+            tuple(
+                Fraction(0) if (i == j or i == d) else -ls[i]
+                for j in range(d + 1)
+            )
+        )
+    return TropMatrix(tuple(rows))
+
+
+def box_sni_table(ls):
+    """Symmetric box matrix for the box ``prod_i [-ls[i]/2, ls[i]/2]``."""
+    d = len(ls)
+    rows = []
+    for i in range(d + 1):
+        out = []
+        for j in range(d + 1):
+            if i == j:
+                out.append(Fraction(0))
+            elif j == d:
+                out.append(-ls[i] / 2)
+            elif i == d:
+                out.append(-ls[j] / 2)
+            else:
+                out.append((-ls[i] - ls[j]) / 2)
+        rows.append(tuple(out))
+    return TropMatrix(tuple(rows))
+
+
+def isocanted_vni_table(ell, a, n):
+    """Visualized isocanted matrix of size ``n`` with edge ``ell`` and cant ``a``."""
+    rows = []
+    for i in range(n):
+        out = []
+        for j in range(n):
+            if i == j or i == n - 1:
+                out.append(Fraction(0))
+            elif j == n - 1:
+                out.append(-ell)
+            else:
+                out.append(-ell + a)
+        rows.append(tuple(out))
+    return TropMatrix(tuple(rows))
+
+
+def decompose_box_table(lengths, shifts):
+    """Box part of ``decompose``: ``shifts`` has ``d + 1`` entries, the last zero."""
+    n = len(shifts)
+    d = n - 1
+    rows = []
+    for i in range(n):
+        out = []
+        for j in range(n):
+            if i == j:
+                out.append(Fraction(0))
+            elif i == d:
+                out.append(-shifts[j])
+            else:
+                out.append(-lengths[i] + shifts[i] - shifts[j])
+        rows.append(tuple(out))
+    return TropMatrix(tuple(rows))

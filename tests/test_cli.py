@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from isocant.cli import main
+from isocant.cli import FVECTOR_DIM_LIMIT, VERTICES_DIM_LIMIT, main
 from isocant.matrices import IsocantedSpec, isocanted_sni
 from isocant.serialize import matrix_to_json, write_matrix
 
@@ -77,6 +77,32 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fvector", "--dim", "not-an-int"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("bad", ["\u0663/\u0664", "1e0", "0.5", " 1/2 ", "1/0"])
+@pytest.mark.parametrize("option", ["--ell", "--a"])
+def test_rational_options_use_the_matrix_file_grammar(capsys, option, bad):
+    # Arabic-Indic digits, exponents, decimals and padding all parse as Fraction.
+    argv = ["build", "--dim", "3", "--ell", "5/2", "--a", "1/3"]
+    argv[argv.index(option) + 1] = bad
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {option}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (["fvector", "--dim"], FVECTOR_DIM_LIMIT),
+        (["vertices", "--ell", "2", "--a", "1", "--dim"], VERTICES_DIM_LIMIT),
+    ],
+)
+def test_dimension_caps_fail_while_parsing(capsys, argv, limit):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [str(limit + 1)])
+    assert exc.value.code == 2
+    assert f"dimension {limit + 1} exceeds {argv[0]} limit {limit}" in capsys.readouterr().err
 
 
 def test_vertices_closed_form(capsys):

@@ -25,6 +25,8 @@ from isocant.matrices import (
 )
 from isocant.tropical import NEG_INF, TropMatrix, conjugate_diag
 
+import reference
+
 
 def test_box_vni_entries():
     b = box_vni([F(1), F(2), F(3)])
@@ -215,6 +217,65 @@ def test_decompose_reconstruction_randomized():
         assert dec.box == box
         assert dec.perturbation == pert
         assert apply_perturbation(dec.box, dec.perturbation) == a
+
+
+#: Positive rationals with denominators 1, 2, 3 and 7: lengths from 1 to 3,
+#: shifts and cants below 1/2.
+_LENGTHS = sorted({F(k, q) for q in (1, 2, 3, 7) for k in range(q, 3 * q + 1)})
+_SMALL = sorted({F(k, q) for q in (1, 2, 3, 7) for k in range(1, q) if F(k, q) <= F(1, 2)})
+
+
+def test_constructors_match_reference_tables():
+    rng = random.Random(1307)
+    for d in range(2, 10):
+        n = d + 1
+        for _ in range(8):
+            ls = [rng.choice(_LENGTHS) for _ in range(d)]
+            ell = rng.choice(_LENGTHS)
+            assert box_vni(ls) == reference.box_vni_table(ls)
+            assert box_sni(ls) == reference.box_sni_table(ls)
+            assert cube_vni(d, ell) == reference.box_vni_table([ell] * d)
+            assert cube_sni(d, ell) == reference.box_sni_table([ell] * d)
+            for cant in rng.sample(_SMALL, 3) + [min(ls + [ell]) - F(1, 7)]:
+                e = PerturbationMatrix.constant(n, cant)
+                iso = isocanted_box_vni(ls, cant)
+                assert iso == apply_perturbation(reference.box_vni_table(ls), e)
+                spec = IsocantedSpec(d, ell, cant)
+                vni = isocanted_vni(spec)
+                assert vni == reference.isocanted_vni_table(ell, cant, n)
+                assert vni == apply_perturbation(reference.box_vni_table([ell] * d), e)
+                assert isocanted_sni(spec) == apply_perturbation(
+                    reference.box_sni_table([ell] * d), e
+                )
+
+
+def test_decompose_box_matches_reference_table():
+    rng = random.Random(1308)
+    perts = [F(0)] + [-v for v in _SMALL]
+    for d in range(2, 10):
+        n = d + 1
+        for _ in range(8):
+            ls = [rng.choice(_LENGTHS) for _ in range(d)]
+            shifts = [rng.choice([F(0)] + _SMALL) for _ in range(d)] + [F(0)]
+            box = reference.decompose_box_table(ls, shifts)
+            assert box == conjugate_diag(reference.box_vni_table(ls), shifts)
+            cant = rng.choice(_SMALL)
+            canted = conjugate_diag(isocanted_box_vni(ls, cant), shifts)
+            dec = decompose(canted)
+            assert dec.box == box
+            assert dec.perturbation == PerturbationMatrix.constant(n, cant)
+            assert apply_perturbation(box, PerturbationMatrix.constant(n, cant)) == canted
+            pert = PerturbationMatrix.from_rows(
+                [
+                    [rng.choice(perts) if i != j and i < d and j < d else F(0) for j in range(n)]
+                    for i in range(n)
+                ]
+            )
+            a = apply_perturbation(box, pert)
+            assert is_ni(a)
+            dec = decompose(a)
+            assert dec.box == box and dec.perturbation == pert
+            assert dec.edge_lengths == tuple(ls)
 
 
 def test_perturbation_invariant_under_conjugation():
