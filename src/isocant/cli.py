@@ -30,6 +30,13 @@ FVECTOR_DIM_LIMIT = 2000
 #: rows, so each step doubles time and output (d=12: 0.5 s and 2.3 MB).
 VERTICES_DIM_LIMIT = 12
 
+#: Largest ``build --dim``: the matrix has ``(d+1)**2`` entries (d=400: 0.3 s, 1.6 MB).
+BUILD_DIM_LIMIT = 400
+
+#: Largest dimension in ``verify --range``: ``verify all --range 2:500`` takes
+#: 3-4 s, and from d=1,424 the flag counts outgrow the 4,300-digit print limit.
+VERIFY_DIM_LIMIT = 500
+
 
 def _write_output(text: str, output: str | None) -> None:
     if output:
@@ -74,6 +81,8 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError("range bounds must be integers") from exc
     if lo > hi:
         raise argparse.ArgumentTypeError("range must satisfy LO <= HI")
+    if hi > VERIFY_DIM_LIMIT:
+        raise argparse.ArgumentTypeError(f"dimension {hi} exceeds verify limit {VERIFY_DIM_LIMIT}")
     return lo, hi
 
 
@@ -284,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("build", help="write an isocanted matrix file")
-    add_spec(p)
+    add_spec(p, dim_type=_dim_up_to(BUILD_DIM_LIMIT, "build"))
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_build)
 

@@ -127,10 +127,7 @@ def fvector_tables(dmax: int) -> FVectorTables:
         tuple(t * p for t, p in zip(two_power[d], pascal[d])) for d in range(dmax + 1)
     )
     half = tuple(
-        tuple(
-            Fraction((2 ** (d - k) - 1) * comb(d + 1, k)) if k < d else Fraction(1, 2)
-            for k in range(d + 1)
-        )
+        tuple(Fraction((2 ** (d - k) - 1) * comb(d + 1, k)) for k in range(d)) + (Fraction(1, 2),)
         for d in range(dmax + 1)
     )
     return FVectorTables(two_power, pascal, box, half)
@@ -167,11 +164,15 @@ class FaceInterval:
             yield FaceInterval(self.bottom, self.top - {t})
 
 
-def build_face_lattice(d: int) -> dict[int, tuple[FaceInterval, ...]]:
-    """All faces grouped by dimension: intervals with nonempty bottom, proper top."""
+def _check_lattice_dim(d: int) -> None:
     _check_dim(d)
     if d > LATTICE_DIM_LIMIT:
         raise ValueError(f"dimension {d} exceeds lattice limit {LATTICE_DIM_LIMIT}")
+
+
+def build_face_lattice(d: int) -> dict[int, tuple[FaceInterval, ...]]:
+    """All faces grouped by dimension: intervals with nonempty bottom, proper top."""
+    _check_lattice_dim(d)
     by_dim: dict[int, list[FaceInterval]] = {k: [] for k in range(d)}
     for bottom in all_vertex_labels(d):
         rest = [v for v in range(1, d + 2) if v not in bottom]
@@ -184,14 +185,9 @@ def build_face_lattice(d: int) -> dict[int, tuple[FaceInterval, ...]]:
 def facet_intervals(d: int) -> tuple[FaceInterval, ...]:
     """Facets are exactly the intervals from a singleton to a co-singleton."""
     _check_dim(d)
-    out = []
-    for i in range(1, d + 2):
-        for j in range(1, d + 2):
-            if i != j:
-                out.append(
-                    FaceInterval(frozenset({i}), frozenset(range(1, d + 2)) - {j})
-                )
-    return tuple(out)
+    labels = range(1, d + 2)
+    universe = frozenset(labels)
+    return tuple(FaceInterval(frozenset({i}), universe - {j}) for i in labels for j in labels if i != j)
 
 
 @dataclass(frozen=True)
@@ -265,11 +261,15 @@ def bfs_distances(graph: SkeletonGraph, source: Iterable[int]) -> dict[VertexLab
 
 
 def bfs_diameter(d: int) -> int:
-    """Skeleton diameter by exhaustive breadth-first search, independent of the formula."""
+    """Skeleton diameter by breadth-first search, independent of the formula.
+
+    Permuting ``1..d+1`` preserves the skeleton, so eccentricity depends only on
+    ``|w|``: one search from ``{1..s}`` per size ``s``, ``d`` searches in all.
+    """
     graph = skeleton(d)
     best = 0
-    for node in graph.nodes:
-        dist = bfs_distances(graph, node)
+    for size in range(1, d + 1):
+        dist = bfs_distances(graph, range(1, size + 1))
         if len(dist) != len(graph.nodes):
             raise RuntimeError("skeleton graph is not connected")
         best = max(best, max(dist.values()))
@@ -299,13 +299,18 @@ def count_flags(d: int) -> int:
 
 
 def count_flags_by_chains(d: int) -> int:
-    """Independent flag count: maximal chains of the face lattice via covering DP."""
-    lattice = build_face_lattice(d)
-    chains: dict[FaceInterval, int] = {face: 1 for face in lattice[0]}
-    for k in range(1, d):
-        for face in lattice[k]:
-            chains[face] = sum(chains[g] for g in face.covered_faces())
-    return sum(chains[face] for face in lattice[d - 1])
+    """Independent flag count: maximal chains of the face lattice, by symmetry.
+
+    Chains below ``[B, T]`` depend only on ``(b, t) = (|B|, |T|)``, and
+    ``c(b, t) = (t-b) (c(b+1, t) + c(b, t-1))``: an ``O(d**2)`` table, summed
+    over the ``(d+1) d`` facets ``(1, d)``.  It keeps the lattice's cap.
+    """
+    _check_lattice_dim(d)
+    chains: dict[tuple[int, int], int] = {}
+    for t in range(1, d + 1):
+        for b in range(t, 0, -1):
+            chains[b, t] = (t - b) * (chains[b + 1, t] + chains[b, t - 1]) if b < t else 1
+    return (d + 1) * d * chains[1, d]
 
 
 @dataclass(frozen=True)
@@ -329,25 +334,14 @@ class CaskBeltPartition:
 
 
 def casks_and_belt(d: int) -> CaskBeltPartition:
-    lattice = build_face_lattice(d)
-    pole_index = d + 1
-    north: dict[int, list[FaceInterval]] = {}
-    south: dict[int, list[FaceInterval]] = {}
-    belt: dict[int, list[FaceInterval]] = {}
-    for k, faces in lattice.items():
+    pole = d + 1
+    parts: dict[str, dict[int, list[FaceInterval]]] = {"north": {}, "south": {}, "belt": {}}
+    for k, faces in build_face_lattice(d).items():
         for face in faces:
-            if pole_index not in face.top:
-                north.setdefault(k, []).append(face)
-            elif pole_index in face.bottom:
-                south.setdefault(k, []).append(face)
-            else:
-                belt.setdefault(k, []).append(face)
-    return CaskBeltPartition(
-        d,
-        {k: tuple(v) for k, v in north.items()},
-        {k: tuple(v) for k, v in south.items()},
-        {k: tuple(v) for k, v in belt.items()},
-    )
+            part = "north" if pole not in face.top else "south" if pole in face.bottom else "belt"
+            parts[part].setdefault(k, []).append(face)
+    groups = {name: {k: tuple(v) for k, v in part.items()} for name, part in parts.items()}
+    return CaskBeltPartition(d, **groups)
 
 
 def fatness_f03(d: int = 4) -> tuple[Fraction, int]:

@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction
 from math import lcm
 
+from isocant.combinatorics import FaceInterval, bfs_distances, build_face_lattice, skeleton
 from isocant.geometry import VertexSet
 from isocant.tropical import TropMatrix
 
@@ -257,3 +258,25 @@ def decompose_box_table(lengths, shifts):
                 out.append(-lengths[i] + shifts[i] - shifts[j])
         rows.append(tuple(out))
     return TropMatrix(tuple(rows))
+
+
+def bfs_diameter(d: int) -> int:
+    """Skeleton diameter by exhaustive breadth-first search, independent of the formula."""
+    graph = skeleton(d)
+    best = 0
+    for node in graph.nodes:
+        dist = bfs_distances(graph, node)
+        if len(dist) != len(graph.nodes):
+            raise RuntimeError("skeleton graph is not connected")
+        best = max(best, max(dist.values()))
+    return best
+
+
+def count_flags_by_chains(d: int) -> int:
+    """Independent flag count: maximal chains of the face lattice via covering DP."""
+    lattice = build_face_lattice(d)
+    chains: dict[FaceInterval, int] = {face: 1 for face in lattice[0]}
+    for k in range(1, d):
+        for face in lattice[k]:
+            chains[face] = sum(chains[g] for g in face.covered_faces())
+    return sum(chains[face] for face in lattice[d - 1])

@@ -5,7 +5,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from isocant.cli import FVECTOR_DIM_LIMIT, VERTICES_DIM_LIMIT, main
+from isocant import conjectures
+from isocant.cli import (
+    BUILD_DIM_LIMIT,
+    FVECTOR_DIM_LIMIT,
+    VERIFY_DIM_LIMIT,
+    VERTICES_DIM_LIMIT,
+    build_parser,
+    main,
+)
 from isocant.matrices import IsocantedSpec, isocanted_sni
 from isocant.serialize import matrix_to_json, write_matrix
 
@@ -96,13 +104,35 @@ def test_rational_options_use_the_matrix_file_grammar(capsys, option, bad):
     [
         (["fvector", "--dim"], FVECTOR_DIM_LIMIT),
         (["vertices", "--ell", "2", "--a", "1", "--dim"], VERTICES_DIM_LIMIT),
+        (["build", "--ell", "2", "--a", "1", "--dim"], BUILD_DIM_LIMIT),
     ],
 )
 def test_dimension_caps_fail_while_parsing(capsys, argv, limit):
     with pytest.raises(SystemExit) as exc:
         main(argv + [str(limit + 1)])
     assert exc.value.code == 2
-    assert f"dimension {limit + 1} exceeds {argv[0]} limit {limit}" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert f"dimension {limit + 1} exceeds {argv[0]} limit {limit}" in captured.err
+    assert captured.out == ""
+
+
+def test_verify_range_cap_refuses_before_any_sweep(capsys, monkeypatch):
+    # Without the cap, ``3d`` at d=14,001 ran for about a minute and then
+    # failed on Python's limit for printing an int.
+    def never(*args):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(conjectures, "run_all", never)
+    for checks, bounds in (("3d", "14000:14001"), ("all", f"2:{VERIFY_DIM_LIMIT + 1}")):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", checks, "--range", bounds])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        hi = bounds.split(":")[1]
+        assert f"argument --range: dimension {hi} exceeds verify limit {VERIFY_DIM_LIMIT}" in captured.err
+    args = build_parser().parse_args(["verify", "--range", f"{VERIFY_DIM_LIMIT}:{VERIFY_DIM_LIMIT}"])
+    assert args.range == (VERIFY_DIM_LIMIT, VERIFY_DIM_LIMIT)
 
 
 def test_vertices_closed_form(capsys):

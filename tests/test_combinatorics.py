@@ -30,6 +30,8 @@ from isocant.combinatorics import (
     valence,
 )
 
+import reference
+
 
 def test_fvector_printed_values():
     assert isocanted_fvector(2) == (6, 6)
@@ -193,6 +195,12 @@ def test_diameter_formula_and_bfs():
         assert bfs_diameter(d) == d + 1
 
 
+def test_orbit_bfs_diameter_matches_all_pairs_reference():
+    # One search per label size against one search per label.
+    for d in range(2, 9):
+        assert bfs_diameter(d) == reference.bfs_diameter(d) == d + 1
+
+
 def test_antipodal_distance_is_diameter():
     for d in (2, 3, 4, 5):
         for w in all_vertex_labels(d):
@@ -250,6 +258,12 @@ def test_flag_chains_closed_form():
         assert chains == 2 ** (d - 1) * math.factorial(d + 1)
         assert chains == (d + 1) * d * 2 ** (d - 1) * math.factorial(d - 1)
     assert count_flags(4) != count_flags_by_chains(4)
+
+
+def test_shape_chain_count_matches_lattice_reference():
+    # The (|B|, |T|) table against the covering DP over every face.
+    for d in range(2, 9):
+        assert count_flags_by_chains(d) == reference.count_flags_by_chains(d)
 
 
 def test_flags_exceed_box_flags():

@@ -146,6 +146,13 @@ def test_cubical_g2_printed_values():
         assert cubical_g2_value(d) == 2**d - 2 * d - 2
 
 
+def test_cubical_g2_matches_full_h_vector():
+    # The entry from f_0 and f_1 alone against the whole long h-vector.
+    for d in range(4, 101):
+        h = long_cubical_h(isocanted_fvector(d), d)
+        assert cubical_g2_value(d) == h[2] - h[1]
+
+
 def test_cubical_g2_sweep():
     report = cubical_g2(4, 60)
     assert report.passed
