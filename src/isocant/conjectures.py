@@ -17,11 +17,11 @@ cubical g-entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, Sequence
 
+from ._record import Record
 from .combinatorics import count_flags, count_flags_by_chains, isocanted_fvector
 
 #: Largest dimension the flag sweep recounts by chains; its witnesses pin it.
@@ -31,8 +31,7 @@ DEFAULT_D_MIN = 2
 DEFAULT_D_MAX = 60
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(Record):
     """Outcome of one sweep: pass/fail plus per-dimension witnesses."""
 
     name: str

@@ -15,11 +15,11 @@ integer after clearing denominators once, so the enumeration is exact.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
+from ._record import Record
 from .combinatorics import all_vertex_labels, check_label
 from .matrices import PLACEMENTS, IsocantedSpec, decompose, isocanted_vni
 from .tropical import TropMatrix, laplace_terms, trop_minor
@@ -30,8 +30,7 @@ Point = tuple[Fraction, ...]
 ORACLE_DIM_LIMIT = 8
 
 
-@dataclass(frozen=True)
-class HRep:
+class HRep(Record):
     """Halfspace description of an alcoved polytope.
 
     ``single[i-1] = (lo, hi)`` bounds ``x_i``; each ``(i, j, lo, hi)`` in
@@ -163,8 +162,7 @@ def polytope_extremes(a: TropMatrix) -> tuple[Point, Point]:
     return mn, mx
 
 
-@dataclass(frozen=True)
-class VertexSet:
+class VertexSet(Record):
     """Exact vertex list, optionally labeled by proper subsets of ``[d+1]``."""
 
     d: int

@@ -19,10 +19,10 @@ table translated by ``tropical.conjugate_diag``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from ._record import Record
 from .tropical import TropMatrix, conjugate_diag, mat_mul
 
 Rational = int | Fraction
@@ -118,8 +118,7 @@ def cube_sni(d: int, edge_length: Rational) -> TropMatrix:
     return box_sni([edge_length] * d)
 
 
-@dataclass(frozen=True)
-class PerturbationMatrix:
+class PerturbationMatrix(Record):
     """Non-positive square matrix with zero diagonal, last row and last column."""
 
     entries: tuple[tuple[Fraction, ...], ...]
@@ -185,8 +184,7 @@ class PerturbationMatrix:
         return -first
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """The unique split ``matrix = box - perturbation`` of an NI matrix."""
 
     box: TropMatrix
@@ -246,8 +244,7 @@ def is_isocanted(a: TropMatrix) -> Fraction | None:
     return decompose(a).perturbation.constant_cant()
 
 
-@dataclass(frozen=True)
-class IsocantedSpec:
+class IsocantedSpec(Record):
     """Parameters of an isocanted polytope with cubic bounding box.
 
     ``d`` is the ambient dimension (at least 2), ``edge_length`` the common

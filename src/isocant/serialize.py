@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+from ._record import Record
 from .combinatorics import build_face_lattice, label_text
 from .geometry import Point, closed_form_vertices
 from .matrices import IsocantedSpec
@@ -104,6 +104,8 @@ def read_matrix(path: str | Path) -> TropMatrix:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise MatrixParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise MatrixParseError("invalid JSON: arrays or objects nested too deeply") from exc
     return matrix_from_json(payload)
 
 
@@ -121,8 +123,7 @@ def format_decimal(value: Fraction, precision: int = DEFAULT_PRECISION) -> str:
     return format(float(value), f".{check_precision(precision)}g")
 
 
-@dataclass(frozen=True)
-class MeshExport:
+class MeshExport(Record):
     """Three-dimensional mesh of the isocanted polytope with colored vertices.
 
     Vertices are exact points ordered by (label length, label); faces are

@@ -22,9 +22,10 @@ clears denominators once, so this program and ``mat_mul`` run on ``int`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
+
+from ._record import Record
 
 
 class _NegInf:
@@ -82,8 +83,7 @@ def trop_mul(x: TropScalar, y: TropScalar) -> TropScalar:
     return x + y
 
 
-@dataclass(frozen=True)
-class TropMatrix:
+class TropMatrix(Record):
     """Square matrix over the max-plus semiring.
 
     Public indexing is 1-based throughout (``entry(1, 1)`` is the top-left
@@ -178,8 +178,7 @@ def mat_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
     return TropMatrix(tuple(rows))
 
 
-@dataclass(frozen=True)
-class MinorEvaluation:
+class MinorEvaluation(Record):
     """Value of a tropical permanent plus its exact attainment multiplicity."""
 
     value: TropScalar

@@ -75,6 +75,18 @@ def test_classify_parse_error_exit_code(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("opener, closer", [("[", "]"), ('{"a":', "}")])
+@pytest.mark.parametrize("command", ["classify", "vertices"])
+def test_deeply_nested_matrix_file_exit_code(tmp_path, capsys, command, opener, closer):
+    # The JSON decoder recurses once per level and hits the recursion limit.
+    path = tmp_path / "deep.json"
+    path.write_text(opener * 10_000 + "0" + closer * 10_000, encoding="utf-8")
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid JSON") and err.count("\n") == 1
+
+
 def test_classify_missing_file_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "classify", str(tmp_path / "absent.json"))
     assert code == 2

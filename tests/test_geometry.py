@@ -24,7 +24,7 @@ from isocant.geometry import (
     verify_unique_vertex,
     zonotope_check,
 )
-from isocant.combinatorics import isocanted_fvector
+from isocant.combinatorics import isocanted_fvector, skeleton
 from isocant.matrices import (
     IsocantedSpec,
     box_sni,
@@ -437,6 +437,25 @@ def test_geometric_faces_equal_interval_faces():
             for face in faces
         }
         assert reference.face_vertex_sets(h, vset) == interval_faces
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_geometric_edges_are_the_skeleton(d):
+    # The two-vertex faces of the oracle's polytope, under the closed-form
+    # label map, are exactly the skeleton's edges: BFS distances and the
+    # diameter on labels are then distances on the polytope's own graph.
+    spec = IsocantedSpec(d, F(2), F(1))
+    h = hrep_from_matrix(isocanted_vni(spec))
+    vset = enumerate_vertices_oracle(h)
+    label_of = {pt: lab for lab, pt in label_vertices(spec, vset).labels}
+    geometric = {
+        frozenset(label_of[vset.points[k]] for k in face)
+        for face in reference.face_vertex_sets(h, vset)
+        if len(face) == 2
+    }
+    edges = skeleton(d).edges
+    assert len(edges) == len(geometric)
+    assert geometric == {frozenset(edge) for edge in edges}
 
 
 def test_isocanted_vertex_worked_cases_d5():

@@ -1,0 +1,138 @@
+"""The shared immutable record base: equality, hashing, immutability, repr, import cost."""
+
+import subprocess
+import sys
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+import isocant
+from isocant._record import Record
+from isocant.combinatorics import (
+    CaskBeltPartition,
+    FaceInterval,
+    FVectorTables,
+    SkeletonGraph,
+    casks_and_belt,
+    fvector_tables,
+    skeleton,
+)
+from isocant.conjectures import ConjectureReport, check_extremes
+from isocant.geometry import HRep, VertexSet, hrep_from_matrix
+from isocant.matrices import (
+    Decomposition,
+    IsocantedSpec,
+    PerturbationMatrix,
+    decompose,
+    isocanted_vni,
+)
+from isocant.serialize import MeshExport, build_mesh
+from isocant.tropical import MinorEvaluation, TropMatrix, trop_minor
+
+SPEC = IsocantedSpec(3, F(2), F(1))
+
+# Each maker builds a new record on every call, so two calls give equal,
+# distinct instances.
+MAKERS = {
+    TropMatrix: lambda: isocanted_vni(SPEC),
+    MinorEvaluation: lambda: trop_minor(isocanted_vni(SPEC), (1, 2), (1, 2)),
+    PerturbationMatrix: lambda: decompose(isocanted_vni(SPEC)).perturbation,
+    Decomposition: lambda: decompose(isocanted_vni(SPEC)),
+    IsocantedSpec: lambda: IsocantedSpec(3, 2, 1),
+    HRep: lambda: hrep_from_matrix(isocanted_vni(SPEC)),
+    VertexSet: lambda: VertexSet(1, ((F(0),), (F(1),)), ((frozenset({1}), (F(1),)),)),
+    FVectorTables: lambda: fvector_tables(3),
+    FaceInterval: lambda: FaceInterval(frozenset({1}), frozenset({1, 2})),
+    SkeletonGraph: lambda: skeleton(3),
+    CaskBeltPartition: lambda: casks_and_belt(3),
+    ConjectureReport: lambda: check_extremes(0, 4),
+    MeshExport: lambda: build_mesh(SPEC),
+}
+
+
+def field_values(record):
+    return tuple(getattr(record, name) for name in record._fields)
+
+
+def test_every_record_class_is_covered():
+    library = {c for c in Record.__subclasses__() if c.__module__.startswith("isocant.")}
+    assert library == set(MAKERS)
+
+
+@pytest.mark.parametrize("cls", list(MAKERS), ids=lambda c: c.__name__)
+def test_record_semantics(cls):
+    record, twin = MAKERS[cls](), MAKERS[cls]()
+    assert type(record) is cls and record is not twin
+    assert record._fields == tuple(cls.__annotations__)
+    values = field_values(record)
+
+    assert record == twin
+    assert not record != twin
+    # Another class with the same fields and values, and the bare tuple, differ.
+    other = type("Other", (Record,), {"__annotations__": dict.fromkeys(cls._fields, object)})
+    assert record != other(*values)
+    assert record != values
+    assert record.__eq__(values) is NotImplemented
+
+    try:
+        expected = hash(values)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(twin) == expected
+
+    name = cls._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, name, values[0])
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    assert field_values(record) == values
+
+    with pytest.raises(TypeError):
+        cls(*values, None)
+
+    if "__repr__" not in cls.__dict__:
+        body = ", ".join(f"{n}={v!r}" for n, v in zip(cls._fields, values))
+        assert repr(record) == f"{cls.__name__}({body})"
+
+
+def test_construction_defaults_and_validation():
+    points = ((F(0),), (F(1),))
+    assert VertexSet(1, points).labels == ()
+    assert ConjectureReport("x", 0, 1, True, ()).counterexample is None
+    assert MeshExport((), (), (), ()).precision == MeshExport.precision
+    with pytest.raises(TypeError):
+        VertexSet(1)
+    # FaceInterval sets its fields itself and keeps the containment check.
+    face = FaceInterval(frozenset({1}), frozenset({1, 2}))
+    assert (face.bottom, face.top) == (frozenset({1}), frozenset({1, 2}))
+    with pytest.raises(ValueError):
+        FaceInterval(frozenset({1, 2}), frozenset({1}))
+
+
+def test_skeleton_adjacency_is_cached():
+    graph = skeleton(3)
+    assert graph._adjacency is graph._adjacency
+    assert graph == skeleton(3)
+    assert graph.neighbors(frozenset({1})) == [frozenset({1, 2}), frozenset({1, 3}), frozenset({1, 4})]
+
+
+def test_cli_import_does_not_load_dataclasses_or_inspect():
+    # Both cost milliseconds on every command-line call; the set of modules a
+    # fresh interpreter adds is deterministic, unlike a wall-clock budget.
+    src = str(Path(isocant.__file__).resolve().parent.parent)
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "before = set(sys.modules)\n"
+        "import isocant.cli\n"
+        "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    added = set(result.stdout.split())
+    assert "isocant.cli" in added
+    assert not added & {"dataclasses", "inspect"}
