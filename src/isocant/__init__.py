@@ -2,8 +2,8 @@
 
 The package realizes the matrix classes behind alcoved polytopes (normal,
 normal idempotent, visualized and symmetric placements), the isocanted family
-with its closed-form vertex map and face counts, a brute-force exact vertex
-oracle for cross-checking the combinatorics, verification sweeps for the
+with its closed-form vertex map and face counts, an exact edge-walk vertex
+enumerator for cross-checking the combinatorics, verification sweeps for the
 classical face-count conjectures, and JSON/OFF/OBJ interchange.
 """
 

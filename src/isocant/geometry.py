@@ -3,26 +3,26 @@
 An alcoved polytope is cut out by bounds on single coordinates and on
 coordinate differences, so every defining hyperplane has the form ``x_i = c``
 or ``x_i - x_j = c``.  Adding a ground node 0 with ``x_0 = 0`` makes every
-bound a difference bound on the nodes ``0..d``; closing them under shortest
-paths gives the tightest bounds (the Kleene star, the normal idempotent form).
+bound a difference bound on the nodes ``0..d``, and ``HRep`` lists them in
+one table that every reader goes through; closing them under shortest paths
+gives the tightest bounds (the Kleene star, the normal idempotent form).
 Every edge of such a polytope runs along a cut direction ``+1_S`` for a node
 set ``S``, so the vertex enumerator walks the edge graph from the maximum
 point without any linear programming, trying the ``2^(d+1) - 2`` cuts at each
-vertex: its cost is ``vertices * 2^(d+1)`` cut checks.  All arithmetic is
-integer after clearing denominators once, so the enumeration is exact.
+vertex: its cost is ``vertices * 2^(d+1)`` cut checks.  The walk and face
+recovery are exact, on integers after ``tropical._scaled`` clears denominators.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Sequence
 
 from ._record import Record
 from .combinatorics import all_vertex_labels, check_label
 from .matrices import PLACEMENTS, IsocantedSpec, decompose, isocanted_vni
-from .tropical import TropMatrix, laplace_terms, trop_minor
+from .tropical import TropMatrix, _scaled, laplace_terms, trop_minor
 
 Point = tuple[Fraction, ...]
 
@@ -35,24 +35,26 @@ class HRep(Record):
 
     ``single[i-1] = (lo, hi)`` bounds ``x_i``; each ``(i, j, lo, hi)`` in
     ``diff`` bounds ``x_i - x_j`` for ``i < j``.  Bounds are exact rationals
-    with ``lo <= hi``.
+    with ``lo <= hi``; every reader goes through :meth:`_bounds`.
     """
 
     d: int
     single: tuple[tuple[Fraction, Fraction], ...]
     diff: tuple[tuple[int, int, Fraction, Fraction], ...]
 
-    def contains(self, point: Sequence[Fraction]) -> bool:
+    def _bounds(self) -> tuple[tuple[int, int, Fraction, Fraction], ...]:
+        """Every bound as ``(i, j, lo, hi)`` on ``x_i - x_j``, with ``j = 0`` the ground."""
+        return tuple((i, 0, lo, hi) for i, (lo, hi) in enumerate(self.single, 1)) + self.diff
+
+    def _grounded(self, point: Sequence[Fraction]) -> tuple[Fraction, ...]:
+        """``(0, *point)``: the point on the nodes ``0..d``, after checking its length."""
         if len(point) != self.d:
             raise ValueError(f"point dimension {len(point)} != {self.d}")
-        for i in range(self.d):
-            lo, hi = self.single[i]
-            if not lo <= point[i] <= hi:
-                return False
-        for i, j, lo, hi in self.diff:
-            if not lo <= point[i - 1] - point[j - 1] <= hi:
-                return False
-        return True
+        return (0, *point)
+
+    def contains(self, point: Sequence[Fraction]) -> bool:
+        x = self._grounded(point)
+        return all(lo <= x[i] - x[j] <= hi for i, j, lo, hi in self._bounds())
 
     def hyperplanes(self) -> list[tuple[int, int, Fraction]]:
         """Defining hyperplanes as ``(i, j, c)`` meaning ``x_i - x_j = c``.
@@ -60,20 +62,12 @@ class HRep(Record):
         ``j = 0`` denotes the ground node, i.e. the single bound ``x_i = c``.
         Coincident hyperplanes (degenerate equal bounds) are merged.
         """
-        planes: set[tuple[int, int, Fraction]] = set()
-        for i in range(1, self.d + 1):
-            lo, hi = self.single[i - 1]
-            planes.add((i, 0, lo))
-            planes.add((i, 0, hi))
-        for i, j, lo, hi in self.diff:
-            planes.add((i, j, lo))
-            planes.add((i, j, hi))
-        return sorted(planes)
+        return sorted({(i, j, c) for i, j, lo, hi in self._bounds() for c in (lo, hi)})
 
     def tight_rank(self, point: Sequence[Fraction]) -> int:
         """Rank of the normals of the constraints active at ``point``; ``d`` at a vertex."""
-        edges = [(i, 0) for i, bounds in enumerate(self.single, 1) if point[i - 1] in bounds]
-        edges += [(i, j) for i, j, lo, hi in self.diff if point[i - 1] - point[j - 1] in (lo, hi)]
+        x = self._grounded(point)
+        edges = [(i, j) for i, j, lo, hi in self._bounds() if x[i] - x[j] in (lo, hi)]
         return _constraint_rank(self.d, edges)
 
 
@@ -110,26 +104,20 @@ def hrep_from_matrix(a: TropMatrix) -> HRep:
     if not a.is_finite():
         raise ValueError("matrix must have finite entries")
     n = a.n
-    d = n - 1
     for i in range(n):
         if a.entries[i][i] != 0:
             raise ValueError("matrix must have zero diagonal")
-    single = []
-    for i in range(1, d + 1):
-        lo = a.entry(i, n)
-        hi = -a.entry(n, i)
+
+    def bound(i: int, j: int, what: str) -> tuple[Fraction, Fraction]:
+        lo, hi = a.entry(i, j), -a.entry(j, i)
         if lo > hi:
-            raise ValueError(f"inconsistent bounds on x_{i}: {lo} > {hi}")
-        single.append((lo, hi))
-    diff = []
-    for i in range(1, d + 1):
-        for j in range(i + 1, d + 1):
-            lo = a.entry(i, j)
-            hi = -a.entry(j, i)
-            if lo > hi:
-                raise ValueError(f"inconsistent bounds on x_{i} - x_{j}: {lo} > {hi}")
-            diff.append((i, j, lo, hi))
-    return HRep(d, tuple(single), tuple(diff))
+            raise ValueError(f"inconsistent bounds on {what}: {lo} > {hi}")
+        return lo, hi
+
+    single = tuple(bound(i, n, f"x_{i}") for i in range(1, n))
+    pairs = itertools.combinations(range(1, n), 2)
+    diff = tuple((i, j, *bound(i, j, f"x_{i} - x_{j}")) for i, j in pairs)
+    return HRep(n - 1, single, diff)
 
 
 def auxiliary_matrix(a: TropMatrix) -> TropMatrix:
@@ -177,23 +165,26 @@ class VertexSet(Record):
         return len(self.points)
 
 
-def _closed_bounds(h: HRep, scale: int) -> list[list[int]]:
-    """Tightest bounds ``x_i - x_j <= bound[i][j]`` on the nodes ``0..d`` (``x_0 = 0``), times ``scale``.
+def _closed_bounds(h: HRep) -> tuple[list[list[int]], int]:
+    """Tightest bounds ``x_i - x_j <= bound[i][j] / den`` on the nodes ``0..d`` (``x_0 = 0``).
 
-    Each pair starts from its bound through the ground and its own difference
-    bound, then Floyd-Warshall closes them (the Kleene star).  A negative
-    diagonal entry is a negative cycle: the system has no solution.
+    ``tropical._scaled`` clears the denominators.  Each pair starts from its
+    own bound, or its path through the ground when it has none, and
+    Floyd-Warshall closes them (the Kleene star).  A negative diagonal entry
+    is a negative cycle: the system has no solution.
     """
+    bounds = h._bounds()
+    scaled, den = _scaled([(hi, -lo) for _, _, lo, hi in bounds])
     nodes = range(h.d + 1)
-    top = [0] + [int(hi * scale) for _, hi in h.single]
-    floor = [0] + [-int(lo * scale) for lo, _ in h.single]
-    bound = [[0 if i == j else top[i] + floor[j] for j in nodes] for i in nodes]
-    for i, j, lo, hi in h.diff:
-        bound[i][j] = min(bound[i][j], int(hi * scale))
-        bound[j][i] = min(bound[j][i], -int(lo * scale))
+    own = {(k, k): 0 for k in nodes}
+    for (i, j, _, _), pair in zip(bounds, scaled):
+        for key, v in zip(((i, j), (j, i)), pair):
+            own[key] = min(own.get(key, v), v)
+    bound = [[own[i, j] if (i, j) in own else own[i, 0] + own[0, j] for j in nodes]
+             for i in nodes]
     for k in nodes:
         bound = [[min(b, row[k] + via) for b, via in zip(row, bound[k])] for row in bound]
-    return bound
+    return bound, den
 
 
 def _subset_unions(masks: Sequence[int]) -> list[int]:
@@ -233,8 +224,7 @@ def enumerate_vertices_oracle(h: HRep) -> VertexSet:
     d = h.d
     if d > ORACLE_DIM_LIMIT:
         raise ValueError(f"dimension {d} exceeds oracle limit {ORACLE_DIM_LIMIT}")
-    scale = lcm(*(c.denominator for _, _, c in h.hyperplanes()))
-    bound = _closed_bounds(h, scale)
+    bound, den = _closed_bounds(h)
     nodes = range(d + 1)
     if any(bound[k][k] < 0 for k in nodes):
         raise ValueError("empty polytope: no feasible vertex found")
@@ -260,7 +250,7 @@ def enumerate_vertices_oracle(h: HRep) -> VertexSet:
             if y not in seen:
                 seen.add(y)
                 work.append(y)
-    points = tuple(sorted(tuple(Fraction(v, scale) for v in p[1:]) for p in seen))
+    points = tuple(sorted(tuple(Fraction(v, den) for v in p[1:]) for p in seen))
     return VertexSet(d, points)
 
 
@@ -392,22 +382,22 @@ def zonotope_check(spec: IsocantedSpec) -> bool:
 def oracle_face_counts(h: HRep, vset: VertexSet) -> tuple[int, ...]:
     """Face counts by dimension, recovered from vertex-facet incidences.
 
-    Each hyperplane's tight vertex set is an int bitmask.  Facet sets are
-    intersected to closure (every proper face of a polytope is an
-    intersection of facets).  A face's dimension is ``d`` minus the
-    constraint-graph rank of the hyperplanes tight on all its vertices: those
-    cut out its affine hull.  Hyperplanes tight on every vertex are implicit
+    One ``tropical._scaled`` call clears the grounded vertices and the
+    hyperplane constants together, so each hyperplane's tight vertex set is
+    an int bitmask built from ``int`` comparisons.  Facet sets are
+    intersected to closure (every proper face is an intersection of facets).
+    A face's dimension is ``d`` minus the constraint-graph rank of the
+    hyperplanes tight on all its vertices: those cut out its affine hull.  Hyperplanes tight on every vertex are implicit
     equalities of a flat polytope and count towards every rank.
     """
-    points = vset.points
-    everything = (1 << len(points)) - 1
-    tight = []
-    for i, j, c in h.hyperplanes():
-        mask = 0
-        for k, p in enumerate(points):
-            if (p[i - 1] if j == 0 else p[i - 1] - p[j - 1]) == c:
-                mask |= 1 << k
-        tight.append(((i, j), mask))
+    planes = h.hyperplanes()
+    grid = [h._grounded(p) for p in vset.points] + [[c for _, _, c in planes]]
+    *xs, consts = _scaled(grid)[0]
+    everything = (1 << len(xs)) - 1
+    tight = [
+        ((i, j), sum(1 << k for k, x in enumerate(xs) if x[i] - x[j] == c))
+        for (i, j, _), c in zip(planes, consts)
+    ]
     facets = {mask for _, mask in tight if mask and mask != everything}
 
     faces = set(facets)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ._record import Record
-from .tropical import TropMatrix, conjugate_diag, mat_mul
+from .tropical import TropMatrix, as_rational, conjugate_diag, mat_mul
 
 Rational = int | Fraction
 
@@ -71,7 +71,7 @@ def is_sni(a: TropMatrix) -> bool:
 
 
 def _positive_lengths(lengths: Sequence[Rational]) -> tuple[Fraction, ...]:
-    out = tuple(Fraction(v) for v in lengths)
+    out = tuple(as_rational(v) for v in lengths)
     if not out:
         raise ValueError("at least one edge length is required")
     if any(v <= 0 for v in out):
@@ -140,12 +140,12 @@ class PerturbationMatrix(Record):
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[Rational]]) -> "PerturbationMatrix":
-        return cls(tuple(tuple(Fraction(v) for v in row) for row in rows))
+        return cls(tuple(tuple(as_rational(v) for v in row) for row in rows))
 
     @classmethod
     def constant(cls, n: int, cant: Rational) -> "PerturbationMatrix":
         """The constant perturbation with every free entry equal to ``-cant``."""
-        c = Fraction(cant)
+        c = as_rational(cant)
         if c < 0:
             raise ValueError("cant must be non-negative")
         rows = [
@@ -256,8 +256,8 @@ class IsocantedSpec(Record):
     cant: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "edge_length", Fraction(self.edge_length))
-        object.__setattr__(self, "cant", Fraction(self.cant))
+        object.__setattr__(self, "edge_length", as_rational(self.edge_length))
+        object.__setattr__(self, "cant", as_rational(self.cant))
         if not isinstance(self.d, int) or self.d < 2:
             raise ValueError("dimension must be an integer >= 2")
         if not 0 < self.cant < self.edge_length:
@@ -290,7 +290,7 @@ def isocanted_box_vni(lengths: Sequence[Rational], cant: Rational) -> TropMatrix
     is provided because mixed edge lengths leave the combinatorics unchanged.
     """
     ls = _positive_lengths(lengths)
-    c = Fraction(cant)
+    c = as_rational(cant)
     if not 0 < c < min(ls):
         raise ValueError("cant must satisfy 0 < cant < min(edge lengths)")
     return _visualized(ls, c)

@@ -67,6 +67,13 @@ def as_scalar(value: object) -> TropScalar:
     raise TypeError(f"tropical scalars are exact rationals or -inf, got {value!r}")
 
 
+def as_rational(value: object) -> Fraction:
+    """``Fraction(value)``, except that floats and bools raise as in :func:`as_scalar`."""
+    if isinstance(value, (bool, float)):
+        as_scalar(value)
+    return Fraction(value)
+
+
 def trop_add(x: TropScalar, y: TropScalar) -> TropScalar:
     """Tropical addition: max, with ``NEG_INF`` neutral."""
     if x is NEG_INF:

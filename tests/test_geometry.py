@@ -1,12 +1,14 @@
 """Halfspace systems, the exact vertex oracle, vertex maps, symmetry, zonotopes."""
 
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from isocant.geometry import (
     ORACLE_DIM_LIMIT,
+    HRep,
     VertexSet,
     auxiliary_matrix,
     bounding_box,
@@ -379,6 +381,24 @@ def test_walk_matches_subset_sweep():
         assert enumerate_vertices_oracle(h) == reference.sweep_vertices(h)
 
 
+def _seeded_cases(rng, d, pool):
+    """Seeded NI, non-NI and flat (equal-bound) matrices of size ``d + 1``; all contain the origin."""
+    nonni = _random_normal(rng, d, pool)
+    i, j, k = rng.sample(range(d + 1), 3)
+    # a[i][j] < a[i][k] + a[k][j] = 0, so the square differs.
+    nonni[i][k] = nonni[k][j] = F(0)
+    nonni[i][j] = F(-1)
+    flat = _random_normal(rng, d, pool)
+    i, j = rng.sample(range(d + 1), 2)
+    flat[i][j] = flat[j][i] = F(0)
+    return (
+        ("ni", _kleene_star(_random_normal(rng, d, pool))),
+        ("nonni", TropMatrix.from_rows(nonni)),
+        ("flat", TropMatrix.from_rows(flat)),
+        ("flat", _kleene_star(flat)),
+    )
+
+
 def test_oracle_face_counts_match_affine_rank_reference():
     # Constraint-graph rank against Gaussian elimination on the face vertices,
     # over NI, non-NI and flat (equal-bound) polytopes; all contain the origin.
@@ -388,21 +408,7 @@ def test_oracle_face_counts_match_affine_rank_reference():
     pool = [F(-1, 2), F(-1), F(-3, 2), F(-2), F(-3), F(-7, 3)]
     for d in (2, 3, 4):
         for _ in range(6 if d < 4 else 3):
-            nonni = _random_normal(rng, d, pool)
-            i, j, k = rng.sample(range(d + 1), 3)
-            # a[i][j] < a[i][k] + a[k][j] = 0, so the square differs.
-            nonni[i][k] = nonni[k][j] = F(0)
-            nonni[i][j] = F(-1)
-            flat = _random_normal(rng, d, pool)
-            i, j = rng.sample(range(d + 1), 2)
-            flat[i][j] = flat[j][i] = F(0)
-            cases = (
-                ("ni", _kleene_star(_random_normal(rng, d, pool))),
-                ("nonni", TropMatrix.from_rows(nonni)),
-                ("flat", TropMatrix.from_rows(flat)),
-                ("flat", _kleene_star(flat)),
-            )
-            for kind, a in cases:
+            for kind, a in _seeded_cases(rng, d, pool):
                 h = hrep_from_matrix(a)
                 vset = enumerate_vertices_oracle(h)
                 counts = oracle_face_counts(h, vset)
@@ -418,6 +424,90 @@ def test_oracle_face_counts_match_affine_rank_reference():
     h = hrep_from_matrix(isocanted_vni(spec))
     vset = VertexSet(5, tuple(sorted(closed_form_vertices(spec).values())))
     assert oracle_face_counts(h, vset) == reference.face_counts(h, vset) == isocanted_fvector(5)
+
+
+def _with_gaps(rng, h):
+    # Drop about half the difference bounds, at least one, but never an equal
+    # one, so the polytope keeps its dimension and some pair has no bound of
+    # its own.  Unchanged when every difference bound is an equality.
+    free = [b for b in h.diff if b[2] != b[3]]
+    dropped = set(rng.sample(free, min(len(free), max(1, len(free) // 2))))
+    return HRep(h.d, h.single, tuple(b for b in h.diff if b not in dropped))
+
+
+def test_missing_pairs_start_through_the_ground():
+    # Only a directly built HRep can lack a difference pair: hrep_from_matrix
+    # fills every one.  The closure then starts such a pair from its path
+    # through the ground, and the walk and face recovery must still agree
+    # with the subset sweep and the affine-rank face counts.
+    rng = random.Random(8)
+    pool = [F(-1, 2), F(-1), F(-3, 2), F(-2), F(-3), F(-7, 3)]
+    checked = {"ni": 0, "flat": 0}
+    for d in (2, 3, 4):
+        for _ in range(5 if d < 4 else 2):
+            for kind, a in _seeded_cases(rng, d, pool):
+                if kind == "nonni":
+                    continue
+                full = hrep_from_matrix(a)
+                h = _with_gaps(rng, full)
+                if h == full:
+                    continue
+                checked[kind] += 1
+                vset = enumerate_vertices_oracle(h)
+                assert vset == reference.sweep_vertices(h), (kind, h)
+                counts = oracle_face_counts(h, vset)
+                assert counts == reference.face_counts(h, vset), (kind, h)
+                assert (counts[-1] == 0) == (kind == "flat")
+    assert min(checked.values()) >= 8, checked
+
+
+def test_tight_rank_checks_the_point_length():
+    h = hrep_from_matrix(cube_vni(3, 2))
+    for point in ((F(0), F(0)), (F(0), F(0), F(0), F(5))):
+        with pytest.raises(ValueError, match=f"^point dimension {len(point)} != 3$"):
+            h.tight_rank(point)
+        with pytest.raises(ValueError, match=f"^point dimension {len(point)} != 3$"):
+            h.contains(point)
+    assert h.tight_rank((F(0), F(0), F(0))) == 3
+
+
+def test_hrep_accessors_match_a_direct_reading():
+    # hyperplanes, contains and tight_rank against a reading of single and
+    # diff written here, with the rank taken by Gaussian elimination, at
+    # vertices, at the centroid and at points stepped off a few vertices.
+    rng = random.Random(9)
+    pool = [F(-1, 2), F(-1), F(-3, 2), F(-2), F(-3), F(-7, 3)]
+    seen = set()
+    for d in (2, 3, 4):
+        unit = [tuple(F(int(k == i)) for k in range(d)) for i in range(d)]
+        for _ in range(3):
+            for kind, a in _seeded_cases(rng, d, pool):
+                for h in (hrep_from_matrix(a), _with_gaps(rng, hrep_from_matrix(a))):
+                    planes = {(i, 0, c) for i, (lo, hi) in enumerate(h.single, 1) for c in (lo, hi)}
+                    planes |= {(i, j, c) for i, j, lo, hi in h.diff for c in (lo, hi)}
+                    assert h.hyperplanes() == sorted(planes)
+
+                    vertices = enumerate_vertices_oracle(h).points
+                    centroid = tuple(sum(c) / len(vertices) for c in zip(*vertices))
+                    stepped = [
+                        tuple(x + step * e for x, e in zip(p, unit[k]))
+                        for p in vertices[:3] for k in range(d) for step in (F(1, 5), F(-1, 5))
+                    ]
+                    for p in (*vertices, centroid, *stepped):
+                        singles = [i for i, (lo, hi) in enumerate(h.single, 1) if p[i - 1] in (lo, hi)]
+                        diffs = [(i, j) for i, j, lo, hi in h.diff if p[i - 1] - p[j - 1] in (lo, hi)]
+                        normals = [unit[i - 1] for i in singles]
+                        normals += [tuple(x - y for x, y in zip(unit[i - 1], unit[j - 1])) for i, j in diffs]
+                        inside = all(lo <= p[i - 1] <= hi for i, (lo, hi) in enumerate(h.single, 1))
+                        inside = inside and all(lo <= p[i - 1] - p[j - 1] <= hi for i, j, lo, hi in h.diff)
+                        rank = reference.affine_dim([(F(0),) * d, *normals])
+                        assert h.contains(p) == inside, (kind, h, p)
+                        assert h.tight_rank(p) == rank, (kind, h, p)
+                        if p in vertices:
+                            assert inside and rank == d
+                        seen.add((kind, inside, p == centroid))
+    for kind in ("ni", "nonni", "flat"):
+        assert {(kind, True, True), (kind, True, False), (kind, False, False)} <= seen
 
 
 def test_geometric_faces_equal_interval_faces():

@@ -5,7 +5,10 @@ Each case runs ``isocant`` in-process and compares its stdout with
 before the label, placement and face-recovery code was consolidated, and the
 two vertex tables again when table labels gained separators.  The classify
 case on a translated mixed-length NI matrix was written before the box and
-isocanted constructors were built from one entry table.  After an
+isocanted constructors were built from one entry table.  The vertices case
+on that matrix, whose bounds have denominators 4, 6, 8 and 24, was written
+before the vertex walk cleared denominators through ``tropical._scaled``.
+After an
 intended output change, rewrite them with
 ``PYTHONPATH=src python tests/test_golden.py [NAME ...]`` and review the diff.
 Named cases are rewritten alone; with no names, every case is rewritten.
@@ -58,6 +61,7 @@ CASES = {
     "oracle_vertices_flat_d2": (0, ["vertices", _input("flat_d2.json")]),
     "oracle_classify_flat_d2": (0, ["classify", _input("flat_d2.json")]),
     "oracle_classify_ni_shifted_mixed_d3": (0, ["classify", _input("ni_shifted_mixed_d3.json")]),
+    "oracle_vertices_ni_shifted_mixed_d3": (0, ["vertices", _input("ni_shifted_mixed_d3.json")]),
     "vertices_missing_spec": (2, ["vertices"]),
     "export_wrong_dimension": (2, ["export", "--dim", "4", "--ell", "2", "--a", "1"]),
 }

@@ -1,6 +1,7 @@
 """Matrix classes, constructors, decomposition and the isocanted predicate."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -95,6 +96,37 @@ def test_isocanted_spec_validation():
         IsocantedSpec(3, F(2), F(0))
     spec = IsocantedSpec(3, 2, "1/2")
     assert spec.edge_length == F(2) and spec.cant == F(1, 2)
+
+
+# Every matrix builder that takes user numbers, with one argument replaced by
+# a float or a bool that ``Fraction()`` alone would accept silently.
+INEXACT_CALLS = [
+    ("box_vni", lambda v: box_vni([2, v]), 0.5, True),
+    ("box_sni", lambda v: box_sni([v, 2]), 0.5, True),
+    ("cube_vni", lambda v: cube_vni(3, v), 0.5, True),
+    ("cube_sni", lambda v: cube_sni(3, v), 0.5, True),
+    ("isocanted_box_vni_length", lambda v: isocanted_box_vni([v, 2], F(1, 4)), 0.5, True),
+    ("isocanted_box_vni_cant", lambda v: isocanted_box_vni([2, 2], v), 0.5, True),
+    ("perturbation_from_rows",
+     lambda v: PerturbationMatrix.from_rows([[0, v, 0], [0, 0, 0], [0, 0, 0]]), -0.5, False),
+    ("perturbation_constant", lambda v: PerturbationMatrix.constant(3, v), 0.5, True),
+    ("isocanted_spec_edge_length", lambda v: IsocantedSpec(3, v, F(1, 2)), 1.5, True),
+    ("isocanted_spec_cant", lambda v: IsocantedSpec(3, F(2), v), 0.5, True),
+]
+
+
+@pytest.mark.parametrize("call, value", [
+    pytest.param(call, value, id=f"{name}-{type(value).__name__}")
+    for name, call, *values in INEXACT_CALLS
+    for value in values
+])
+def test_builders_reject_floats_and_bools(call, value):
+    if isinstance(value, bool):
+        message = "^bool is not a tropical scalar$"
+    else:
+        message = f"^tropical scalars are exact rationals or -inf, got {re.escape(repr(value))}$"
+    with pytest.raises(TypeError, match=message):
+        call(value)
 
 
 def test_isocanted_vni_entry_table():
