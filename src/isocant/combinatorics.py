@@ -31,7 +31,7 @@ LATTICE_DIM_LIMIT = 8
 
 
 def _check_dim(d: int, minimum: int = 2) -> None:
-    if not isinstance(d, int) or d < minimum:
+    if isinstance(d, bool) or not isinstance(d, int) or d < minimum:
         raise ValueError(f"dimension must be an integer >= {minimum}")
 
 
@@ -167,15 +167,11 @@ class FaceInterval(Record):
             yield FaceInterval(self.bottom, self.top - {t})
 
 
-def _check_lattice_dim(d: int) -> None:
+def build_face_lattice(d: int) -> dict[int, tuple[FaceInterval, ...]]:
+    """All faces grouped by dimension: intervals with nonempty bottom, proper top."""
     _check_dim(d)
     if d > LATTICE_DIM_LIMIT:
         raise ValueError(f"dimension {d} exceeds lattice limit {LATTICE_DIM_LIMIT}")
-
-
-def build_face_lattice(d: int) -> dict[int, tuple[FaceInterval, ...]]:
-    """All faces grouped by dimension: intervals with nonempty bottom, proper top."""
-    _check_lattice_dim(d)
     by_dim: dict[int, list[FaceInterval]] = {k: [] for k in range(d)}
     for bottom in all_vertex_labels(d):
         rest = [v for v in range(1, d + 2) if v not in bottom]
@@ -305,9 +301,9 @@ def count_flags_by_chains(d: int) -> int:
 
     Chains below ``[B, T]`` depend only on ``(b, t) = (|B|, |T|)``, and
     ``c(b, t) = (t-b) (c(b+1, t) + c(b, t-1))``: an ``O(d**2)`` table, summed
-    over the ``(d+1) d`` facets ``(1, d)``.  It keeps the lattice's cap.
+    over the ``(d+1) d`` facets ``(1, d)``: no lattice is built, so no cap.
     """
-    _check_lattice_dim(d)
+    _check_dim(d)
     chains: dict[tuple[int, int], int] = {}
     for t in range(1, d + 1):
         for b in range(t, 0, -1):

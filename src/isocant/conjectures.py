@@ -24,9 +24,6 @@ from typing import Callable, Sequence
 from ._record import Record
 from .combinatorics import count_flags, count_flags_by_chains, isocanted_fvector
 
-#: Largest dimension the flag sweep recounts by chains; its witnesses pin it.
-CHAIN_CHECK_LIMIT = 7
-
 DEFAULT_D_MIN = 2
 DEFAULT_D_MAX = 60
 
@@ -277,7 +274,7 @@ def check_3d(d_min: int = DEFAULT_D_MIN, d_max: int = DEFAULT_D_MAX) -> Conjectu
 
 
 def check_flag(d_min: int = DEFAULT_D_MIN, d_max: int = DEFAULT_D_MAX) -> ConjectureReport:
-    """Flag count beats the box count ``2**d d!``; recounted by chains when small.
+    """Flag count beats the box count ``2**d d!`` and equals a chain recount.
 
     The supporting inequality ``(2**(d-1) - 1)(d+1) > 2**(d-2) d`` (the
     per-vertex comparison behind the bound) is verified along the way.
@@ -289,14 +286,14 @@ def check_flag(d_min: int = DEFAULT_D_MIN, d_max: int = DEFAULT_D_MAX) -> Conjec
         bound = 2**d * factorial(d)
         # Compare 4*lhs > 4*rhs to stay in integers at d = 2.
         support = (2 ** (d - 1) - 1) * (d + 1) * 4 > 2**d * d
-        chains = count_flags_by_chains(d) if d <= CHAIN_CHECK_LIMIT else None
-        ok = flags > bound and support and (chains is None or chains == flags)
+        chains = count_flags_by_chains(d)
+        ok = flags > bound and support and chains == flags
         return ok, {
             "d": d,
             "flags": flags,
             "box_flags": bound,
             "chain_recount": chains,
-            "chain_checked": chains is not None,
+            "chain_checked": True,
         }
 
     return _sweep("flag", d_min, d_max, per_d)

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 from ._record import Record
 from .combinatorics import all_vertex_labels, check_label
 from .matrices import PLACEMENTS, IsocantedSpec, decompose, isocanted_vni
-from .tropical import TropMatrix, _scaled, laplace_terms, trop_minor
+from .tropical import TropMatrix, _scaled, laplace_terms
 
 Point = tuple[Fraction, ...]
 
@@ -298,9 +298,10 @@ def unique_vertex_conditions(c: TropMatrix, w: Iterable[int], point: Sequence[Fr
     ``point`` is a full coordinate vector of length ``n = c.n`` whose last
     entry must be zero.  The candidate column is substituted into a column
     slot outside ``w`` and, for every row subset one larger than ``w``, the
-    Laplace terms along that column must all coincide (so the maximum is
-    attained once per term) and the minor maximum must be attained at least
-    twice (membership in the span).
+    Laplace terms along that column must all coincide.  That alone attains the
+    minor maximum at least twice (membership in the span): the ``k = |w| + 1``
+    equal terms are maximizing permutations with distinct rows in the slot
+    (all ``k!`` attain ``-inf``), and an empty label has ``k = 1`` and fails.
     """
     label = sorted(set(w))
     n = c.n
@@ -315,9 +316,7 @@ def unique_vertex_conditions(c: TropMatrix, w: Iterable[int], point: Sequence[Fr
         first = terms[0]
         if any(t != first for t in terms[1:]):
             return False
-        if trop_minor(extended, rows, cols).multiplicity < 2:
-            return False
-    return True
+    return order >= 2
 
 
 def verify_unique_vertex(spec: IsocantedSpec, w: Iterable[int]) -> bool:

@@ -108,14 +108,20 @@ def box_sni(lengths: Sequence[Rational]) -> TropMatrix:
     return conjugate_diag(_visualized(ls, Fraction(0)), [v / 2 for v in ls] + [Fraction(0)])
 
 
+def _cube_lengths(d: int, edge_length: Rational) -> list[Rational]:
+    if isinstance(d, bool) or not isinstance(d, int):
+        raise TypeError(f"cube dimension must be an int, got {d!r}")
+    return [edge_length] * d
+
+
 def cube_vni(d: int, edge_length: Rational) -> TropMatrix:
     """Visualized cube matrix: all edge lengths equal."""
-    return box_vni([edge_length] * d)
+    return box_vni(_cube_lengths(d, edge_length))
 
 
 def cube_sni(d: int, edge_length: Rational) -> TropMatrix:
     """Symmetric cube matrix: all edge lengths equal."""
-    return box_sni([edge_length] * d)
+    return box_sni(_cube_lengths(d, edge_length))
 
 
 class PerturbationMatrix(Record):

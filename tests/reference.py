@@ -6,7 +6,7 @@ from math import lcm
 
 from isocant.combinatorics import FaceInterval, bfs_distances, build_face_lattice, skeleton
 from isocant.geometry import VertexSet
-from isocant.tropical import TropMatrix
+from isocant.tropical import TropMatrix, laplace_terms, trop_minor
 
 
 def affine_dim(pts):
@@ -280,3 +280,23 @@ def count_flags_by_chains(d: int) -> int:
         for face in lattice[k]:
             chains[face] = sum(chains[g] for g in face.covered_faces())
     return sum(chains[face] for face in lattice[d - 1])
+
+
+def unique_vertex_conditions(c, w, point):
+    """Unique-vertex test with both passes: Laplace-term equality, then minor multiplicity."""
+    label = sorted(set(w))
+    n = c.n
+    if len(point) != n or point[-1] != 0:
+        raise ValueError("candidate point must have length n with last entry zero")
+    slot = next(k for k in range(1, n + 1) if k not in label)
+    extended = c.replace_column(slot, list(point))
+    cols = sorted(set(label) | {slot})
+    order = len(label) + 1
+    for rows in itertools.combinations(range(1, n + 1), order):
+        terms = laplace_terms(extended, rows, cols, slot)
+        first = terms[0]
+        if any(t != first for t in terms[1:]):
+            return False
+        if trop_minor(extended, rows, cols).multiplicity < 2:
+            return False
+    return True

@@ -1,5 +1,7 @@
 """The exact verification sweeps, including the two known-false stated claims."""
 
+import math
+
 import pytest
 
 from isocant.conjectures import (
@@ -119,6 +121,16 @@ def test_flag_known_failure_at_d4():
     assert report.counterexample["d"] == 4
     assert report.counterexample["flags"] == 840
     assert report.counterexample["chain_recount"] == 960
+
+
+def test_flag_recount_refutes_formula_at_every_dimension():
+    # Every dimension is recounted by chains, so a sweep starting anywhere
+    # from 4 on fails at once with the true count.
+    for d in range(4, 61):
+        report = check_flag(d, d)
+        assert not report.passed, d
+        assert report.counterexample["chain_recount"] == 2 ** (d - 1) * math.factorial(d + 1)
+        assert report.counterexample["chain_checked"] is True
 
 
 def test_flag_passes_where_formula_matches():

@@ -26,7 +26,7 @@ from isocant.geometry import (
     verify_unique_vertex,
     zonotope_check,
 )
-from isocant.combinatorics import isocanted_fvector, skeleton
+from isocant.combinatorics import all_vertex_labels, isocanted_fvector, skeleton
 from isocant.matrices import (
     IsocantedSpec,
     box_sni,
@@ -39,7 +39,7 @@ from isocant.matrices import (
     isocanted_vni,
     is_ni,
 )
-from isocant.tropical import TropMatrix, mat_mul
+from isocant.tropical import NEG_INF, TropMatrix, mat_mul
 
 import reference
 
@@ -583,6 +583,53 @@ def test_perturbed_point_fails_vertex_conditions():
     assert unique_vertex_conditions(c, w, point)
     point[0] += F(1, 7)
     assert not unique_vertex_conditions(c, w, point)
+
+
+def _unique_vertex_or_error(check, c, w, point):
+    try:
+        return check(c, w, point)
+    except (ValueError, StopIteration) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _unique_vertex_cases(rng):
+    # Closed-form points (all true), another label's point or a nudged point
+    # (mostly false), then random normal matrices with -inf entries, random
+    # labels (empty, full and out-of-range ones too) and random points.
+    for d in range(2, 6):
+        spec = IsocantedSpec(d, F(5, 2), F(3, 4))
+        c = isocanted_vni(spec)
+        labels = list(all_vertex_labels(d))
+        for w in labels:
+            point = list(isocanted_vertex(spec, w)) + [F(0)]
+            yield "closed_form", c, w, point
+            yield "other", c, w, list(isocanted_vertex(spec, rng.choice(labels))) + [F(0)]
+            point[rng.randrange(d)] += rng.choice((F(1, 7), F(-1, 3), F(1, 100)))
+            yield "nudged", c, w, point
+    pool = [F(0), F(-1), F(-3, 2), F(-2), NEG_INF]
+    for _ in range(400):
+        d = rng.randint(1, 4)
+        c = TropMatrix.from_rows(_random_normal(rng, d, pool))
+        size = rng.randint(1, d) if rng.random() < 0.8 else rng.choice((0, d + 1))
+        w = rng.sample(range(1, d + 2), size)
+        if rng.random() < 0.1:
+            w.append(rng.choice((0, d + 2)))
+        point = [rng.choice(pool) for _ in range(d)] + [F(rng.random() < 0.05)]
+        yield "random", c, w, point
+
+
+def test_unique_vertex_laplace_pass_matches_two_pass_reference():
+    # The Laplace-term pass alone against the old test that also demanded a
+    # minor multiplicity of at least 2: the same result or the same error.
+    outcomes = {}
+    for kind, c, w, point in _unique_vertex_cases(random.Random(11)):
+        got = _unique_vertex_or_error(unique_vertex_conditions, c, w, point)
+        assert got == _unique_vertex_or_error(reference.unique_vertex_conditions, c, w, point)
+        outcomes.setdefault(kind, []).append(got)
+    assert all(r is True for r in outcomes["closed_form"])
+    assert outcomes["nudged"].count(False) > len(outcomes["nudged"]) // 2
+    assert {True, False} <= set(outcomes["random"])
+    assert any(isinstance(r, tuple) for r in outcomes["random"])
 
 
 def test_vertex_minor_multiplicity_can_exceed_laplace_count():

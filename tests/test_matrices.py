@@ -71,6 +71,9 @@ def test_constructors_reject_bad_lengths():
         box_sni([])
     with pytest.raises(ValueError):
         cube_vni(2, -1)
+    for cube in (cube_vni, cube_sni):
+        with pytest.raises(ValueError, match="^at least one edge length is required$"):
+            cube(0, 2)
 
 
 def test_class_implication_chain():
@@ -96,6 +99,13 @@ def test_isocanted_spec_validation():
         IsocantedSpec(3, F(2), F(0))
     spec = IsocantedSpec(3, 2, "1/2")
     assert spec.edge_length == F(2) and spec.cant == F(1, 2)
+
+
+@pytest.mark.parametrize("cube", [cube_vni, cube_sni])
+@pytest.mark.parametrize("d", [True, False, 2.0, "2", None])
+def test_cube_dimension_must_be_an_int(cube, d):
+    with pytest.raises(TypeError, match=f"^cube dimension must be an int, got {re.escape(repr(d))}$"):
+        cube(d, 2)
 
 
 # Every matrix builder that takes user numbers, with one argument replaced by
