@@ -34,7 +34,7 @@ VERTICES_DIM_LIMIT = 12
 BUILD_DIM_LIMIT = 400
 
 #: Largest dimension in ``verify --range``: ``verify all --range 2:500`` takes
-#: 3-4 s, and from d=1,424 the flag counts outgrow the 4,300-digit print limit.
+#: 0.6 s, and from d=1,424 the flag counts outgrow the 4,300-digit print limit.
 VERIFY_DIM_LIMIT = 500
 
 

@@ -61,10 +61,18 @@ def all_vertex_labels(d: int) -> Iterator[VertexLabel]:
             yield frozenset(combo)
 
 
+def _binomial_row(n: int, length: int) -> list[int]:
+    """``C(n, 0) .. C(n, length-1)`` for ``length >= 1``, each from the one before."""
+    row = [1]
+    for j in range(length - 1):
+        row.append(row[-1] * (n - j) // (j + 1))
+    return row
+
+
 def isocanted_fvector(d: int, extended: bool = False) -> FVector:
     """Face counts ``f_0 .. f_{d-1}``, optionally extended with ``f_d = 1``."""
     _check_dim(d)
-    counts = tuple((2 ** (d + 1 - j) - 2) * comb(d + 1, j) for j in range(d))
+    counts = tuple(((1 << (d + 1 - j)) - 2) * c for j, c in enumerate(_binomial_row(d + 1, d)))
     return counts + (1,) if extended else counts
 
 

@@ -1,10 +1,11 @@
 """Exact verification sweeps over the face-count sequences.
 
-Each check walks a dimension range with arbitrary-precision integers (and
-exact rationals where halving is involved), recording per-dimension evidence.
-A failure at any dimension aborts the sweep and lands in the report's
-counterexample slot, so the suite is falsifiable rather than a list of
-assertions.
+One loop walks the dimension range once.  At each dimension it builds the
+face-count row once and hands it to every check still open; a check is a
+predicate ``(d, row) -> (ok, witness)`` in arbitrary-precision integers, and
+the witnesses are its per-dimension evidence.  A check closes at its first
+failure, which lands in the report's counterexample slot, so the suite is
+falsifiable rather than a list of assertions.
 
 The checks cover: the extremes inequality with its exact equality cases,
 log-concavity and unimodality of the counts, the stated location of the
@@ -17,15 +18,24 @@ cubical g-entry.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, Sequence
 
 from ._record import Record
-from .combinatorics import count_flags, count_flags_by_chains, isocanted_fvector
+from .combinatorics import (
+    FVector,
+    _binomial_row,
+    count_flags,
+    count_flags_by_chains,
+    isocanted_fvector,
+)
 
 DEFAULT_D_MIN = 2
 DEFAULT_D_MAX = 60
+
+#: One dimension of a check: ``(d, row) -> (ok, witness)``, where ``row`` is
+#: ``isocanted_fvector(d)``, or ``None`` if no open check reads it.
+Predicate = Callable[[int, FVector | None], tuple[bool, dict]]
 
 
 class ConjectureReport(Record):
@@ -50,9 +60,7 @@ class ConjectureReport(Record):
 
 def is_log_concave(seq: Sequence[int]) -> bool:
     """``seq[k+1]**2 >= seq[k] * seq[k+2]`` for every interior index."""
-    return all(
-        seq[k + 1] * seq[k + 1] >= seq[k] * seq[k + 2] for k in range(len(seq) - 2)
-    )
+    return all(b * b >= a * c for a, b, c in zip(seq, seq[1:], seq[2:]))
 
 
 def is_unimodal(seq: Sequence[int]) -> bool:
@@ -65,14 +73,23 @@ def is_unimodal(seq: Sequence[int]) -> bool:
     return k == len(seq) - 1
 
 
-def stirling2(n: int, k: int) -> int:
-    """Stirling numbers of the second kind, by the standard recurrence."""
+def _stirling_step(row: list[int]) -> list[int]:
+    """``S(n, 0..k)`` to ``S(n+1, 0..k)`` by ``S(n+1, j) = j S(n, j) + S(n, j-1)``."""
+    return [0] + [j * row[j] + row[j - 1] for j in range(1, len(row))]
+
+
+def _stirling_row(n: int, k: int) -> list[int]:
     if n < 0 or k < 0:
         raise ValueError("indices must be non-negative")
     row = [1] + [0] * k
     for _ in range(n):
-        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
-    return row[k]
+        row = _stirling_step(row)
+    return row
+
+
+def stirling2(n: int, k: int) -> int:
+    """Stirling numbers of the second kind, by the standard recurrence."""
+    return _stirling_row(n, k)[k]
 
 
 def short_cubical_h(f: Sequence[int], d: int) -> tuple[int, ...]:
@@ -101,51 +118,184 @@ def long_cubical_h(f: Sequence[int], d: int) -> tuple[int, ...]:
     return tuple(h)
 
 
+_G2_FLOOR = "the second cubical g-entry needs dimension >= 4"
+
+
+def _g2(d: int, f0: int, f1: int) -> int:
+    h1 = f0 - (1 << (d - 1))
+    h2 = 2 * f1 - (d - 1) * f0 - h1
+    return h2 - h1
+
+
 def cubical_g2_value(d: int) -> int:
     """Second cubical g-entry ``h[2] - h[1]`` of the d-dimensional polytope.
 
     Only ``f_0`` and ``f_1`` enter, through the first two short h-coefficients.
     """
     if d < 4:
-        raise ValueError("the second cubical g-entry needs dimension >= 4")
-    f0, f1 = isocanted_fvector(d)[:2]
-    h1 = f0 - 2 ** (d - 1)
-    h2 = 2 * f1 - (d - 1) * f0 - h1
-    return h2 - h1
+        raise ValueError(_G2_FLOOR)
+    return _g2(d, *isocanted_fvector(d)[:2])
 
 
-def _sweep(
-    name: str,
-    d_min: int,
-    d_max: int,
-    per_d: Callable[[int], tuple[bool, dict]],
-) -> ConjectureReport:
+def _extremes(d: int, row: FVector | None) -> tuple[bool, dict]:
+    lhs = (d + 1) * d // 2
+    rhs = (1 << d) - 1
+    equal = lhs == rhs
+    ok = lhs <= rhs and equal == (d in (0, 1, 2))
+    return ok, {"d": d, "lhs": lhs, "rhs": rhs, "equal": equal}
+
+
+def _log_concave(d: int, row: FVector) -> tuple[bool, dict]:
+    # With t_m = 2**m - 1: t_{m+1}**2 - t_m t_{m+2} = 2**m for m = 1 .. d-2.
+    factor_ok = all(
+        ((2 << m) - 1) ** 2 - ((1 << m) - 1) * ((4 << m) - 1) == 1 << m
+        for m in range(1, d - 1)
+    )
+    pascal_ok = is_log_concave(_binomial_row(d + 1, d))
+    ok = is_log_concave(row) and factor_ok and pascal_ok
+    return ok, {"d": d, "log_concave": ok, "factor_identity": factor_ok}
+
+
+def _unimodal(d: int, row: FVector) -> tuple[bool, dict]:
+    ok = is_unimodal(row)
+    return ok, {"d": d, "unimodal": ok}
+
+
+def _argmax(d: int, row: FVector) -> tuple[bool, dict]:
+    target = d // 3
+    peak = max(row)
+    equiv_ok = True
+    rises = []
+    for k in range(d - 1):
+        rise = row[k + 1] >= row[k]
+        if rise != ((1 << (d - k - 1)) * (d - 3 * k - 1) >= d - 2 * k):
+            equiv_ok = False
+        rises.append(rise)
+    # The window is (d-2)/3 <= k <= d/3, compared as 3k against d-2 and d.
+    bracket_ok = all(r for k, r in enumerate(rises) if 3 * k < d - 2) and not any(
+        r for k, r in enumerate(rises) if 3 * k > d
+    )
+    last_rise = max((k for k, r in enumerate(rises) if r), default=-1)
+    if last_rise >= 0:
+        bracket_ok = bracket_ok and any(
+            d - 2 <= 3 * k <= d for k in (last_rise, last_rise + 1) if k < d
+        )
+    ok = row[target] == peak and equiv_ok and bracket_ok
+    return ok, {
+        "d": d,
+        "argmax": row.index(peak),
+        "expected": target,
+        "tie": row.count(peak) > 1,
+        "bracket_ok": bracket_ok,
+        "quotient_equivalence": equiv_ok,
+    }
+
+
+def _barany(d: int, row: FVector) -> tuple[bool, dict]:
+    bound = (d + 1) * d
+    low = min(row)
+    return low >= bound and row[-1] == bound, {"d": d, "min": low, "bound": bound}
+
+
+def _three_d(d_min: int) -> Predicate:
+    # S(d+2, 3) moves one recurrence step per dimension from the first one.
+    stirling = _stirling_row(d_min + 2, 3)
+
+    def per_d(d: int, row: FVector) -> tuple[bool, dict]:
+        nonlocal stirling
+        total = sum(row) + 1  # f_d = 1 extends the row
+        power = 3**d
+        closed = 3 * power - (4 << d) + 2
+        stirling_form = 2 * stirling[3] + 1
+        stirling = _stirling_step(stirling)
+        ok = total == closed == stirling_form and total > power
+        return ok, {"d": d, "total": total, "closed_form": closed, "stirling_form": stirling_form}
+
+    return per_d
+
+
+def _flag(d: int, row: FVector | None) -> tuple[bool, dict]:
+    flags = count_flags(d)
+    bound = (1 << d) * factorial(d)
+    # Compare 4*lhs > 4*rhs to stay in integers at d = 2.
+    support = ((1 << (d - 1)) - 1) * (d + 1) * 4 > (1 << d) * d
+    chains = count_flags_by_chains(d)
+    ok = flags > bound and support and chains == flags
+    return ok, {
+        "d": d,
+        "flags": flags,
+        "box_flags": bound,
+        "chain_recount": chains,
+        "chain_checked": True,
+    }
+
+
+def _cubical_g2(d: int, row: FVector) -> tuple[bool, dict]:
+    g2 = _g2(d, row[0], row[1])
+    return g2 >= 0, {"d": d, "g2": g2}
+
+
+_BELOW_2 = "dimension range must start at 2 or above"
+
+#: name -> (lowest first dimension, error below it, whether it reads the row,
+#: predicate for a sweep from a given first dimension).
+_PREDICATES: dict[str, tuple[int, str, bool, Callable[[int], Predicate]]] = {
+    "extremes": (0, "dimension must be non-negative", False, lambda lo: _extremes),
+    "log_concave": (2, _BELOW_2, True, lambda lo: _log_concave),
+    "unimodal": (2, _BELOW_2, True, lambda lo: _unimodal),
+    "argmax": (2, _BELOW_2, True, lambda lo: _argmax),
+    "barany": (2, _BELOW_2, True, lambda lo: _barany),
+    "3d": (2, _BELOW_2, True, _three_d),
+    "flag": (2, _BELOW_2, False, lambda lo: _flag),
+    "cubical_g2": (4, _G2_FLOOR, True, lambda lo: _cubical_g2),
+}
+
+
+def _validate(name: str, d_min: int, d_max: int) -> None:
+    floor, below = _PREDICATES[name][:2]
+    if d_min < floor:
+        raise ValueError(below)
     if d_min > d_max:
         raise ValueError("empty dimension range")
-    witnesses: list[dict] = []
-    for d in range(d_min, d_max + 1):
-        ok, witness = per_d(d)
-        witnesses.append(witness)
-        if not ok:
-            return ConjectureReport(
-                name, d_min, d_max, False, tuple(witnesses), dict(witness)
-            )
-    return ConjectureReport(name, d_min, d_max, True, tuple(witnesses), None)
+
+
+def _sweep_once(sweeps: list[tuple[str, int]], d_max: int) -> list[ConjectureReport]:
+    """Walk ``d`` once for validated ``(name, first dimension)`` sweeps.
+
+    Each dimension builds its row at most once, for the checks that are due
+    and still open; a check closes at its first failure.
+    """
+    firsts = [lo for _, lo in sweeps]
+    reads_row = [_PREDICATES[name][2] for name, _ in sweeps]
+    predicates = [_PREDICATES[name][3](lo) for name, lo in sweeps]
+    witnesses: list[list[dict]] = [[] for _ in sweeps]
+    failures: list[dict | None] = [None] * len(sweeps)
+    still_open = list(range(len(sweeps)))
+    for d in range(min(firsts, default=d_max + 1), d_max + 1):
+        due = [k for k in still_open if firsts[k] <= d]
+        row = isocanted_fvector(d) if any(reads_row[k] for k in due) else None
+        for k in due:
+            ok, witness = predicates[k](d, row)
+            witnesses[k].append(witness)
+            if not ok:
+                failures[k] = dict(witness)
+        still_open = [k for k in still_open if failures[k] is None]
+        if not still_open:
+            break
+    return [
+        ConjectureReport(name, lo, d_max, failures[k] is None, tuple(witnesses[k]), failures[k])
+        for k, (name, lo) in enumerate(sweeps)
+    ]
+
+
+def _sweep_one(name: str, d_min: int, d_max: int) -> ConjectureReport:
+    _validate(name, d_min, d_max)
+    return _sweep_once([(name, d_min)], d_max)[0]
 
 
 def check_extremes(d_min: int = 0, d_max: int = DEFAULT_D_MAX) -> ConjectureReport:
     """``(d+1)d/2 <= 2**d - 1`` with equality exactly at d = 0, 1, 2."""
-    if d_min < 0:
-        raise ValueError("dimension must be non-negative")
-
-    def per_d(d: int) -> tuple[bool, dict]:
-        lhs = (d + 1) * d // 2
-        rhs = 2**d - 1
-        equal = lhs == rhs
-        ok = lhs <= rhs and equal == (d in (0, 1, 2))
-        return ok, {"d": d, "lhs": lhs, "rhs": rhs, "equal": equal}
-
-    return _sweep("extremes", d_min, d_max, per_d)
+    return _sweep_one("extremes", d_min, d_max)
 
 
 def check_log_concave(d_min: int = DEFAULT_D_MIN, d_max: int = DEFAULT_D_MAX) -> ConjectureReport:
@@ -155,31 +305,11 @@ def check_log_concave(d_min: int = DEFAULT_D_MIN, d_max: int = DEFAULT_D_MAX) ->
     ``(t[k+1])^2 - t[k] t[k+2] = 2**(d-k-2) > 0`` and every binomial row is
     log-concave; the entrywise product inherits the property.
     """
-    _require_min(d_min)
-
-    def per_d(d: int) -> tuple[bool, dict]:
-        seq = isocanted_fvector(d)
-        ok = is_log_concave(seq)
-        factor_ok = all(
-            (2 ** (d - k - 1) - 1) ** 2 - (2 ** (d - k) - 1) * (2 ** (d - k - 2) - 1) == 2 ** (d - k - 2)
-            for k in range(d - 2)
-        )
-        pascal_ok = is_log_concave([comb(d + 1, k) for k in range(d)])
-        ok = ok and factor_ok and pascal_ok
-        return ok, {"d": d, "log_concave": ok, "factor_identity": factor_ok}
-
-    return _sweep("log_concave", d_min, d_max, per_d)
+    return _sweep_one("log_concave", d_min, d_max)
 
 
 def check_unimodal(d_min: int = DEFAULT_D_MIN, d_max: int = DEFAULT_D_MAX) -> ConjectureReport:
-    _require_min(d_min)
-
-    def per_d(d: int) -> tuple[bool, dict]:
-        seq = isocanted_fvector(d)
-        ok = is_unimodal(seq)
-        return ok, {"d": d, "unimodal": ok}
-
-    return _sweep("unimodal", d_min, d_max, per_d)
+    return _sweep_one("unimodal", d_min, d_max)
 
 
 def check_argmax(d_min: int = DEFAULT_D_MIN, d_max: int = DEFAULT_D_MAX) -> ConjectureReport:
@@ -199,78 +329,21 @@ def check_argmax(d_min: int = DEFAULT_D_MIN, d_max: int = DEFAULT_D_MAX) -> Conj
     Witnesses record the true argmax; the sweep is falsifiable and a failing
     dimension surfaces as the counterexample.
     """
-    _require_min(d_min)
-
-    def per_d(d: int) -> tuple[bool, dict]:
-        seq = isocanted_fvector(d)
-        target = d // 3
-        peak = max(seq)
-        argmax_first = seq.index(peak)
-        tie = seq.count(peak) > 1
-        equiv_ok = True
-        rises = []
-        for k in range(d - 1):
-            rise = seq[k + 1] >= seq[k]
-            lhs = 2 ** (d - k - 1) * (d - 3 * k - 1)
-            rhs = d - 2 * k
-            if rise != (lhs >= rhs):
-                equiv_ok = False
-            rises.append(rise)
-        lo = Fraction(d - 2, 3)
-        hi = Fraction(d, 3)
-        bracket_ok = all(
-            rises[k] for k in range(len(rises)) if k < lo
-        ) and all(
-            not rises[k] for k in range(len(rises)) if k > hi
-        )
-        last_rise = max((k for k, r in enumerate(rises) if r), default=-1)
-        if last_rise >= 0:
-            window = [k for k in range(d) if lo <= k <= hi]
-            bracket_ok = bracket_ok and any(
-                k in (last_rise, last_rise + 1) for k in window
-            )
-        ok = seq[target] == peak and equiv_ok and bracket_ok
-        return ok, {
-            "d": d,
-            "argmax": argmax_first,
-            "expected": target,
-            "tie": tie,
-            "bracket_ok": bracket_ok,
-            "quotient_equivalence": equiv_ok,
-        }
-
-    return _sweep("argmax", d_min, d_max, per_d)
+    return _sweep_one("argmax", d_min, d_max)
 
 
 def check_barany(d_min: int = DEFAULT_D_MIN, d_max: int = DEFAULT_D_MAX) -> ConjectureReport:
     """Every count is at least the facet count ``(d+1)d``."""
-    _require_min(d_min)
-
-    def per_d(d: int) -> tuple[bool, dict]:
-        seq = isocanted_fvector(d)
-        bound = (d + 1) * d
-        ok = min(seq) >= bound and seq[-1] == bound
-        return ok, {"d": d, "min": min(seq), "bound": bound}
-
-    return _sweep("barany", d_min, d_max, per_d)
+    return _sweep_one("barany", d_min, d_max)
 
 
 def check_3d(d_min: int = DEFAULT_D_MIN, d_max: int = DEFAULT_D_MAX) -> ConjectureReport:
     """The extended counts sum to ``3**(d+1) - 2**(d+2) + 2``, above ``3**d``.
 
     The closed form also equals ``2 * S(d+2, 3) + 1`` with Stirling numbers of
-    the second kind, checked via the standard recurrence.
+    the second kind, carried along the sweep by the standard recurrence.
     """
-    _require_min(d_min)
-
-    def per_d(d: int) -> tuple[bool, dict]:
-        total = sum(isocanted_fvector(d, extended=True))
-        closed = 3 ** (d + 1) - 2 ** (d + 2) + 2
-        stirling_form = 2 * stirling2(d + 2, 3) + 1
-        ok = total == closed == stirling_form and total > 3**d
-        return ok, {"d": d, "total": total, "closed_form": closed, "stirling_form": stirling_form}
-
-    return _sweep("3d", d_min, d_max, per_d)
+    return _sweep_one("3d", d_min, d_max)
 
 
 def check_flag(d_min: int = DEFAULT_D_MIN, d_max: int = DEFAULT_D_MAX) -> ConjectureReport:
@@ -279,41 +352,12 @@ def check_flag(d_min: int = DEFAULT_D_MIN, d_max: int = DEFAULT_D_MAX) -> Conjec
     The supporting inequality ``(2**(d-1) - 1)(d+1) > 2**(d-2) d`` (the
     per-vertex comparison behind the bound) is verified along the way.
     """
-    _require_min(d_min)
-
-    def per_d(d: int) -> tuple[bool, dict]:
-        flags = count_flags(d)
-        bound = 2**d * factorial(d)
-        # Compare 4*lhs > 4*rhs to stay in integers at d = 2.
-        support = (2 ** (d - 1) - 1) * (d + 1) * 4 > 2**d * d
-        chains = count_flags_by_chains(d)
-        ok = flags > bound and support and chains == flags
-        return ok, {
-            "d": d,
-            "flags": flags,
-            "box_flags": bound,
-            "chain_recount": chains,
-            "chain_checked": True,
-        }
-
-    return _sweep("flag", d_min, d_max, per_d)
+    return _sweep_one("flag", d_min, d_max)
 
 
 def cubical_g2(d_min: int = 4, d_max: int = DEFAULT_D_MAX) -> ConjectureReport:
     """Non-negativity of the second cubical g-entry over the sweep."""
-    if d_min < 4:
-        raise ValueError("the second cubical g-entry needs dimension >= 4")
-
-    def per_d(d: int) -> tuple[bool, dict]:
-        g2 = cubical_g2_value(d)
-        return g2 >= 0, {"d": d, "g2": g2}
-
-    return _sweep("cubical_g2", d_min, d_max, per_d)
-
-
-def _require_min(d_min: int) -> None:
-    if d_min < 2:
-        raise ValueError("dimension range must start at 2 or above")
+    return _sweep_one("cubical_g2", d_min, d_max)
 
 
 CHECKS: dict[str, Callable[..., ConjectureReport]] = {
@@ -333,15 +377,24 @@ def run_all(
     d_min: int = DEFAULT_D_MIN,
     d_max: int = DEFAULT_D_MAX,
 ) -> list[ConjectureReport]:
-    """Run the named checks (default: all) over one dimension range.
+    """Run the named checks (default: all) over one dimension range, in one pass.
 
     The extremes check keeps the requested floor (it is defined from zero);
-    the cubical g-entry check clamps its floor to 4, where it is defined.
+    the cubical g-entry check clamps its floor to 4, where it is defined.  A
+    range that ends below 4 leaves that check out of the default selection,
+    and names its floor in the error when it is asked for.  Names are checked
+    in order, so the first bad name or range is the error raised.
     """
-    selected = list(CHECKS) if names is None else list(names)
-    reports = []
-    for name in selected:
+    sweeps = []
+    for name in list(CHECKS) if names is None else names:
         if name not in CHECKS:
             raise ValueError(f"unknown check: {name!r}")
-        reports.append(CHECKS[name](max(4, d_min) if name == "cubical_g2" else d_min, d_max))
-    return reports
+        floor, below = _PREDICATES[name][:2]
+        lo = max(floor, d_min) if name == "cubical_g2" else d_min
+        if d_min <= d_max < lo:
+            if names is None:
+                continue
+            raise ValueError(below)
+        _validate(name, lo, d_max)
+        sweeps.append((name, lo))
+    return _sweep_once(sweeps, d_max)

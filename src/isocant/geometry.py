@@ -302,12 +302,15 @@ def unique_vertex_conditions(c: TropMatrix, w: Iterable[int], point: Sequence[Fr
     minor maximum at least twice (membership in the span): the ``k = |w| + 1``
     equal terms are maximizing permutations with distinct rows in the slot
     (all ``k!`` attain ``-inf``), and an empty label has ``k = 1`` and fails.
+    A label holding every index ``1..n`` leaves no slot and is an error.
     """
     label = sorted(set(w))
     n = c.n
     if len(point) != n or point[-1] != 0:
         raise ValueError("candidate point must have length n with last entry zero")
-    slot = next(k for k in range(1, n + 1) if k not in label)
+    slot = next((k for k in range(1, n + 1) if k not in label), None)
+    if slot is None:
+        raise ValueError("label must leave a column slot outside it")
     extended = c.replace_column(slot, list(point))
     cols = sorted(set(label) | {slot})
     order = len(label) + 1

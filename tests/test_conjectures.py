@@ -1,10 +1,12 @@
 """The exact verification sweeps, including the two known-false stated claims."""
 
 import math
+import random
 
 import pytest
 
 from isocant.conjectures import (
+    CHECKS,
     check_3d,
     check_argmax,
     check_barany,
@@ -22,6 +24,8 @@ from isocant.conjectures import (
     stirling2,
 )
 from isocant.combinatorics import isocanted_fvector
+
+import reference
 
 
 def test_extremes_full_range_with_equality_cases():
@@ -189,6 +193,15 @@ def test_run_all_structure_and_determinism():
 def test_run_all_clamps_cubical_g2_floor():
     reports = run_all(["cubical_g2"], 2, 10)
     assert reports[0].d_min == 4
+    assert run_all(["cubical_g2"], 5, 10)[0].d_min == 5
+    assert run_all(None, 2, 4)[-1].d_min == 4
+    # A range that ends below 4 runs the seven checks defined there, and a
+    # named g-entry check says why it cannot run.
+    reports = run_all(None, 2, 3)
+    assert [r.name for r in reports] == [n for n in CHECKS if n != "cubical_g2"]
+    assert all(r.passed for r in reports)
+    with pytest.raises(ValueError, match="the second cubical g-entry needs dimension >= 4"):
+        run_all(["barany", "cubical_g2"], 2, 3)
 
 
 def test_run_all_rejects_unknown_names():
@@ -203,3 +216,67 @@ def test_sweeps_reject_bad_ranges():
         check_extremes(-1, 10)
     with pytest.raises(ValueError):
         check_barany(10, 2)
+
+
+def _outcome(fn, *args):
+    try:
+        result = fn(*args)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return [r.to_json() for r in result] if isinstance(result, list) else result.to_json()
+
+
+def _expected_run_all(names, lo, hi):
+    # The old sweep, with its two intended changes for ranges that end below
+    # 4: the default selection drops the g-entry check, and a named one says
+    # why it cannot run instead of calling the range empty.
+    g2_undefined = lo <= hi < 4
+    if names is None and g2_undefined:
+        names = [n for n in reference.CHECKS if n != "cubical_g2"]
+    expected = _outcome(reference.run_all, names, lo, hi)
+    if g2_undefined and expected == ("ValueError", "empty dimension range"):
+        expected = ("ValueError", "the second cubical g-entry needs dimension >= 4")
+    return expected
+
+
+def _sweep_cases(rng):
+    for lo in range(-1, 7):
+        for hi in range(lo - 1, lo + 6):
+            yield None, lo, hi
+    yield ["nope"], 2, 10
+    yield ["barany", "nope"], 1, 10
+    yield ["cubical_g2"], 2, 3
+    yield ["cubical_g2"], 3, 2
+    yield ["extremes", "cubical_g2"], -1, 3
+    yield ["flag", "argmax", "flag"], 2, 10
+    yield [], 2, 10
+    pool = list(CHECKS)
+    for _ in range(20):
+        lo = rng.randint(-1, 6)
+        hi = rng.randint(lo - 1, 120)
+        names = rng.sample(pool, rng.randint(0, len(pool)))
+        if rng.random() < 0.5:
+            names += ["argmax", "flag"]
+            rng.shuffle(names)
+        if rng.random() < 0.1:
+            names.insert(rng.randrange(len(names) + 1), "nope")
+        yield (None if rng.random() < 0.2 else names), lo, hi
+    yield None, 2, 200
+
+
+def test_one_pass_sweep_matches_per_check_reference():
+    # Every report (or error) of the one-pass sweep against the old sweeps,
+    # which ran each check over its own range and rebuilt the row each time.
+    for names, lo, hi in _sweep_cases(random.Random(12)):
+        assert _outcome(run_all, names, lo, hi) == _expected_run_all(names, lo, hi), (names, lo, hi)
+        if hi <= 30:
+            for name in CHECKS:
+                got = _outcome(CHECKS[name], lo, hi)
+                assert got == _outcome(reference.CHECKS[name], lo, hi), (name, lo, hi)
+
+
+def test_isocanted_fvector_matches_binomial_formula():
+    for d in range(2, 301):
+        row = tuple((2 ** (d + 1 - j) - 2) * math.comb(d + 1, j) for j in range(d))
+        assert isocanted_fvector(d) == row
+        assert isocanted_fvector(d, extended=True) == row + (1,)

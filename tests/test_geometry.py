@@ -585,6 +585,16 @@ def test_perturbed_point_fails_vertex_conditions():
     assert not unique_vertex_conditions(c, w, point)
 
 
+def test_unique_vertex_conditions_full_and_empty_labels():
+    # A label holding every index leaves no column slot for the candidate; an
+    # empty label has one Laplace term, which cannot attain the minor twice.
+    c = isocanted_vni(IsocantedSpec(3, F(2), F(1)))
+    point = [F(0)] * 4
+    with pytest.raises(ValueError, match="label must leave a column slot outside it"):
+        unique_vertex_conditions(c, {1, 2, 3, 4}, point)
+    assert unique_vertex_conditions(c, set(), point) is False
+
+
 def _unique_vertex_or_error(check, c, w, point):
     try:
         return check(c, w, point)
