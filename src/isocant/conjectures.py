@@ -251,7 +251,14 @@ _PREDICATES: dict[str, tuple[int, str, bool, Callable[[int], Predicate]]] = {
 }
 
 
+def _require_int_bounds(d_min: int, d_max: int) -> None:
+    for v in (d_min, d_max):
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise TypeError(f"dimension bounds must be ints, got {v!r}")
+
+
 def _validate(name: str, d_min: int, d_max: int) -> None:
+    _require_int_bounds(d_min, d_max)
     floor, below = _PREDICATES[name][:2]
     if d_min < floor:
         raise ValueError(below)
@@ -382,9 +389,12 @@ def run_all(
     The extremes check keeps the requested floor (it is defined from zero);
     the cubical g-entry check clamps its floor to 4, where it is defined.  A
     range that ends below 4 leaves that check out of the default selection,
-    and names its floor in the error when it is asked for.  Names are checked
-    in order, so the first bad name or range is the error raised.
+    and names its floor in the error when it is asked for.  Bounds that are
+    not ints (bools included) raise ``TypeError`` before any name is read;
+    names are checked in order, so the first bad name or range is the error
+    raised.
     """
+    _require_int_bounds(d_min, d_max)
     sweeps = []
     for name in list(CHECKS) if names is None else names:
         if name not in CHECKS:

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 from ._record import Record
 from .combinatorics import all_vertex_labels, check_label
 from .matrices import PLACEMENTS, IsocantedSpec, decompose, isocanted_vni
-from .tropical import TropMatrix, _scaled, laplace_terms
+from .tropical import TropMatrix, _check_selection, _laplace_terms, _scaled
 
 Point = tuple[Fraction, ...]
 
@@ -303,6 +303,8 @@ def unique_vertex_conditions(c: TropMatrix, w: Iterable[int], point: Sequence[Fr
     equal terms are maximizing permutations with distinct rows in the slot
     (all ``k!`` attain ``-inf``), and an empty label has ``k = 1`` and fails.
     A label holding every index ``1..n`` leaves no slot and is an error.
+    The extended matrix is scaled to integers once, and each row subset's
+    terms come from ``tropical._laplace_terms`` as ``int`` values.
     """
     label = sorted(set(w))
     n = c.n
@@ -314,10 +316,14 @@ def unique_vertex_conditions(c: TropMatrix, w: Iterable[int], point: Sequence[Fr
     extended = c.replace_column(slot, list(point))
     cols = sorted(set(label) | {slot})
     order = len(label) + 1
-    for rows in itertools.combinations(range(1, n + 1), order):
-        terms = laplace_terms(extended, rows, cols, slot)
-        first = terms[0]
-        if any(t != first for t in terms[1:]):
+    if order <= n:
+        # Every row subset shares the columns, so one check stands for all.
+        _check_selection(extended, range(1, order + 1), cols)
+    grid, _ = _scaled(extended.entries)
+    idx = [j - 1 for j in cols]
+    for rows in itertools.combinations(range(n), order):
+        terms = _laplace_terms(grid, rows, idx, slot - 1)
+        if terms.count(terms[0]) != order:
             return False
     return order >= 2
 

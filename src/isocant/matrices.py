@@ -20,10 +20,11 @@ table translated by ``tropical.conjugate_diag``.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import sub
 from typing import Iterable, Sequence
 
 from ._record import Record
-from .tropical import TropMatrix, as_rational, conjugate_diag, mat_mul
+from .tropical import TropMatrix, _scaled, as_rational, conjugate_diag
 
 Rational = int | Fraction
 
@@ -36,38 +37,37 @@ def _require_finite(a: TropMatrix, what: str = "matrix") -> None:
 def is_normal(a: TropMatrix) -> bool:
     """Zero diagonal and all entries non-positive (origin lies in the polytope)."""
     _require_finite(a)
-    for i in range(a.n):
-        for j in range(a.n):
-            v = a.entries[i][j]
-            if i == j:
-                if v != 0:
-                    return False
-            elif v > 0:
-                return False
-    return True
+    # A Fraction's sign is its numerator's.
+    return all(
+        not row[i].numerator and all(v.numerator <= 0 for v in row)
+        for i, row in enumerate(a.entries)
+    )
 
 
 def is_ni(a: TropMatrix) -> bool:
-    """Normal and tropically idempotent: ``a (*) a == a``."""
+    """Normal and tropically idempotent: ``a (*) a == a``.
+
+    A normal matrix has zero diagonal, so ``a (*) a >= a`` entrywise, and it
+    is idempotent exactly when every triangle ``a[i,k] + a[k,j] <= a[i,j]``
+    holds (the Kleene-star condition).  That is checked on the integer grid,
+    row ``i`` against row ``k`` as ``min_j (a[i,j] - a[k,j]) >= a[i,k]``.
+    """
     if not is_normal(a):
         return False
-    return mat_mul(a, a) == a
+    grid, _ = _scaled(a.entries)
+    return all(min(map(sub, row, rk)) >= x for row in grid for x, rk in zip(row, grid))
 
 
 def is_vni(a: TropMatrix) -> bool:
     """NI with zero last row: the polytope's maximum sits at the origin."""
-    if not is_ni(a):
-        return False
-    return all(v == 0 for v in a.row(a.n))
+    _require_finite(a)
+    return not any(a.entries[-1]) and is_ni(a)
 
 
 def is_sni(a: TropMatrix) -> bool:
     """NI and symmetric: the polytope is centrally symmetric about the origin."""
-    if not is_ni(a):
-        return False
-    return all(
-        a.entries[i][j] == a.entries[j][i] for i in range(a.n) for j in range(i + 1, a.n)
-    )
+    _require_finite(a)
+    return a.entries == tuple(zip(*a.entries)) and is_ni(a)
 
 
 def _positive_lengths(lengths: Sequence[Rational]) -> tuple[Fraction, ...]:
@@ -130,6 +130,9 @@ class PerturbationMatrix(Record):
     entries: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
+        if not all(type(v) is Fraction for row in self.entries for v in row):
+            coerced = tuple(tuple(as_rational(v) for v in row) for row in self.entries)
+            object.__setattr__(self, "entries", coerced)
         n = len(self.entries)
         if n < 2 or any(len(row) != n for row in self.entries):
             raise ValueError("perturbation matrix must be square, size >= 2")
@@ -146,7 +149,7 @@ class PerturbationMatrix(Record):
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[Rational]]) -> "PerturbationMatrix":
-        return cls(tuple(tuple(as_rational(v) for v in row) for row in rows))
+        return cls(tuple(tuple(row) for row in rows))
 
     @classmethod
     def constant(cls, n: int, cant: Rational) -> "PerturbationMatrix":

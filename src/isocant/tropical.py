@@ -16,7 +16,10 @@ over row subsets instead of over the ``k!`` permutations: columns are assigned
 in order, and each subset of rows keeps the best partial sum and the number of
 partial assignments attaining it, which costs ``O(2^k * k)`` steps.  Each call
 clears denominators once, so this program and ``mat_mul`` run on ``int`` and
-``Fraction`` appears only in their results.
+``Fraction`` appears only in their results.  The integer body of
+``laplace_terms`` is one private helper on an already scaled grid, so a caller
+that expands many minors of one matrix (the unique-vertex check in
+``geometry``) scales it once and compares ``int`` terms.
 """
 
 from __future__ import annotations
@@ -101,6 +104,11 @@ class TropMatrix(Record):
     entries: tuple[tuple[TropScalar, ...], ...]
 
     def __post_init__(self) -> None:
+        # Entries that are already scalars pass on one type test each; the
+        # integer paths read ``numerator`` and ``denominator`` and rely on it.
+        if not all(type(v) is Fraction or v is NEG_INF for row in self.entries for v in row):
+            coerced = tuple(tuple(as_scalar(v) for v in row) for row in self.entries)
+            object.__setattr__(self, "entries", coerced)
         n = len(self.entries)
         if n < 2:
             raise ValueError("matrix size must be at least 2")
@@ -109,7 +117,7 @@ class TropMatrix(Record):
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[object]]) -> "TropMatrix":
-        return cls(tuple(tuple(as_scalar(v) for v in row) for row in rows))
+        return cls(tuple(tuple(row) for row in rows))
 
     @property
     def n(self) -> int:
@@ -131,15 +139,14 @@ class TropMatrix(Record):
         return tuple(row[j - 1] for row in self.entries)
 
     def is_finite(self) -> bool:
-        return all(not isinstance(v, _NegInf) for row in self.entries for v in row)
+        return not any(v is NEG_INF for row in self.entries for v in row)
 
     def replace_column(self, j: int, values: Sequence[object]) -> "TropMatrix":
         """Return a copy with column ``j`` (1-based) replaced by ``values``."""
         if len(values) != self.n:
             raise ValueError("replacement column has wrong length")
-        coerced = [as_scalar(v) for v in values]
         rows = [
-            tuple(coerced[r] if c == j - 1 else row[c] for c in range(self.n))
+            tuple(values[r] if c == j - 1 else row[c] for c in range(self.n))
             for r, row in enumerate(self.entries)
         ]
         return TropMatrix(tuple(rows))
@@ -276,6 +283,27 @@ def trop_minor(a: TropMatrix, rows: Iterable[int], cols: Iterable[int]) -> Minor
     return _grid_permanent(grid)
 
 
+def _laplace_terms(
+    grid: Sequence[Sequence[int | None]], rows: Sequence[int], cols: Sequence[int], e: int
+) -> list[int | None]:
+    """Laplace terms of the minor ``rows`` x ``cols`` of an already scaled grid.
+
+    Indices are 0-based into ``grid`` and ``e`` is the expansion column, one
+    of ``cols``.  The terms are ``int`` (``None`` for ``-inf``), in the order
+    of ``rows``.
+    """
+    sub = [grid[i] for i in rows]
+    # One pass over the other columns yields every complementary minor: the one
+    # omitting row r sits at the mask of all rows but r.
+    best, _ = _assignments(sub, [c for c in cols if c != e])
+    full = len(best) - 1
+    terms: list[int | None] = []
+    for r, row in enumerate(sub):
+        minor = best[full ^ (1 << r)]
+        terms.append(None if minor is None or row[e] is None else row[e] + minor)
+    return terms
+
+
 def laplace_terms(
     a: TropMatrix, rows: Iterable[int], cols: Iterable[int], expansion_col: int
 ) -> list[TropScalar]:
@@ -291,16 +319,9 @@ def laplace_terms(
     if expansion_col not in col_idx:
         raise ValueError(f"expansion column {expansion_col} not in selection")
     grid, den = _scaled([[a.entries[i - 1][j - 1] for j in col_idx] for i in row_idx])
-    e = col_idx.index(expansion_col)
-    # One pass over the other columns yields every complementary minor: the one
-    # omitting row r sits at the mask of all rows but r.
-    best, _ = _assignments(grid, [c for c in range(len(col_idx)) if c != e])
-    full = len(best) - 1
-    terms: list[TropScalar] = []
-    for r, row in enumerate(grid):
-        minor = best[full ^ (1 << r)]
-        terms.append(_unscaled(None if minor is None or row[e] is None else row[e] + minor, den))
-    return terms
+    k = len(col_idx)
+    terms = _laplace_terms(grid, range(k), range(k), col_idx.index(expansion_col))
+    return [_unscaled(t, den) for t in terms]
 
 
 def conjugate_diag(a: TropMatrix, diag: Sequence[object]) -> TropMatrix:

@@ -24,7 +24,7 @@ from isocant.conjectures import (
     stirling2,
 )
 from isocant.geometry import VertexSet
-from isocant.tropical import TropMatrix, laplace_terms, trop_minor
+from isocant.tropical import NEG_INF, TropMatrix, laplace_terms, mat_mul, trop_minor
 
 
 def affine_dim(pts):
@@ -320,6 +320,83 @@ def unique_vertex_conditions(c, w, point):
         if trop_minor(extended, rows, cols).multiplicity < 2:
             return False
     return True
+
+
+def laplace_terms_by_permutations(a, rows, cols, expansion_col):
+    """Laplace terms of a minor along one column, each complementary minor by all permutations."""
+    others = [j for j in cols if j != expansion_col]
+    terms = []
+    for i in rows:
+        rest = [r for r in rows if r != i]
+        best = NEG_INF
+        for perm in itertools.permutations(rest):
+            vals = [a.entry(r, j) for r, j in zip(perm, others)] + [a.entry(i, expansion_col)]
+            if all(v is not NEG_INF for v in vals) and (best is NEG_INF or sum(vals) > best):
+                best = sum(vals)
+        terms.append(best)
+    return terms
+
+
+def unique_vertex_conditions_by_permutations(c, w, point):
+    """The one-pass unique-vertex test on ``Fraction`` terms, each minor by all permutations.
+
+    Errors are those of the library's: the point, then the slot, then one
+    selection check (column range, then permanent limit) when a row subset exists.
+    """
+    label = sorted(set(w))
+    n = c.n
+    if len(point) != n or point[-1] != 0:
+        raise ValueError("candidate point must have length n with last entry zero")
+    slot = next((k for k in range(1, n + 1) if k not in label), None)
+    if slot is None:
+        raise ValueError("label must leave a column slot outside it")
+    extended = c.replace_column(slot, list(point))
+    cols = sorted(set(label) | {slot})
+    order = len(label) + 1
+    if order <= n:
+        for j in cols:
+            if not 1 <= j <= n:
+                raise ValueError(f"column index {j} out of range")
+        if order > 10:
+            raise ValueError(f"minor order {order} exceeds permanent limit 10")
+    for rows in itertools.combinations(range(1, n + 1), order):
+        terms = laplace_terms_by_permutations(extended, rows, cols, slot)
+        if any(t != terms[0] for t in terms):
+            return False
+    return order >= 2
+
+
+# The matrix-class predicates by their definitions, as the library ran them
+# before the NI test became the triangle inequality on integers: NI through
+# the tropical square.
+
+
+def is_normal(a):
+    if not a.is_finite():
+        raise ValueError("matrix must have finite entries")
+    for i in range(a.n):
+        for j in range(a.n):
+            v = a.entries[i][j]
+            if i == j:
+                if v != 0:
+                    return False
+            elif v > 0:
+                return False
+    return True
+
+
+def is_ni(a):
+    return is_normal(a) and mat_mul(a, a) == a
+
+
+def is_vni(a):
+    return is_ni(a) and all(v == 0 for v in a.row(a.n))
+
+
+def is_sni(a):
+    return is_ni(a) and all(
+        a.entries[i][j] == a.entries[j][i] for i in range(a.n) for j in range(i + 1, a.n)
+    )
 
 
 # The conjecture sweeps as they were before the one-pass sweep: each check

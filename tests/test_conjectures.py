@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction as F
 
 import pytest
 
@@ -216,6 +217,19 @@ def test_sweeps_reject_bad_ranges():
         check_extremes(-1, 10)
     with pytest.raises(ValueError):
         check_barany(10, 2)
+
+
+@pytest.mark.parametrize("d_min, d_max", [(2.5, 10), (True, 3), (0, 10.0), (2, None), (F(2), 5)])
+def test_sweeps_reject_non_int_bounds(d_min, d_max):
+    message = "dimension bounds must be ints, got "
+    for call in (
+        lambda: run_all(None, d_min, d_max),
+        lambda: run_all(["cubical_g2"], d_min, d_max),
+        lambda: run_all([], d_min, d_max),
+        lambda: check_extremes(d_min, d_max),
+    ):
+        with pytest.raises(TypeError, match=message):
+            call()
 
 
 def _outcome(fn, *args):

@@ -642,6 +642,44 @@ def test_unique_vertex_laplace_pass_matches_two_pass_reference():
     assert any(isinstance(r, tuple) for r in outcomes["random"])
 
 
+def test_unique_vertex_conditions_match_permutation_reference():
+    # The integer pass on a once-scaled matrix against Fraction terms whose
+    # complementary minors come from all permutations: every label at d=2..5,
+    # both placements, at the closed-form point and at a perturbed one.
+    rng = random.Random(1313)
+    outcomes = {"closed_form": [], "perturbed": []}
+    for d in range(2, 6):
+        spec = IsocantedSpec(d, F(5, 2), F(3, 4))
+        for c, vertex in ((isocanted_vni(spec), isocanted_vertex), (isocanted_sni(spec), isocanted_vertex_sni)):
+            for w in all_vertex_labels(d):
+                point = list(vertex(spec, w)) + [F(0)]
+                nudged = list(point)
+                nudged[rng.randrange(d)] += rng.choice((F(1, 7), F(-1, 3), F(1, 100)))
+                for kind, p in (("closed_form", point), ("perturbed", nudged)):
+                    got = unique_vertex_conditions(c, w, p)
+                    assert got == reference.unique_vertex_conditions_by_permutations(c, w, p), (d, w, p)
+                    outcomes[kind].append(got)
+    assert all(outcomes["closed_form"])
+    assert outcomes["perturbed"].count(False) > len(outcomes["perturbed"]) // 2
+
+
+def test_unique_vertex_conditions_error_paths():
+    c = isocanted_vni(IsocantedSpec(3, F(2), F(1)))
+    for check in (unique_vertex_conditions, reference.unique_vertex_conditions_by_permutations):
+        with pytest.raises(ValueError, match="^label must leave a column slot outside it$"):
+            check(c, {1, 2, 3, 4}, [F(0)] * 4)
+        for point in ([F(0)] * 3, [F(0)] * 5, [F(0), F(0), F(0), F(1)]):
+            with pytest.raises(ValueError, match="^candidate point must have length n with last entry zero$"):
+                check(c, {1, 2}, point)
+    # Order 10 is the largest minor the permanent cap admits; order 11 is refused.
+    spec = IsocantedSpec(10, F(2), F(1))
+    assert verify_unique_vertex(spec, range(1, 10))
+    big = isocanted_vni(IsocantedSpec(11, F(2), F(1)))
+    for check in (unique_vertex_conditions, reference.unique_vertex_conditions_by_permutations):
+        with pytest.raises(ValueError, match="^minor order 11 exceeds permanent limit 10$"):
+            check(big, range(1, 11), [F(0)] * 12)
+
+
 def test_vertex_minor_multiplicity_can_exceed_laplace_count():
     # The vertex condition is equality of the Laplace terms, not an exact
     # permutation count: on rows {3,4,5} for the label {1,2} the extended

@@ -120,6 +120,8 @@ INEXACT_CALLS = [
     ("perturbation_from_rows",
      lambda v: PerturbationMatrix.from_rows([[0, v, 0], [0, 0, 0], [0, 0, 0]]), -0.5, False),
     ("perturbation_constant", lambda v: PerturbationMatrix.constant(3, v), 0.5, True),
+    ("perturbation_constructor", lambda v: PerturbationMatrix(((0, v), (0, 0))), 0.0, False),
+    ("trop_matrix_constructor", lambda v: TropMatrix(((0, v), (-1, 0))), 0.5, True),
     ("isocanted_spec_edge_length", lambda v: IsocantedSpec(3, v, F(1, 2)), 1.5, True),
     ("isocanted_spec_cant", lambda v: IsocantedSpec(3, F(2), v), 0.5, True),
 ]
@@ -202,6 +204,10 @@ def test_perturbation_validation():
     e = PerturbationMatrix.constant(4, F(1, 2))
     assert e.constant_cant() == F(1, 2)
     assert PerturbationMatrix.constant(4, 0).constant_cant() is None
+    # The constructor itself makes ints exact, as from_rows does.
+    ints = PerturbationMatrix(((0, 0, 0), (-1, 0, 0), (0, 0, 0)))
+    assert ints == PerturbationMatrix.from_rows([[0, 0, 0], [F(-1), 0, 0], [0, 0, 0]])
+    assert all(type(v) is F for row in ints.entries for v in row)
 
 
 def test_decompose_isocanted():
@@ -368,3 +374,113 @@ def test_predicates_require_finite_entries():
     a = TropMatrix.from_rows([[0, NEG_INF], [0, 0]])
     with pytest.raises(ValueError):
         is_normal(a)
+
+
+def _closure(rows):
+    """Kleene star of a normal matrix by Floyd-Warshall on its entries."""
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                rows[i][j] = max(rows[i][j], rows[i][k] + rows[k][j])
+    return rows
+
+
+def _violated_triangles(rows):
+    n = len(rows)
+    return [
+        (i, k, j)
+        for i in range(n) for k in range(n) for j in range(n)
+        if rows[i][k] + rows[k][j] > rows[i][j]
+    ]
+
+
+def _box_minus_perturbation(rng, n, placement):
+    d = n - 1
+    ls = [rng.choice(_LENGTHS) for _ in range(d)]
+    if placement == "vni":
+        shifts = [F(0)] * n
+    elif placement == "sni":
+        shifts = [v / 2 for v in ls] + [F(0)]
+    else:
+        shifts = [rng.choice([F(0)] + _SMALL) for _ in range(d)] + [F(0)]
+    pert = [[F(0)] * n for _ in range(n)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            pert[i][j] = -rng.choice([F(0)] + _SMALL)
+            pert[j][i] = pert[i][j] if placement == "sni" else -rng.choice([F(0)] + _SMALL)
+    box = conjugate_diag(box_vni(ls), shifts)
+    return apply_perturbation(box, PerturbationMatrix.from_rows(pert))
+
+
+def _one_violated_triangle(rng, n):
+    """A normal matrix failing exactly one triangle ``a[i,k] + a[k,j] <= a[i,j]``.
+
+    Off-diagonal entries ``-1 - e`` with ``0 < e < 1/2`` make every triangle
+    strict; ``a[i,j]`` then drops just below the largest ``a[i,k] + a[k,j]``.
+    """
+    while True:
+        rows = [[F(0) if i == j else -1 - F(rng.randint(1, 96), 193) for j in range(n)] for i in range(n)]
+        i, j = rng.sample(range(n), 2)
+        sums = sorted(rows[i][k] + rows[k][j] for k in range(n) if k not in (i, j))
+        gap = sums[-1] - sums[-2] if len(sums) > 1 else F(1)
+        if gap:
+            rows[i][j] = sums[-1] - gap / 2
+            return rows
+
+
+def _flat(rng, n):
+    """Normal rows with one pair of equal bounds ``a[i,j] = a[j,i] = 0``."""
+    rows = [[F(0) if i == j else -rng.choice(_LENGTHS) for j in range(n)] for i in range(n)]
+    i, j = rng.sample(range(n), 2)
+    rows[i][j] = rows[j][i] = F(0)
+    return rows
+
+
+def _class_outcome(predicate, a):
+    try:
+        return predicate(a)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+def test_class_predicates_match_product_definition():
+    # The integer triangle test and the cheap vni/sni pre-checks against the
+    # definitions through the tropical square, on seeded inputs of size 2..10.
+    rng = random.Random(1313)
+    predicates = [
+        (is_normal, reference.is_normal),
+        (is_ni, reference.is_ni),
+        (is_vni, reference.is_vni),
+        (is_sni, reference.is_sni),
+    ]
+    seen = {}
+    for n in range(2, 11):
+        for _ in range(6):
+            cases = [("ni", _box_minus_perturbation(rng, n, p)) for p in ("vni", "sni", "any")]
+            nonnormal = [list(r) for r in rng.choice(cases)[1].entries]
+            i, j = rng.randrange(n), rng.randrange(n)
+            nonnormal[i][j] = rng.choice([F(1, 3), F(2)]) if i != j else rng.choice([F(-1, 3), F(1)])
+            cases.append(("nonnormal", TropMatrix.from_rows(nonnormal)))
+            if n >= 3:
+                rows = _one_violated_triangle(rng, n)
+                assert len(_violated_triangles(rows)) == 1
+                cases.append(("one_triangle", TropMatrix.from_rows(rows)))
+                cases.append(("ni", TropMatrix.from_rows(_closure(rows))))
+            flat = _flat(rng, n)
+            cases.append(("flat", TropMatrix.from_rows(flat)))
+            cases.append(("flat_ni", TropMatrix.from_rows(_closure(flat))))
+            dead = [list(r) for r in rng.choice(cases)[1].entries]
+            dead[rng.randrange(n)][rng.randrange(n)] = NEG_INF
+            cases.append(("neg_inf", TropMatrix.from_rows(dead)))
+            for kind, a in cases:
+                got = tuple(_class_outcome(p, a) for p, _ in predicates)
+                assert got == tuple(_class_outcome(r, a) for _, r in predicates), (kind, a)
+                seen.setdefault(kind, set()).add(got)
+    assert seen["neg_inf"] == {(("ValueError", "matrix must have finite entries"),) * 4}
+    assert all(flags[1] for flags in seen["ni"] | seen["flat_ni"])
+    assert {flags[2] for flags in seen["ni"]} == {flags[3] for flags in seen["ni"]} == {True, False}
+    assert seen["one_triangle"] == {(True, False, False, False)}
+    assert {flags[0] for flags in seen["nonnormal"]} == {False}
+    assert {flags[1] for flags in seen["flat"]} == {True, False}

@@ -77,6 +77,18 @@ def test_matrix_validation():
         a.entry(0, 1)
 
 
+def test_constructor_makes_entries_exact():
+    # Entries are checked when the record is built, not when an integer path
+    # first reads their numerators; floats and bools are refused there too
+    # (``test_builders_reject_floats_and_bools``).
+    a = TropMatrix(((0, -1), (NEG_INF, 0)))
+    assert a.entries == ((F(0), F(-1)), (NEG_INF, F(0)))
+    assert all(type(v) is F for v in (a.entries[0] + a.entries[1][1:]))
+    assert a == TropMatrix.from_rows([[0, -1], [NEG_INF, 0]])
+    with pytest.raises(TypeError):
+        TropMatrix.from_rows([[0, 0.5], [-1, 0]])
+
+
 def test_mat_mul_zero_matrix_idempotent():
     zero = TropMatrix.from_rows([[0, 0], [0, 0]])
     assert mat_mul(zero, zero) == zero
