@@ -48,17 +48,40 @@ def label_text(label: VertexLabel) -> str:
     return " ".join(str(v) for v in sorted(label))
 
 
-def all_vertex_labels(d: int) -> Iterator[VertexLabel]:
-    """Proper nonempty subsets of ``1..d+1`` in the canonical label order.
+def _proper_subsets(items: list) -> Iterator[tuple]:
+    """Proper nonempty sub-tuples of ``items``, by size, then lexicographically.
 
-    Labels come by size, then lexicographically on their sorted elements.
-    Every labeled listing (vertex maps, the skeleton, meshes, CLI output)
-    follows this order, so this is the one place labels are enumerated.
+    On ``1..d+1`` this is the canonical label order.  Every labeled listing
+    (vertex maps, the skeleton, meshes, CLI output) follows it, so this is the
+    one place labels are enumerated.
     """
-    universe = list(range(1, d + 2))
-    for size in range(1, d + 1):
-        for combo in itertools.combinations(universe, size):
-            yield frozenset(combo)
+    for size in range(1, len(items)):
+        yield from itertools.combinations(items, size)
+
+
+def all_vertex_labels(d: int) -> Iterator[VertexLabel]:
+    """Proper nonempty subsets of ``1..d+1`` in the canonical label order."""
+    return map(frozenset, _proper_subsets(list(range(1, d + 2))))
+
+
+def _label_masks(d: int) -> Iterator[int]:
+    """Bitmasks of the vertex labels (see ``_subset_table``), in label order."""
+    return map(sum, _proper_subsets([1 << k for k in range(d + 1)]))
+
+
+def _subset_table(d: int) -> list[VertexLabel]:
+    """Every subset of ``1..d+1`` as a frozenset, indexed by bitmask.
+
+    Bit ``k-1`` of an index stands for the element ``k``, so ``table[b | t]``
+    is the union of ``table[b]`` and ``table[t]``.  Builders take their labels
+    from one table per call, ``2**(d+1)`` objects, instead of making one per
+    face or edge; equal labels within one result are then the same object.
+    """
+    table = [frozenset()]
+    for k in range(1, d + 2):
+        single = frozenset((k,))
+        table += [s | single for s in table]
+    return table
 
 
 def _binomial_row(n: int, length: int) -> list[int]:
@@ -180,12 +203,17 @@ def build_face_lattice(d: int) -> dict[int, tuple[FaceInterval, ...]]:
     _check_dim(d)
     if d > LATTICE_DIM_LIMIT:
         raise ValueError(f"dimension {d} exceeds lattice limit {LATTICE_DIM_LIMIT}")
+    table = _subset_table(d)
+    bits = [1 << k for k in range(d + 1)]
     by_dim: dict[int, list[FaceInterval]] = {k: [] for k in range(d)}
-    for bottom in all_vertex_labels(d):
-        rest = [v for v in range(1, d + 2) if v not in bottom]
-        for extra_size in range(d - len(bottom) + 1):
+    for b in _label_masks(d):
+        bottom = table[b]
+        rest = [x for x in bits if not x & b]
+        # Tops add fewer than all of ``rest``, so they stay proper.
+        for extra_size in range(len(rest)):
+            add = by_dim[extra_size].append
             for extra in itertools.combinations(rest, extra_size):
-                by_dim[extra_size].append(FaceInterval(bottom, bottom | frozenset(extra)))
+                add(FaceInterval(bottom, table[b | sum(extra)]))
     return {k: tuple(v) for k, v in by_dim.items()}
 
 
@@ -219,13 +247,18 @@ class SkeletonGraph(Record):
 
 def skeleton(d: int) -> SkeletonGraph:
     _check_dim(d)
-    nodes = tuple(all_vertex_labels(d))
+    table = _subset_table(d)
+    masks = list(_label_masks(d))
+    universe = set(range(1, d + 2))
     edges = []
-    for w in nodes:
+    for m in masks:
+        w = table[m]
         if len(w) < d:
-            for y in set(range(1, d + 2)) - w:
-                edges.append((w, w | {y}))
-    return SkeletonGraph(d, nodes, tuple(edges))
+            # Heads follow the iteration order of the set difference, which
+            # is not ascending from d = 7 on; edge order is part of the result.
+            for y in universe - w:
+                edges.append((w, table[m | 1 << (y - 1)]))
+    return SkeletonGraph(d, tuple(table[m] for m in masks), tuple(edges))
 
 
 def valence(w: Iterable[int], d: int) -> int:

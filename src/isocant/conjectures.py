@@ -145,15 +145,24 @@ def _extremes(d: int, row: FVector | None) -> tuple[bool, dict]:
     return ok, {"d": d, "lhs": lhs, "rhs": rhs, "equal": equal}
 
 
-def _log_concave(d: int, row: FVector) -> tuple[bool, dict]:
-    # With t_m = 2**m - 1: t_{m+1}**2 - t_m t_{m+2} = 2**m for m = 1 .. d-2.
-    factor_ok = all(
-        ((2 << m) - 1) ** 2 - ((1 << m) - 1) * ((4 << m) - 1) == 1 << m
-        for m in range(1, d - 1)
-    )
-    pascal_ok = is_log_concave(_binomial_row(d + 1, d))
-    ok = is_log_concave(row) and factor_ok and pascal_ok
-    return ok, {"d": d, "log_concave": ok, "factor_identity": factor_ok}
+def _factor_identity(m: int) -> bool:
+    # With t_m = 2**m - 1: t_{m+1}**2 - t_m t_{m+2} = 2**m.
+    return ((2 << m) - 1) ** 2 - ((1 << m) - 1) * ((4 << m) - 1) == 1 << m
+
+
+def _log_concave(d_min: int) -> Predicate:
+    # Dimension d needs the identity for m = 1 .. d-2: the first dimension
+    # checks them all, and each later one adds only m = d-2.
+    factor_ok = all(_factor_identity(m) for m in range(1, d_min - 2))
+
+    def per_d(d: int, row: FVector) -> tuple[bool, dict]:
+        nonlocal factor_ok
+        factor_ok = factor_ok and (d < 3 or _factor_identity(d - 2))
+        pascal_ok = is_log_concave(_binomial_row(d + 1, d))
+        ok = is_log_concave(row) and factor_ok and pascal_ok
+        return ok, {"d": d, "log_concave": ok, "factor_identity": factor_ok}
+
+    return per_d
 
 
 def _unimodal(d: int, row: FVector) -> tuple[bool, dict]:
@@ -241,7 +250,7 @@ _BELOW_2 = "dimension range must start at 2 or above"
 #: predicate for a sweep from a given first dimension).
 _PREDICATES: dict[str, tuple[int, str, bool, Callable[[int], Predicate]]] = {
     "extremes": (0, "dimension must be non-negative", False, lambda lo: _extremes),
-    "log_concave": (2, _BELOW_2, True, lambda lo: _log_concave),
+    "log_concave": (2, _BELOW_2, True, _log_concave),
     "unimodal": (2, _BELOW_2, True, lambda lo: _unimodal),
     "argmax": (2, _BELOW_2, True, lambda lo: _argmax),
     "barany": (2, _BELOW_2, True, lambda lo: _barany),

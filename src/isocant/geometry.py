@@ -302,7 +302,8 @@ def unique_vertex_conditions(c: TropMatrix, w: Iterable[int], point: Sequence[Fr
     minor maximum at least twice (membership in the span): the ``k = |w| + 1``
     equal terms are maximizing permutations with distinct rows in the slot
     (all ``k!`` attain ``-inf``), and an empty label has ``k = 1`` and fails.
-    A label holding every index ``1..n`` leaves no slot and is an error.
+    A label holding every index ``1..n`` leaves no slot and is an error, as
+    is a label entry outside ``1..n``.
     The extended matrix is scaled to integers once, and each row subset's
     terms come from ``tropical._laplace_terms`` as ``int`` values.
     """
@@ -313,12 +314,14 @@ def unique_vertex_conditions(c: TropMatrix, w: Iterable[int], point: Sequence[Fr
     slot = next((k for k in range(1, n + 1) if k not in label), None)
     if slot is None:
         raise ValueError("label must leave a column slot outside it")
+    bad = next((j for j in label if not 1 <= j <= n), None)
+    if bad is not None:
+        raise ValueError(f"column index {bad} out of range")
     extended = c.replace_column(slot, list(point))
     cols = sorted(set(label) | {slot})
     order = len(label) + 1
-    if order <= n:
-        # Every row subset shares the columns, so one check stands for all.
-        _check_selection(extended, range(1, order + 1), cols)
+    # Every row subset shares the columns, so one check stands for all.
+    _check_selection(extended, range(1, order + 1), cols)
     grid, _ = _scaled(extended.entries)
     idx = [j - 1 for j in cols]
     for rows in itertools.combinations(range(n), order):

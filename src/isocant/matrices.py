@@ -130,8 +130,14 @@ class PerturbationMatrix(Record):
     entries: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        if not all(type(v) is Fraction for row in self.entries for v in row):
-            coerced = tuple(tuple(as_rational(v) for v in row) for row in self.entries)
+        # As in ``TropMatrix``: anything but tuple rows of fractions is copied.
+        entries = self.entries
+        if not (
+            type(entries) is tuple
+            and all(type(row) is tuple for row in entries)
+            and all(type(v) is Fraction for row in entries for v in row)
+        ):
+            coerced = tuple(tuple(as_rational(v) for v in row) for row in entries)
             object.__setattr__(self, "entries", coerced)
         n = len(self.entries)
         if n < 2 or any(len(row) != n for row in self.entries):

@@ -104,10 +104,16 @@ class TropMatrix(Record):
     entries: tuple[tuple[TropScalar, ...], ...]
 
     def __post_init__(self) -> None:
-        # Entries that are already scalars pass on one type test each; the
+        # Tuple rows of scalars pass on one type test per row and per entry;
+        # anything else is copied into tuples, so records stay hashable.  The
         # integer paths read ``numerator`` and ``denominator`` and rely on it.
-        if not all(type(v) is Fraction or v is NEG_INF for row in self.entries for v in row):
-            coerced = tuple(tuple(as_scalar(v) for v in row) for row in self.entries)
+        entries = self.entries
+        if not (
+            type(entries) is tuple
+            and all(type(row) is tuple for row in entries)
+            and all(type(v) is Fraction or v is NEG_INF for row in entries for v in row)
+        ):
+            coerced = tuple(tuple(as_scalar(v) for v in row) for row in entries)
             object.__setattr__(self, "entries", coerced)
         n = len(self.entries)
         if n < 2:

@@ -7,7 +7,9 @@ from typing import Callable, Sequence
 
 from isocant import combinatorics
 from isocant.combinatorics import (
+    CaskBeltPartition,
     FaceInterval,
+    SkeletonGraph,
     bfs_distances,
     build_face_lattice,
     count_flags,
@@ -276,6 +278,49 @@ def decompose_box_table(lengths, shifts):
                 out.append(-lengths[i] + shifts[i] - shifts[j])
         rows.append(tuple(out))
     return TropMatrix(tuple(rows))
+
+
+# The label builders as they were before they shared one subset table: a new
+# frozenset for every face's top and every edge's head.
+
+
+def vertex_labels(d: int):
+    """Proper nonempty subsets of ``1..d+1`` by size, then lexicographically."""
+    for size in range(1, d + 1):
+        for combo in itertools.combinations(range(1, d + 2), size):
+            yield frozenset(combo)
+
+
+def build_face_lattice_per_face(d: int) -> dict[int, tuple[FaceInterval, ...]]:
+    """All faces grouped by dimension: intervals with nonempty bottom, proper top."""
+    by_dim: dict[int, list[FaceInterval]] = {k: [] for k in range(d)}
+    for bottom in vertex_labels(d):
+        rest = [v for v in range(1, d + 2) if v not in bottom]
+        for extra_size in range(d - len(bottom) + 1):
+            for extra in itertools.combinations(rest, extra_size):
+                by_dim[extra_size].append(FaceInterval(bottom, bottom | frozenset(extra)))
+    return {k: tuple(v) for k, v in by_dim.items()}
+
+
+def skeleton_per_edge(d: int) -> SkeletonGraph:
+    nodes = tuple(vertex_labels(d))
+    edges = []
+    for w in nodes:
+        if len(w) < d:
+            for y in set(range(1, d + 2)) - w:
+                edges.append((w, w | {y}))
+    return SkeletonGraph(d, nodes, tuple(edges))
+
+
+def casks_and_belt_per_face(d: int) -> CaskBeltPartition:
+    pole = d + 1
+    parts: dict[str, dict[int, list[FaceInterval]]] = {"north": {}, "south": {}, "belt": {}}
+    for k, faces in build_face_lattice_per_face(d).items():
+        for face in faces:
+            part = "north" if pole not in face.top else "south" if pole in face.bottom else "belt"
+            parts[part].setdefault(k, []).append(face)
+    groups = ({k: tuple(v) for k, v in part.items()} for part in parts.values())
+    return CaskBeltPartition(d, *groups)
 
 
 def bfs_diameter(d: int) -> int:

@@ -205,6 +205,42 @@ def test_orbit_bfs_diameter_matches_all_pairs_reference():
         assert bfs_diameter(d) == reference.bfs_diameter(d) == d + 1
 
 
+def test_label_builders_match_per_face_reference():
+    # One shared subset table changes where labels come from, not what the
+    # builders return: faces in order per dimension, nodes, edges (in the
+    # set-difference order, which is not ascending from d = 7), BFS distances
+    # and cask/belt groups all match the per-face builders.
+    for d in range(2, 9):
+        lattice = build_face_lattice(d)
+        expected = reference.build_face_lattice_per_face(d)
+        assert list(lattice) == list(expected)
+        for k in expected:
+            assert lattice[k] == expected[k], (d, k)
+        graph = skeleton(d)
+        old = reference.skeleton_per_edge(d)
+        assert graph.nodes == old.nodes
+        assert graph.edges == old.edges
+        n = len(graph.nodes)
+        for source in (graph.nodes[0], graph.nodes[n // 3], graph.nodes[-1]):
+            dist = bfs_distances(graph, source)
+            assert list(dist.items()) == list(bfs_distances(old, source).items())
+        assert casks_and_belt(d) == reference.casks_and_belt_per_face(d)
+
+
+def test_label_builders_share_one_object_per_label():
+    # Equal labels within one result are one object, taken from the table;
+    # a builder that makes a new frozenset per face or edge fails here.
+    for d in (3, 6):
+        first: dict[frozenset, frozenset] = {}
+        for faces in build_face_lattice(d).values():
+            for face in faces:
+                assert first.setdefault(face.top, face.top) is face.top
+                assert first.setdefault(face.bottom, face.bottom) is face.bottom
+        graph = skeleton(d)
+        node = {w: w for w in graph.nodes}
+        assert all(node[w] is w and node[v] is v for w, v in graph.edges)
+
+
 def test_antipodal_distance_is_diameter():
     for d in (2, 3, 4, 5):
         for w in all_vertex_labels(d):

@@ -289,6 +289,16 @@ def test_one_pass_sweep_matches_per_check_reference():
                 assert got == _outcome(reference.CHECKS[name], lo, hi), (name, lo, hi)
 
 
+def test_log_concave_factor_identity_carried_along_sweep():
+    # Each dimension adds one factor identity to those of the first one;
+    # witnesses match the check-major sweep, which checks every identity at
+    # every dimension.
+    for lo, hi in ((2, 2), (2, 3), (2, 40), (3, 9), (5, 5), (7, 60), (30, 100)):
+        expected = reference.check_log_concave(lo, hi).to_json()
+        assert check_log_concave(lo, hi).to_json() == expected, (lo, hi)
+        assert run_all(["log_concave", "3d"], lo, hi)[0].to_json() == expected, (lo, hi)
+
+
 def test_isocanted_fvector_matches_binomial_formula():
     for d in range(2, 301):
         row = tuple((2 ** (d + 1 - j) - 2) * math.comb(d + 1, j) for j in range(d))

@@ -628,13 +628,24 @@ def _unique_vertex_cases(rng):
         yield "random", c, w, point
 
 
+def _expected_unique_vertex(c, w, point):
+    # The old two-pass test, with one intended change: a label entry outside
+    # 1..n raises where the old test found no row subset of the minor's order
+    # (the label has n or more entries) and answered without checking.
+    expected = _unique_vertex_or_error(reference.unique_vertex_conditions, c, w, point)
+    bad = sorted(j for j in set(w) if not 1 <= j <= c.n)
+    if bad and isinstance(expected, bool):
+        return "ValueError", f"column index {bad[0]} out of range"
+    return expected
+
+
 def test_unique_vertex_laplace_pass_matches_two_pass_reference():
     # The Laplace-term pass alone against the old test that also demanded a
     # minor multiplicity of at least 2: the same result or the same error.
     outcomes = {}
     for kind, c, w, point in _unique_vertex_cases(random.Random(11)):
         got = _unique_vertex_or_error(unique_vertex_conditions, c, w, point)
-        assert got == _unique_vertex_or_error(reference.unique_vertex_conditions, c, w, point)
+        assert got == _expected_unique_vertex(c, w, point), (w, point)
         outcomes.setdefault(kind, []).append(got)
     assert all(r is True for r in outcomes["closed_form"])
     assert outcomes["nudged"].count(False) > len(outcomes["nudged"]) // 2
@@ -678,6 +689,17 @@ def test_unique_vertex_conditions_error_paths():
     for check in (unique_vertex_conditions, reference.unique_vertex_conditions_by_permutations):
         with pytest.raises(ValueError, match="^minor order 11 exceeds permanent limit 10$"):
             check(big, range(1, 11), [F(0)] * 12)
+
+
+def test_unique_vertex_conditions_rejects_labels_outside_range():
+    # With n = 3 no row subset of order 5 exists, so this label once passed
+    # without a single check; entries outside 1..n now raise before the loop,
+    # with the text the minor check gave when the order still fit.
+    with pytest.raises(ValueError, match="^column index 5 out of range$"):
+        unique_vertex_conditions(cube_vni(2, 1), {1, 2, 5, 6}, [0, 0, 0])
+    for label, bad in (({2, 3, 4}, 4), ({0, 1}, 0), ({1, 5}, 5)):
+        with pytest.raises(ValueError, match=f"^column index {bad} out of range$"):
+            unique_vertex_conditions(cube_vni(2, 1), label, [0, 0, 0])
 
 
 def test_vertex_minor_multiplicity_can_exceed_laplace_count():

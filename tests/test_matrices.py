@@ -208,6 +208,10 @@ def test_perturbation_validation():
     ints = PerturbationMatrix(((0, 0, 0), (-1, 0, 0), (0, 0, 0)))
     assert ints == PerturbationMatrix.from_rows([[0, 0, 0], [F(-1), 0, 0], [0, 0, 0]])
     assert all(type(v) is F for row in ints.entries for v in row)
+    # List rows are copied into tuples, so the record hashes like its twin.
+    lists = PerturbationMatrix([[F(0), F(0), F(0)], [F(-1), F(0), F(0)], [F(0), F(0), F(0)]])
+    assert lists == ints and hash(lists) == hash(ints)
+    assert all(type(row) is tuple for row in lists.entries)
 
 
 def test_decompose_isocanted():

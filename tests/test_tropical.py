@@ -89,6 +89,16 @@ def test_constructor_makes_entries_exact():
         TropMatrix.from_rows([[0, 0.5], [-1, 0]])
 
 
+def test_constructor_makes_rows_tuples():
+    # List rows are copied into tuples: the record hashes and equals its
+    # ``from_rows`` twin.
+    for rows in ([[F(0), F(0)], [F(0), F(0)]], [(F(0), NEG_INF), [F(1), F(0)]], ([F(0), F(0)], (F(0), F(0)))):
+        a = TropMatrix(rows)
+        twin = TropMatrix.from_rows(rows)
+        assert type(a.entries) is tuple and all(type(row) is tuple for row in a.entries)
+        assert a == twin and hash(a) == hash(twin)
+
+
 def test_mat_mul_zero_matrix_idempotent():
     zero = TropMatrix.from_rows([[0, 0], [0, 0]])
     assert mat_mul(zero, zero) == zero
