@@ -9,8 +9,11 @@ gives the tightest bounds (the Kleene star, the normal idempotent form).
 Every edge of such a polytope runs along a cut direction ``+1_S`` for a node
 set ``S``, so the vertex enumerator walks the edge graph from the maximum
 point without any linear programming, trying the ``2^(d+1) - 2`` cuts at each
-vertex: its cost is ``vertices * 2^(d+1)`` cut checks.  The walk and face
-recovery are exact, on integers after ``tropical._scaled`` clears denominators.
+vertex and stepping each edge once: its cost is ``vertices * 2^(d+1)`` cut
+checks.  Each closed bound is the attained maximum of ``x_i - x_j``, so the
+closed table alone fixes the polytope, and central symmetry is read from it
+without enumerating vertices.  The walk, the symmetry check and face recovery
+are exact, on integers after ``tropical._scaled`` clears denominators.
 """
 
 from __future__ import annotations
@@ -170,9 +173,13 @@ def _closed_bounds(h: HRep) -> tuple[list[list[int]], int]:
 
     ``tropical._scaled`` clears the denominators.  Each pair starts from its
     own bound, or its path through the ground when it has none, and
-    Floyd-Warshall closes them (the Kleene star).  A negative diagonal entry
-    is a negative cycle: the system has no solution.
+    Floyd-Warshall closes them (the Kleene star).  Each closed entry is then
+    the attained maximum of ``x_i - x_j`` over the polytope.  Raises the
+    oracle's errors: a dimension above ``ORACLE_DIM_LIMIT``, and a negative
+    diagonal entry, which is a negative cycle: the system has no solution.
     """
+    if h.d > ORACLE_DIM_LIMIT:
+        raise ValueError(f"dimension {h.d} exceeds oracle limit {ORACLE_DIM_LIMIT}")
     bounds = h._bounds()
     scaled, den = _scaled([(hi, -lo) for _, _, lo, hi in bounds])
     nodes = range(h.d + 1)
@@ -184,6 +191,8 @@ def _closed_bounds(h: HRep) -> tuple[list[list[int]], int]:
              for i in nodes]
     for k in nodes:
         bound = [[min(b, row[k] + via) for b, via in zip(row, bound[k])] for row in bound]
+    if any(bound[k][k] < 0 for k in nodes):
+        raise ValueError("empty polytope: no feasible vertex found")
     return bound, den
 
 
@@ -208,50 +217,61 @@ def _connected(part: int, reach: Sequence[int]) -> bool:
 def enumerate_vertices_oracle(h: HRep) -> VertexSet:
     """All vertices of the polytope, by walking its edge graph from the maximum point.
 
-    The bounds are scaled to integers once and closed (:func:`_closed_bounds`);
-    an empty closure means an empty polytope.  The walk starts at the vertex
-    where every ``x_i`` sits at its closed upper bound.  Every edge of an
-    alcoved polytope runs along a cut direction ``+1_S`` for a proper nonempty
-    node set ``S`` (ground included, points re-grounded to ``x_0 = 0``), so
-    from each vertex the walk tries all ``2^(d+1) - 2`` cuts.  A cut is an
-    edge when the tight bounds not crossing it leave exactly the two
-    components ``S`` and its complement, and no tight bound leaving ``S``
-    blocks the step; the step length is the least slack of the bounds
-    leaving ``S``.  The cost is ``vertices * 2^(d+1)`` cut checks, with no
-    linear programming.  The name keeps "oracle" from the exhaustive
-    hyperplane-subset sweep this replaced, for compatibility.
+    The bounds are scaled to integers once and closed (:func:`_closed_bounds`,
+    which also raises the cap and empty-polytope errors).  The walk starts at
+    the vertex where every ``x_i`` sits at its closed upper bound.  Every edge
+    of an alcoved polytope runs along a cut direction ``+1_S`` for a proper
+    nonempty node set ``S`` (ground included, points re-grounded to
+    ``x_0 = 0``), so from each vertex the walk tries all ``2^(d+1) - 2``
+    cuts.  A cut is an edge when the tight bounds not crossing it leave
+    exactly the two components ``S`` and its complement, and no tight bound
+    leaving ``S`` blocks the step; the step length is the least slack of the
+    bounds leaving ``S``.  Each edge is stepped once: the vertex it reaches
+    skips the reverse cut (the complement of ``S``).  Tightness is carried
+    along the walk: a new vertex takes its tight pairs from the edge that
+    found it, so only the start vertex compares all ``(d+1)^2`` pairs.  The
+    cost is ``vertices * 2^(d+1)`` cut checks, with no linear programming.
+    Points are sorted as integer tuples and then built with one ``Fraction``
+    per distinct coordinate value.  The name keeps "oracle" from the
+    exhaustive hyperplane-subset sweep this replaced, for compatibility.
     """
-    d = h.d
-    if d > ORACLE_DIM_LIMIT:
-        raise ValueError(f"dimension {d} exceeds oracle limit {ORACLE_DIM_LIMIT}")
     bound, den = _closed_bounds(h)
-    nodes = range(d + 1)
-    if any(bound[k][k] < 0 for k in nodes):
-        raise ValueError("empty polytope: no feasible vertex found")
-
-    full = (1 << (d + 1)) - 1
+    nodes = range(h.d + 1)
+    full = (1 << (h.d + 1)) - 1
     start = tuple(bound[k][0] for k in nodes)
-    seen = {start}
+    # up[x][i]: the nodes j with x_i - x_j at its bound, so that i cannot rise without j.
+    up = {start: [sum(1 << j for j in nodes if start[i] - start[j] == bound[i][j]) for i in nodes]}
+    # back[x]: bit c set when cut c leads back along an edge already stepped into x.
+    back = {start: 0}
     work = [start]
     while work:
         x = work.pop()
-        # up[i]: the nodes j with x_i - x_j at its bound, so that i cannot rise without j.
-        up = [sum(1 << j for j in nodes if x[i] - x[j] == bound[i][j]) for i in nodes]
-        tight = [up[i] | sum(1 << j for j in nodes if up[j] >> i & 1) for i in nodes]
-        blocked = _subset_unions(up)
+        ups, skip = up[x], back[x]
+        tight = [ups[i] | sum(1 << j for j in nodes if ups[j] >> i & 1) for i in nodes]
+        blocked = _subset_unions(ups)
         reach = _subset_unions(tight)
         for cut in range(1, full):
-            if blocked[cut] & ~cut or not _connected(cut, reach) or not _connected(full ^ cut, reach):
+            if (skip >> cut & 1 or blocked[cut] & ~cut
+                    or not _connected(cut, reach) or not _connected(full ^ cut, reach)):
                 continue
-            step = min(bound[i][j] - x[i] + x[j]
-                       for i in nodes if cut >> i & 1 for j in nodes if not cut >> j & 1)
+            outs = [j for j in nodes if not cut >> j & 1]
+            step = min(bound[i][j] - x[i] + x[j] for i in nodes if cut >> i & 1 for j in outs)
             lift = [step if cut >> k & 1 else 0 for k in nodes]
             y = tuple(x[k] + lift[k] - lift[0] for k in nodes)
-            if y not in seen:
-                seen.add(y)
+            if y not in up:
+                # Pairs on one side keep their state; a pair leaving the cut is tight
+                # when its slack is the step, and one entering it cannot be (step > 0).
+                up[y] = [
+                    ups[i] & cut | sum(1 << j for j in outs if bound[i][j] - x[i] + x[j] == step)
+                    if cut >> i & 1 else ups[i] & ~cut
+                    for i in nodes
+                ]
+                back[y] = 0
                 work.append(y)
-    points = tuple(sorted(tuple(Fraction(v, den) for v in p[1:]) for p in seen))
-    return VertexSet(d, points)
+            back[y] |= 1 << (full ^ cut)
+    value = {v: Fraction(v, den) for v in {v for p in up for v in p}}
+    points = tuple(tuple(value[v] for v in p[1:]) for p in sorted(up))
+    return VertexSet(h.d, points)
 
 
 def isocanted_vertex(spec: IsocantedSpec, w: Iterable[int]) -> Point:
@@ -351,10 +371,15 @@ def bounding_box(a: TropMatrix) -> HRep:
 
 
 def central_symmetry_check(a: TropMatrix) -> bool:
-    """True when the vertex set of the polytope is closed under negation."""
-    vset = enumerate_vertices_oracle(hrep_from_matrix(a))
-    pts = set(vset.points)
-    return all(tuple(-v for v in p) in pts for p in pts)
+    """True when the polytope equals its negation, so its vertex set is closed under it.
+
+    Each closed bound (:func:`_closed_bounds`) is the attained maximum of
+    ``x_i - x_j`` over the polytope, and the negated polytope's closed bounds
+    are their transpose, so the check is that the closed table is symmetric.
+    No vertex is enumerated; the oracle's cap and empty-polytope errors hold.
+    """
+    bound, _ = _closed_bounds(hrep_from_matrix(a))
+    return bound == [list(col) for col in zip(*bound)]
 
 
 def zonotope_check(spec: IsocantedSpec) -> bool:
@@ -398,8 +423,9 @@ def oracle_face_counts(h: HRep, vset: VertexSet) -> tuple[int, ...]:
     an int bitmask built from ``int`` comparisons.  Facet sets are
     intersected to closure (every proper face is an intersection of facets).
     A face's dimension is ``d`` minus the constraint-graph rank of the
-    hyperplanes tight on all its vertices: those cut out its affine hull.  Hyperplanes tight on every vertex are implicit
-    equalities of a flat polytope and count towards every rank.
+    hyperplanes tight on all its vertices: those cut out its affine hull.
+    Hyperplanes tight on every vertex are implicit equalities of a flat
+    polytope and count towards every rank.
     """
     planes = h.hyperplanes()
     grid = [h._grounded(p) for p in vset.points] + [[c for _, _, c in planes]]

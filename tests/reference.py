@@ -25,7 +25,7 @@ from isocant.conjectures import (
     is_unimodal,
     stirling2,
 )
-from isocant.geometry import VertexSet
+from isocant.geometry import VertexSet, enumerate_vertices_oracle, hrep_from_matrix
 from isocant.tropical import NEG_INF, TropMatrix, laplace_terms, mat_mul, trop_minor
 
 
@@ -166,6 +166,33 @@ def sweep_vertices(h):
         raise ValueError("empty polytope: no feasible vertex found")
     points = tuple(sorted(tuple(Fraction(v, scale) for v in p) for p in feasible))
     return VertexSet(d, points)
+
+
+def central_symmetry_by_vertices(a):
+    """True when the walk's vertex set is closed under negation.
+
+    The library's former ``central_symmetry_check``, kept as the reference
+    for the closed-bound test; it raises the walk's cap and empty-polytope
+    errors.
+    """
+    pts = set(enumerate_vertices_oracle(hrep_from_matrix(a)).points)
+    return all(tuple(-v for v in p) in pts for p in pts)
+
+
+def maximal_polytrope(rng, d):
+    """A generic NI matrix of size ``d + 1``: zero diagonal, off-diagonal ``-1 - eps_ij``.
+
+    The ``eps_ij`` are distinct seeded values below ``1/4``, so every
+    triangle inequality ``a_ik + a_kj <= a_ij`` holds strictly: the matrix is
+    NI and each of its ``d(d+1)`` difference bounds is a facet.  Generic
+    ``eps`` make every vertex simple, which makes the polytope a maximal
+    polytrope.
+    """
+    n = d + 1
+    eps = iter(rng.sample(range(1, 10**6), n * (n - 1)))
+    return TropMatrix.from_rows(
+        [[0 if i == j else -1 - Fraction(next(eps), 4 * 10**6) for j in range(n)] for i in range(n)]
+    )
 
 
 def naive_vertex_enumeration(h):

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -824,6 +825,79 @@ def test_central_symmetry_fails_for_single_cant():
 
     assert is_ni(a)
     assert not central_symmetry_check(a)
+
+
+def _symmetric_rows(rng, d, pool, flat=False):
+    # a[i][j] = a[j][i]: every bound a[i][j] <= x_i - x_j <= -a[j][i] is
+    # symmetric about zero, so the polytope is its own negation, NI or not.
+    rows = _random_normal(rng, d, pool)
+    for i in range(d + 1):
+        for j in range(i):
+            rows[i][j] = rows[j][i]
+    if flat:
+        i, j = rng.sample(range(d + 1), 2)
+        rows[i][j] = rows[j][i] = F(0)
+    return rows
+
+
+def test_central_symmetry_matches_vertex_negation_reference():
+    # The closed-bound test against negating the walk's vertex set, on
+    # isocanted, box, flat, non-NI, symmetric and empty inputs and one over
+    # the cap: the same answer, or the same error text.
+    rng = random.Random(15)
+    pool = [F(-1, 2), F(-1), F(-3, 2), F(-2), F(-3), F(-7, 3)]
+    q = [list(r) for r in cube_sni(3, 2).entries]
+    q[0][1] += F(1, 2)
+    cases = {
+        "single cant": (TropMatrix.from_rows(q), False),
+        "flat point at the origin": (TropMatrix.from_rows([[0, 0], [0, 0]]), True),
+        "flat point off the origin": (TropMatrix.from_rows([[0, -1], [1, 0]]), False),
+    }
+    for d in (2, 3, 4, 5):
+        spec = IsocantedSpec(d, rng.choice((F(2), F(5, 2), F(3))), rng.choice((F(1, 2), F(1), F(3, 4))))
+        cases[f"sni {d}"] = (isocanted_sni(spec), True)
+        cases[f"vni {d}"] = (isocanted_vni(spec), False)
+        cases[f"box_sni {d}"] = (box_sni([rng.choice((F(1), F(3, 2), F(2))) for _ in range(d)]), True)
+    for d in (2, 3, 4):
+        for t in range(4):
+            for k, (kind, a) in enumerate(_seeded_cases(rng, d, pool)):
+                cases[f"{kind} {d} {t} {k}"] = (a, None)
+            for flat in (False, True):
+                rows = _symmetric_rows(rng, d, pool, flat)
+                cases[f"symmetric {d} {t} {flat}"] = (TropMatrix.from_rows(rows), True)
+                cases[f"symmetric star {d} {t} {flat}"] = (_kleene_star(rows), True)
+            cases[f"empty {d} {t}"] = (TropMatrix.from_rows(_empty_rows(rng, d)), None)
+    over = IsocantedSpec(ORACLE_DIM_LIMIT + 1, F(2), F(1))
+    cases["over the cap"] = (isocanted_sni(over), None)
+    answers = {}
+    for name, (a, expected) in cases.items():
+        answer = _vertices_or_error(central_symmetry_check, a)
+        assert answer == _vertices_or_error(reference.central_symmetry_by_vertices, a), name
+        assert expected is None or answer is expected, name
+        answers[name] = answer
+    assert answers["empty 4 3"] == "empty polytope: no feasible vertex found"
+    assert answers["over the cap"] == f"dimension {ORACLE_DIM_LIMIT + 1} exceeds oracle limit {ORACLE_DIM_LIMIT}"
+    assert sum(a is False for a in answers.values()) >= 30
+    symmetric_non_ni = [n for n in cases if n.startswith("symmetric ") and not is_ni(cases[n][0])]
+    assert len(symmetric_non_ni) >= 10
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_maximal_polytrope_counts(d):
+    # Maximal polytropes: every vertex is simple, so each is reached with the
+    # tight pairs it inherits from one edge.  Observed and pinned here on three
+    # seeds per dimension (two at d=6, to keep the suite fast), not cited as a
+    # theorem: C(2d, d) vertices, the most an alcoved d-polytope has, and
+    # f_k = C(d, k) C(2d - k, d).
+    for seed in range(3 if d < 6 else 2):
+        a = reference.maximal_polytrope(random.Random(seed), d)
+        assert is_ni(a)
+        h = hrep_from_matrix(a)
+        vset = enumerate_vertices_oracle(h)
+        assert len(vset) == comb(2 * d, d)
+        assert oracle_face_counts(h, vset) == tuple(comb(d, k) * comb(2 * d - k, d) for k in range(d))
+        if d <= 4:
+            assert vset == reference.sweep_vertices(h)
 
 
 def test_zonotope_check_small_dimensions():
