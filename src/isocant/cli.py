@@ -107,10 +107,10 @@ def _infer_labels(a, vset) -> dict | None:
     Best-effort decoration: anything non-canonical (not NI, degenerate box,
     mixed lengths, translated placement) simply yields no labels.
     """
+    if a.n < 3:
+        return None
     try:
-        if not matrices.is_ni(a) or a.n < 3:
-            return None
-        dec = matrices.decompose(a)
+        dec = matrices.decompose(a)  # raises ValueError when ``a`` is not NI
         cant = dec.perturbation.constant_cant()
         lengths = set(dec.edge_lengths)
         if cant is None or len(lengths) != 1:

@@ -12,8 +12,9 @@ point without any linear programming, trying the ``2^(d+1) - 2`` cuts at each
 vertex and stepping each edge once: its cost is ``vertices * 2^(d+1)`` cut
 checks.  Each closed bound is the attained maximum of ``x_i - x_j``, so the
 closed table alone fixes the polytope, and central symmetry is read from it
-without enumerating vertices.  The walk, the symmetry check and face recovery
-are exact, on integers after ``tropical._scaled`` clears denominators.
+without enumerating vertices.  The walk, the symmetry check, face recovery,
+the unique-vertex check and the vertex-set match of ``label_vertices`` are
+exact, on integers after ``tropical._scaled`` clears denominators.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Iterable, Sequence
 
 from ._record import Record
 from .combinatorics import all_vertex_labels, check_label
-from .matrices import PLACEMENTS, IsocantedSpec, decompose, isocanted_vni
+from .matrices import PLACEMENTS, IsocantedSpec, Rational, _visualized, decompose, isocanted_vni
 from .tropical import TropMatrix, _check_selection, _laplace_terms, _scaled
 
 Point = tuple[Fraction, ...]
@@ -274,6 +275,16 @@ def enumerate_vertices_oracle(h: HRep) -> VertexSet:
     return VertexSet(h.d, points)
 
 
+def _vertex_values(ell: Rational, a: Rational) -> tuple[tuple[Rational, Rational], ...]:
+    return (a - a, a - ell), (-a, -ell)
+
+
+def _vertex(label: frozenset[int], d: int, values: Sequence[tuple[Rational, Rational]]) -> tuple:
+    """Vertex for ``label``: ``values[n in label]`` holds its labeled and unlabeled coordinate."""
+    labeled, unlabeled = values[d + 1 in label]
+    return tuple(labeled if k in label else unlabeled for k in range(1, d + 1))
+
+
 def isocanted_vertex(spec: IsocantedSpec, w: Iterable[int]) -> Point:
     """Closed-form vertex of the visualized isocanted polytope for label ``w``.
 
@@ -281,15 +292,7 @@ def isocanted_vertex(spec: IsocantedSpec, w: Iterable[int]) -> Point:
     coordinates are zero and the rest are ``cant - edge_length``; when it is
     present, labeled coordinates are ``-cant`` and the rest ``-edge_length``.
     """
-    label = check_label(w, spec.d)
-    ell, a = spec.edge_length, spec.cant
-    if spec.n in label:
-        return tuple(
-            -a if k in label else -ell for k in range(1, spec.d + 1)
-        )
-    return tuple(
-        Fraction(0) if k in label else a - ell for k in range(1, spec.d + 1)
-    )
+    return _vertex(check_label(w, spec.d), spec.d, _vertex_values(spec.edge_length, spec.cant))
 
 
 def isocanted_vertex_sni(spec: IsocantedSpec, w: Iterable[int]) -> Point:
@@ -300,16 +303,36 @@ def isocanted_vertex_sni(spec: IsocantedSpec, w: Iterable[int]) -> Point:
 
 def closed_form_vertices(spec: IsocantedSpec, placement: str = "vni") -> dict[frozenset[int], Point]:
     """Label-to-vertex map over all proper nonempty subsets of ``1..d+1``, in label order."""
-    fn = {"vni": isocanted_vertex, "sni": isocanted_vertex_sni}[placement]
-    return {w: fn(spec, w) for w in all_vertex_labels(spec.d)}
+    shift = {"vni": 0, "sni": spec.edge_length / 2}[placement]
+    values = [(x + shift, y + shift) for x, y in _vertex_values(spec.edge_length, spec.cant)]
+    return {w: _vertex(w, spec.d, values) for w in all_vertex_labels(spec.d)}
 
 
 def label_vertices(spec: IsocantedSpec, vset: VertexSet, placement: str = "vni") -> VertexSet:
-    """Attach closed-form labels to oracle output, demanding exact agreement."""
+    """Attach closed-form labels to oracle output, demanding exact agreement (on ints)."""
     expected = closed_form_vertices(spec, placement)
-    if set(vset.points) != set(expected.values()) or len(vset.points) != len(expected):
+    grid = [tuple(p) for p in _scaled([*vset.points, *expected.values()])[0]]
+    if set(grid[: len(vset)]) != set(grid[len(vset):]) or len(vset) != len(expected):
         raise ValueError("oracle vertices do not match the closed-form vertex map")
     return VertexSet(vset.d, vset.points, tuple(expected.items()))
+
+
+def _lone_vertex(grid: Sequence[Sequence[int | None]], label: Sequence[int], slot: int) -> bool:
+    """The unique-vertex test on an int grid whose column ``slot`` holds the candidate.
+
+    ``label`` and ``slot`` are 1-based.  For every row subset one larger than
+    the label, the Laplace terms along the slot column must all coincide.
+    """
+    cols = sorted([*label, slot])
+    order = len(cols)
+    # Every row subset shares the columns, so one check stands for all.
+    _check_selection(len(grid), range(1, order + 1), cols)
+    idx = [j - 1 for j in cols]
+    for rows in itertools.combinations(range(len(grid)), order):
+        terms = _laplace_terms(grid, rows, idx, slot - 1)
+        if terms.count(terms[0]) != order:
+            return False
+    return order >= 2
 
 
 def unique_vertex_conditions(c: TropMatrix, w: Iterable[int], point: Sequence[Fraction]) -> bool:
@@ -324,8 +347,8 @@ def unique_vertex_conditions(c: TropMatrix, w: Iterable[int], point: Sequence[Fr
     (all ``k!`` attain ``-inf``), and an empty label has ``k = 1`` and fails.
     A label holding every index ``1..n`` leaves no slot and is an error, as
     is a label entry outside ``1..n``.
-    The extended matrix is scaled to integers once, and each row subset's
-    terms come from ``tropical._laplace_terms`` as ``int`` values.
+    The extended matrix is scaled to integers once, and the row-subset loop
+    compares ``int`` terms from ``tropical._laplace_terms``.
     """
     label = sorted(set(w))
     n = c.n
@@ -337,26 +360,21 @@ def unique_vertex_conditions(c: TropMatrix, w: Iterable[int], point: Sequence[Fr
     bad = next((j for j in label if not 1 <= j <= n), None)
     if bad is not None:
         raise ValueError(f"column index {bad} out of range")
-    extended = c.replace_column(slot, list(point))
-    cols = sorted(set(label) | {slot})
-    order = len(label) + 1
-    # Every row subset shares the columns, so one check stands for all.
-    _check_selection(extended, range(1, order + 1), cols)
-    grid, _ = _scaled(extended.entries)
-    idx = [j - 1 for j in cols]
-    for rows in itertools.combinations(range(n), order):
-        terms = _laplace_terms(grid, rows, idx, slot - 1)
-        if terms.count(terms[0]) != order:
-            return False
-    return order >= 2
+    return _lone_vertex(_scaled(c.replace_column(slot, list(point)).entries)[0], label, slot)
 
 
 def verify_unique_vertex(spec: IsocantedSpec, w: Iterable[int]) -> bool:
-    """Check the closed-form vertex against the minor-multiplicity conditions."""
+    """Check the closed-form vertex against the minor-multiplicity conditions, on ints.
+
+    Edge and cant are scaled once, and the grid of ``isocanted_vni(spec)`` is
+    built with ``isocanted_vertex(spec, w) + (0,)`` in its slot column.
+    """
     label = check_label(w, spec.d)
-    c = isocanted_vni(spec)
-    point = isocanted_vertex(spec, label) + (Fraction(0),)
-    return unique_vertex_conditions(c, label, point)
+    [[ell, a]], _ = _scaled([(spec.edge_length, spec.cant)])
+    slot = next(k for k in range(1, spec.n + 1) if k not in label)
+    vertex = _vertex(label, spec.d, _vertex_values(ell, a)) + (0,)
+    rows = zip(_visualized([ell] * spec.d, a), vertex)
+    return _lone_vertex([row[:slot - 1] + (v,) + row[slot:] for row, v in rows], label, slot)
 
 
 def poles(spec: IsocantedSpec, placement: str = "vni") -> tuple[Point, Point]:

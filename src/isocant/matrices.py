@@ -14,7 +14,9 @@ codimension-2 face beveled by the same amount.
 
 Every box and isocanted matrix comes from one entry table, the visualized
 box canted by ``cant`` (zero for a plain box); other placements are that
-table translated by ``tropical.conjugate_diag``.
+table translated by ``tropical.conjugate_diag``.  The NI test and the
+decomposition run on the integer grid of ``tropical._scaled``: ``Fraction``
+values are built only for the results.
 """
 
 from __future__ import annotations
@@ -44,18 +46,24 @@ def is_normal(a: TropMatrix) -> bool:
     )
 
 
-def is_ni(a: TropMatrix) -> bool:
-    """Normal and tropically idempotent: ``a (*) a == a``.
+def _ni_grid(a: TropMatrix) -> tuple[list[list[int]], int] | None:
+    """``tropical._scaled(a.entries)`` when ``a`` is NI, else ``None``.
 
     A normal matrix has zero diagonal, so ``a (*) a >= a`` entrywise, and it
     is idempotent exactly when every triangle ``a[i,k] + a[k,j] <= a[i,j]``
     holds (the Kleene-star condition).  That is checked on the integer grid,
     row ``i`` against row ``k`` as ``min_j (a[i,j] - a[k,j]) >= a[i,k]``.
     """
-    if not is_normal(a):
-        return False
-    grid, _ = _scaled(a.entries)
-    return all(min(map(sub, row, rk)) >= x for row in grid for x, rk in zip(row, grid))
+    if is_normal(a):
+        grid, den = _scaled(a.entries)
+        if all(min(map(sub, row, rk)) >= x for row in grid for x, rk in zip(row, grid)):
+            return grid, den
+    return None
+
+
+def is_ni(a: TropMatrix) -> bool:
+    """Normal and tropically idempotent: ``a (*) a == a`` (see :func:`_ni_grid`)."""
+    return _ni_grid(a) is not None
 
 
 def is_vni(a: TropMatrix) -> bool:
@@ -79,14 +87,15 @@ def _positive_lengths(lengths: Sequence[Rational]) -> tuple[Fraction, ...]:
     return out
 
 
-def _visualized(lengths: Sequence[Fraction], cant: Fraction) -> TropMatrix:
-    """Visualized matrix of the box ``prod_i [-lengths[i], 0]`` canted by ``cant``.
+def _visualized(lengths: Sequence[Rational], cant: Rational) -> tuple[tuple[Rational, ...], ...]:
+    """Rows of the visualized matrix of the box ``prod_i [-lengths[i], 0]`` canted by ``cant``.
 
     Zero on the diagonal and in the last row, ``-lengths[i]`` in the last
     column and ``cant - lengths[i]`` elsewhere; ``cant = 0`` is the plain box.
+    The entries are ints or Fractions, as the arguments are.
     """
     d = len(lengths)
-    zero = Fraction(0)
+    zero = cant - cant
     rows = []
     for i, length in enumerate(lengths):
         row = [cant - length] * (d + 1)
@@ -94,18 +103,18 @@ def _visualized(lengths: Sequence[Fraction], cant: Fraction) -> TropMatrix:
         row[d] = -length
         rows.append(tuple(row))
     rows.append((zero,) * (d + 1))
-    return TropMatrix(tuple(rows))
+    return tuple(rows)
 
 
 def box_vni(lengths: Sequence[Rational]) -> TropMatrix:
     """Visualized box matrix for the box ``prod_i [-lengths[i], 0]``."""
-    return _visualized(_positive_lengths(lengths), Fraction(0))
+    return TropMatrix(_visualized(_positive_lengths(lengths), Fraction(0)))
 
 
 def box_sni(lengths: Sequence[Rational]) -> TropMatrix:
     """Symmetric box matrix for the box ``prod_i [-lengths[i]/2, lengths[i]/2]``."""
     ls = _positive_lengths(lengths)
-    return conjugate_diag(_visualized(ls, Fraction(0)), [v / 2 for v in ls] + [Fraction(0)])
+    return conjugate_diag(box_vni(ls), [v / 2 for v in ls] + [Fraction(0)])
 
 
 def _cube_lengths(d: int, edge_length: Rational) -> list[Rational]:
@@ -142,15 +151,15 @@ class PerturbationMatrix(Record):
         n = len(self.entries)
         if n < 2 or any(len(row) != n for row in self.entries):
             raise ValueError("perturbation matrix must be square, size >= 2")
-        for i in range(n):
-            for j in range(n):
-                v = self.entries[i][j]
+        # A Fraction's sign is its numerator's.
+        for i, row in enumerate(self.entries):
+            for j, v in enumerate(row):
                 if i == j or i == n - 1 or j == n - 1:
-                    if v != 0:
+                    if v.numerator:
                         raise ValueError(
                             "perturbation matrix needs zero diagonal, last row and column"
                         )
-                elif v > 0:
+                elif v.numerator > 0:
                     raise ValueError("perturbation entries must be non-positive")
 
     @classmethod
@@ -234,20 +243,23 @@ def decompose(a: TropMatrix) -> Decomposition:
     ``-a[d][i] - a[i][d]`` its i-th edge length.  The box is the visualized box
     of those lengths conjugated by the north-pole shift; the perturbation is
     then ``box - a`` and its sign and zero pattern are validated rather than
-    repaired.
+    repaired.  All of it runs on the integer grid that the NI test scaled
+    ``a`` to, and one ``Fraction`` is built per distinct value of the result.
     """
-    if not is_ni(a):
+    ni = _ni_grid(a)
+    if ni is None:
         raise ValueError("decomposition requires a normal idempotent matrix")
-    *rows, last = a.entries
-    shifts = [-v for v in last[:-1]] + [Fraction(0)]
+    grid, den = ni
+    *rows, last = grid
     lengths = [-last[i] - row[-1] for i, row in enumerate(rows)]
     if any(v <= 0 for v in lengths):
         raise ValueError("degenerate bounding box: non-positive edge length")
-    box = conjugate_diag(_visualized(lengths, Fraction(0)), shifts)
-    perturbation = PerturbationMatrix.from_rows(
-        [[b - v for b, v in zip(brow, arow)] for brow, arow in zip(box.entries, a.entries)]
-    )
-    return Decomposition(box, perturbation)
+    # Conjugating by the shifts ``-last`` adds ``last[j] - last[i]`` to entry (i, j).
+    box = [[v - s + t for v, t in zip(row, last)] for row, s in zip(_visualized(lengths, 0), last)]
+    pert = [list(map(sub, brow, arow)) for brow, arow in zip(box, grid)]
+    value = {v: Fraction(v, den) for v in {v for part in (box, pert) for row in part for v in row}}
+    box, pert = (tuple(tuple(map(value.__getitem__, row)) for row in part) for part in (box, pert))
+    return Decomposition(TropMatrix(box), PerturbationMatrix(pert))
 
 
 def is_isocanted(a: TropMatrix) -> Fraction | None:
@@ -285,7 +297,7 @@ class IsocantedSpec(Record):
 
 def isocanted_vni(spec: IsocantedSpec) -> TropMatrix:
     """Visualized isocanted matrix: cube matrix minus the constant perturbation."""
-    return _visualized([spec.edge_length] * spec.d, spec.cant)
+    return TropMatrix(_visualized([spec.edge_length] * spec.d, spec.cant))
 
 
 def isocanted_sni(spec: IsocantedSpec) -> TropMatrix:
@@ -308,4 +320,4 @@ def isocanted_box_vni(lengths: Sequence[Rational], cant: Rational) -> TropMatrix
     c = as_rational(cant)
     if not 0 < c < min(ls):
         raise ValueError("cant must satisfy 0 < cant < min(edge lengths)")
-    return _visualized(ls, c)
+    return TropMatrix(_visualized(ls, c))

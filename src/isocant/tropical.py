@@ -256,7 +256,7 @@ def _grid_permanent(grid: Sequence[Sequence[TropScalar]]) -> MinorEvaluation:
 
 
 def _check_selection(
-    a: TropMatrix, rows: Iterable[int], cols: Iterable[int]
+    n: int, rows: Iterable[int], cols: Iterable[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     row_idx = tuple(sorted(set(rows)))
     col_idx = tuple(sorted(set(cols)))
@@ -265,10 +265,10 @@ def _check_selection(
     if not row_idx:
         raise ValueError("empty selection")
     for i in row_idx:
-        if not 1 <= i <= a.n:
+        if not 1 <= i <= n:
             raise ValueError(f"row index {i} out of range")
     for j in col_idx:
-        if not 1 <= j <= a.n:
+        if not 1 <= j <= n:
             raise ValueError(f"column index {j} out of range")
     if len(row_idx) > PERMANENT_SIZE_LIMIT:
         raise ValueError(f"minor order {len(row_idx)} exceeds permanent limit {PERMANENT_SIZE_LIMIT}")
@@ -284,7 +284,7 @@ def trop_permanent(a: TropMatrix) -> MinorEvaluation:
 
 def trop_minor(a: TropMatrix, rows: Iterable[int], cols: Iterable[int]) -> MinorEvaluation:
     """Tropical permanent of the square submatrix on ``rows`` x ``cols`` (1-based)."""
-    row_idx, col_idx = _check_selection(a, rows, cols)
+    row_idx, col_idx = _check_selection(a.n, rows, cols)
     grid = [[a.entries[i - 1][j - 1] for j in col_idx] for i in row_idx]
     return _grid_permanent(grid)
 
@@ -321,7 +321,7 @@ def laplace_terms(
     Terms are returned in ascending row order; their maximum equals the value
     of the full minor.
     """
-    row_idx, col_idx = _check_selection(a, rows, cols)
+    row_idx, col_idx = _check_selection(a.n, rows, cols)
     if expansion_col not in col_idx:
         raise ValueError(f"expansion column {expansion_col} not in selection")
     grid, den = _scaled([[a.entries[i - 1][j - 1] for j in col_idx] for i in row_idx])

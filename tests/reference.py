@@ -26,7 +26,8 @@ from isocant.conjectures import (
     stirling2,
 )
 from isocant.geometry import VertexSet, enumerate_vertices_oracle, hrep_from_matrix
-from isocant.tropical import NEG_INF, TropMatrix, laplace_terms, mat_mul, trop_minor
+from isocant.matrices import Decomposition, PerturbationMatrix
+from isocant.tropical import NEG_INF, TropMatrix, conjugate_diag, laplace_terms, mat_mul, trop_minor
 
 
 def affine_dim(pts):
@@ -469,6 +470,41 @@ def is_sni(a):
     return is_ni(a) and all(
         a.entries[i][j] == a.entries[j][i] for i in range(a.n) for j in range(i + 1, a.n)
     )
+
+
+# The decomposition as the library ran it before it moved onto the integer
+# grid: the box conjugated entry by entry and the perturbation validated on
+# Fraction comparisons.
+
+
+def perturbation_error(rows):
+    """The error text ``PerturbationMatrix`` gives for square ``rows``, or ``None``."""
+    n = len(rows)
+    for i in range(n):
+        for j in range(n):
+            v = Fraction(rows[i][j])
+            if i == j or i == n - 1 or j == n - 1:
+                if v != 0:
+                    return "perturbation matrix needs zero diagonal, last row and column"
+            elif v > 0:
+                return "perturbation entries must be non-positive"
+    return None
+
+
+def decompose(a):
+    """Split an NI matrix as ``box - perturbation`` on Fractions."""
+    if not is_ni(a):
+        raise ValueError("decomposition requires a normal idempotent matrix")
+    *rows, last = a.entries
+    shifts = [-v for v in last[:-1]] + [Fraction(0)]
+    lengths = [-last[i] - row[-1] for i, row in enumerate(rows)]
+    if any(v <= 0 for v in lengths):
+        raise ValueError("degenerate bounding box: non-positive edge length")
+    box = conjugate_diag(box_vni_table(lengths), shifts)
+    perturbation = PerturbationMatrix.from_rows(
+        [[b - v for b, v in zip(brow, arow)] for brow, arow in zip(box.entries, a.entries)]
+    )
+    return Decomposition(box, perturbation)
 
 
 # The conjecture sweeps as they were before the one-pass sweep: each check

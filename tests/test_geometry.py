@@ -9,6 +9,7 @@ import pytest
 
 from isocant.geometry import (
     ORACLE_DIM_LIMIT,
+    _lone_vertex,
     HRep,
     VertexSet,
     auxiliary_matrix,
@@ -29,6 +30,7 @@ from isocant.geometry import (
 )
 from isocant.combinatorics import all_vertex_labels, isocanted_fvector, skeleton
 from isocant.matrices import (
+    PLACEMENTS,
     IsocantedSpec,
     box_sni,
     box_vni,
@@ -40,7 +42,7 @@ from isocant.matrices import (
     isocanted_vni,
     is_ni,
 )
-from isocant.tropical import NEG_INF, TropMatrix, mat_mul
+from isocant.tropical import NEG_INF, TropMatrix, _scaled, mat_mul
 
 import reference
 
@@ -915,3 +917,79 @@ def test_zero_segment_sum_is_box():
         (F(0), F(0)), (F(0), F(-2)), (F(-2), F(0)), (F(-2), F(-2)),
     }
     assert set(vset.points) == {tuple(b[k] + F(0) for k in range(2)) for b in corners}
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_verify_unique_vertex_matches_fraction_conditions(d):
+    # The grid built on ints with the vertex in its slot column against the
+    # Fraction matrix and point, every label, on seeded (edge, cant) pairs
+    # whose ratio is 13/k, an integer only for k = 1 (one pair at d = 7).
+    rng = random.Random(1600 + d)
+    for _ in range(1 if d == 7 else 2):
+        ell = F(rng.randint(2, 40), rng.choice((1, 3, 7, 11)))
+        spec = IsocantedSpec(d, ell, ell * F(rng.randint(1, 12), 13))
+        c = isocanted_vni(spec)
+        for w in all_vertex_labels(d):
+            expected = unique_vertex_conditions(c, w, isocanted_vertex(spec, w) + (F(0),))
+            assert expected is True
+            assert verify_unique_vertex(spec, w) == expected, (spec, w)
+
+
+def test_lone_vertex_helper_fails_a_moved_slot_column():
+    # Every valid label passes, so agreement alone cannot catch a helper that
+    # always answers True: on the grid with one slot entry moved by 1/7 it
+    # must answer as the permutation reference does, which is False here.
+    rng = random.Random(1620)
+    outcomes = []
+    for d in (2, 3, 4):
+        spec = IsocantedSpec(d, F(5, 2), F(3, 4))
+        c = isocanted_vni(spec)
+        for w in all_vertex_labels(d):
+            slot = min(set(range(1, d + 2)) - w)
+            point = list(isocanted_vertex(spec, w)) + [F(0)]
+            point[rng.randrange(d)] += F(1, 7)
+            grid, _ = _scaled(c.replace_column(slot, point).entries)
+            got = _lone_vertex(grid, sorted(w), slot)
+            assert got == reference.unique_vertex_conditions_by_permutations(c, w, point), (d, w)
+            outcomes.append(got)
+    assert outcomes.count(False) > len(outcomes) // 2
+    spec = IsocantedSpec(3, F(2), F(1))
+    point = list(isocanted_vertex(spec, {1, 2})) + [F(0)]
+    point[0] += F(1, 7)
+    grid, _ = _scaled(isocanted_vni(spec).replace_column(3, point).entries)
+    assert _lone_vertex(grid, [1, 2], 3) is False
+
+
+def test_verify_unique_vertex_cap_error():
+    # d = 10 with a 10-element label needs a minor of order 11.
+    with pytest.raises(ValueError, match="^minor order 11 exceeds permanent limit 10$"):
+        verify_unique_vertex(IsocantedSpec(10, F(2), F(1)), range(1, 11))
+
+
+@pytest.mark.parametrize("placement", ["vni", "sni"])
+def test_closed_form_vertices_match_per_label_vertices(placement):
+    vertex = {"vni": isocanted_vertex, "sni": isocanted_vertex_sni}[placement]
+    rng = random.Random(1621)
+    for d in range(2, 9):
+        spec = IsocantedSpec(d, F(rng.randint(15, 40), 7), F(rng.randint(1, 13), 14))
+        got = closed_form_vertices(spec, placement)
+        assert list(got.items()) == [(w, vertex(spec, w)) for w in all_vertex_labels(d)]
+        assert all(type(v) is F for p in got.values() for v in p)
+    with pytest.raises(KeyError):
+        closed_form_vertices(HEXAGON, "box")
+
+
+@pytest.mark.parametrize("placement", ["vni", "sni"])
+def test_label_vertices_rejects_moved_and_dropped_points(placement):
+    spec = IsocantedSpec(3, F(5, 2), F(3, 4))
+    vset = enumerate_vertices_oracle(hrep_from_matrix(PLACEMENTS[placement](spec)))
+    points = list(vset.points)
+    labeled = label_vertices(spec, VertexSet(3, tuple(reversed(points))), placement)
+    assert labeled.label_map == closed_form_vertices(spec, placement)
+    moved = [list(p) for p in points]
+    moved[5][1] += F(1, 997)  # same size; the grid's denominator changes
+    text = "^oracle vertices do not match the closed-form vertex map$"
+    # Moved, dropped, replaced by a duplicate, and duplicated (the same set).
+    for bad in (moved, points[1:], points[:-1] + points[:1], points + points[:1]):
+        with pytest.raises(ValueError, match=text):
+            label_vertices(spec, VertexSet(3, tuple(map(tuple, bad))), placement)

@@ -488,3 +488,84 @@ def test_class_predicates_match_product_definition():
     assert seen["one_triangle"] == {(True, False, False, False)}
     assert {flags[0] for flags in seen["nonnormal"]} == {False}
     assert {flags[1] for flags in seen["flat"]} == {True, False}
+
+
+def _decompose_outcome(split, a):
+    try:
+        return split(a)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+def test_decompose_matches_fraction_reference():
+    # The split on the integer grid against the Fraction body it replaced, on
+    # seeded NI matrices of size 2..10: equal results, every entry a Fraction.
+    rng = random.Random(1616)
+    seen = set()
+    for n in range(2, 11):
+        d = n - 1
+        for _ in range(4):
+            ls = [rng.choice(_LENGTHS) for _ in range(d)]
+            shifts = [rng.choice([F(0)] + _SMALL) for _ in range(d)] + [F(0)]
+            cases = [
+                ("box", box_vni(ls)),
+                ("shifted", conjugate_diag(box_vni(ls), shifts)),
+                ("perturbed", _box_minus_perturbation(rng, n, "any")),
+            ]
+            if d >= 2:
+                cant = rng.choice(_SMALL)
+                spec = IsocantedSpec(d, rng.choice(_LENGTHS), cant)
+                cases.append(("isocanted", rng.choice((isocanted_vni, isocanted_sni))(spec)))
+                cases.append(("mixed_length", conjugate_diag(isocanted_box_vni(ls, cant), shifts)))
+            for kind, a in cases:
+                dec = decompose(a)
+                assert dec == reference.decompose(a), (kind, a)
+                parts = (dec.box.entries, dec.perturbation.entries)
+                assert all(type(v) is F for part in parts for row in part for v in row)
+                seen.add(kind)
+    assert seen == {"box", "shifted", "perturbed", "isocanted", "mixed_length"}
+
+
+def test_decompose_errors_match_fraction_reference():
+    # Not NI (not normal, then one failed triangle), a zero edge length (all
+    # of them, then one) and a -inf entry.
+    not_ni = "decomposition requires a normal idempotent matrix"
+    flat = "degenerate bounding box: non-positive edge length"
+    cases = [
+        ([[0, 1], [0, 0]], not_ni),
+        (_one_violated_triangle(random.Random(1617), 4), not_ni),
+        ([[0, 0, 0]] * 3, flat),
+        ([[0, -1, -1], [0, 0, 0], [0, 0, 0]], flat),
+        ([[0, NEG_INF], [0, 0]], "matrix must have finite entries"),
+    ]
+    for rows, text in cases:
+        a = TropMatrix.from_rows(rows)
+        assert _decompose_outcome(decompose, a) == ("ValueError", text), a
+        assert _decompose_outcome(reference.decompose, a) == ("ValueError", text), a
+        with pytest.raises(ValueError):
+            is_isocanted(a)
+
+
+def test_perturbation_errors_match_fraction_comparisons():
+    # The numerator checks name the same first misplaced entry, row by row,
+    # as the Fraction comparisons they replaced.
+    rng = random.Random(1618)
+    pool = [F(0), F(-1, 3), F(-2), F(1, 7), F(3)]
+    outcomes = set()
+    for _ in range(400):
+        n = rng.randint(2, 5)
+        rows = [
+            [F(0) if i == j or n - 1 in (i, j) else -rng.choice(_SMALL) for j in range(n)]
+            for i in range(n)
+        ]
+        for _ in range(rng.randint(0, 2)):
+            rows[rng.randrange(n)][rng.randrange(n)] = rng.choice(pool)
+        expected = reference.perturbation_error(rows)
+        try:
+            PerturbationMatrix.from_rows(rows)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == expected, rows
+        outcomes.add(got)
+    assert len(outcomes) == 3
