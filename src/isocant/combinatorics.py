@@ -92,10 +92,19 @@ def _binomial_row(n: int, length: int) -> list[int]:
     return row
 
 
+def _isocanted_row(d: int, binomials: list[int]) -> FVector:
+    """``f_0 .. f_{d-1}`` from a row that starts ``C(d+1, 0) .. C(d+1, d-1)``.
+
+    The one place the closed form ``(2**(d+1-j) - 2) * C(d+1, j)`` is written;
+    entries of ``binomials`` past index ``d-1`` are not read.
+    """
+    return tuple([((1 << (d + 1 - j)) - 2) * c for j, c in zip(range(d), binomials)])
+
+
 def isocanted_fvector(d: int, extended: bool = False) -> FVector:
     """Face counts ``f_0 .. f_{d-1}``, optionally extended with ``f_d = 1``."""
     _check_dim(d)
-    counts = tuple(((1 << (d + 1 - j)) - 2) * c for j, c in enumerate(_binomial_row(d + 1, d)))
+    counts = _isocanted_row(d, _binomial_row(d + 1, d))
     return counts + (1,) if extended else counts
 
 
@@ -198,23 +207,58 @@ class FaceInterval(Record):
             yield FaceInterval(self.bottom, self.top - {t})
 
 
-def build_face_lattice(d: int) -> dict[int, tuple[FaceInterval, ...]]:
-    """All faces grouped by dimension: intervals with nonempty bottom, proper top."""
+def _face(bottom: VertexLabel, top: VertexLabel) -> FaceInterval:
+    """A face whose ``bottom <= top`` holds by construction, made unchecked."""
+    face = object.__new__(FaceInterval)
+    object.__setattr__(face, "bottom", bottom)
+    object.__setattr__(face, "top", top)
+    return face
+
+
+def _face_groups(d: int, split: bool) -> list[list[list[FaceInterval]]]:
+    """Every face built once and appended to its group's list for its dimension.
+
+    A face is a bottom mask ``b`` with a set ``extra`` of the bits free in it;
+    bottoms come in label order, and ``extra`` in ``itertools.combinations``
+    order, by size.  Tops add fewer than all free bits, so they stay proper.
+    Unsplit, the one group is the lattice.  Split, the groups are north,
+    south and belt: the pole bit ``1 << d`` (the element ``d+1``) lies in
+    neither end, in the bottom, or in the top only.  The pole is the last free
+    bit, so a bottom without it walks the other free bits twice: for north,
+    and for belt with the pole added to every top (one dimension up).  Each
+    group keeps the lattice order.
+    """
     _check_dim(d)
     if d > LATTICE_DIM_LIMIT:
         raise ValueError(f"dimension {d} exceeds lattice limit {LATTICE_DIM_LIMIT}")
     table = _subset_table(d)
-    bits = [1 << k for k in range(d + 1)]
-    by_dim: dict[int, list[FaceInterval]] = {k: [] for k in range(d)}
-    for b in _label_masks(d):
+    pole = 1 << d
+    groups = [[[] for _ in range(d)] for _ in range(3 if split else 1)]
+
+    def walk(faces: list[list[FaceInterval]], b: int, top: int, rest: list[int], sizes: int) -> None:
         bottom = table[b]
-        rest = [x for x in bits if not x & b]
-        # Tops add fewer than all of ``rest``, so they stay proper.
-        for extra_size in range(len(rest)):
-            add = by_dim[extra_size].append
-            for extra in itertools.combinations(rest, extra_size):
-                add(FaceInterval(bottom, table[b | sum(extra)]))
-    return {k: tuple(v) for k, v in by_dim.items()}
+        for size in range(sizes):
+            add = faces[size].append
+            for extra in itertools.combinations(rest, size):
+                add(_face(bottom, table[top | sum(extra)]))
+
+    for b in _label_masks(d):
+        free = [1 << k for k in range(d + 1) if not b >> k & 1]
+        if not split:
+            walk(groups[0], b, b, free, len(free))
+        elif b & pole:
+            walk(groups[1], b, b, free, len(free))
+        else:
+            north, _, belt = groups
+            walk(north, b, b, free[:-1], len(free))
+            walk(belt[1:], b, b | pole, free[:-1], len(free) - 1)
+    return groups
+
+
+def build_face_lattice(d: int) -> dict[int, tuple[FaceInterval, ...]]:
+    """All faces grouped by dimension: intervals with nonempty bottom, proper top."""
+    (by_dim,) = _face_groups(d, split=False)
+    return {k: tuple(v) for k, v in enumerate(by_dim)}
 
 
 def facet_intervals(d: int) -> tuple[FaceInterval, ...]:
@@ -372,13 +416,7 @@ class CaskBeltPartition(Record):
 
 
 def casks_and_belt(d: int) -> CaskBeltPartition:
-    pole = d + 1
-    parts: dict[str, dict[int, list[FaceInterval]]] = {"north": {}, "south": {}, "belt": {}}
-    for k, faces in build_face_lattice(d).items():
-        for face in faces:
-            part = "north" if pole not in face.top else "south" if pole in face.bottom else "belt"
-            parts[part].setdefault(k, []).append(face)
-    groups = ({k: tuple(v) for k, v in part.items()} for part in parts.values())
+    groups = ({k: tuple(v) for k, v in enumerate(part) if v} for part in _face_groups(d, split=True))
     return CaskBeltPartition(d, *groups)
 
 

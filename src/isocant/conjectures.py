@@ -1,9 +1,10 @@
 """Exact verification sweeps over the face-count sequences.
 
 One loop walks the dimension range once.  At each dimension it builds the
-face-count row once and hands it to every check still open; a check is a
-predicate ``(d, row) -> (ok, witness)`` in arbitrary-precision integers, and
-the witnesses are its per-dimension evidence.  A check closes at its first
+face-count row once, from the binomial row carried over from the dimension
+before, and hands both to every check still open; a check is a predicate
+``(d, row, binomials) -> (ok, witness)`` in arbitrary-precision integers,
+and the witnesses are its per-dimension evidence.  A check closes at its first
 failure, which lands in the report's counterexample slot, so the suite is
 falsifiable rather than a list of assertions.
 
@@ -18,13 +19,16 @@ cubical g-entry.
 
 from __future__ import annotations
 
+from itertools import compress, count
 from math import comb, factorial
+from operator import add, ge, gt, mul
 from typing import Callable, Sequence
 
 from ._record import Record
 from .combinatorics import (
     FVector,
     _binomial_row,
+    _isocanted_row,
     count_flags,
     count_flags_by_chains,
     isocanted_fvector,
@@ -33,9 +37,10 @@ from .combinatorics import (
 DEFAULT_D_MIN = 2
 DEFAULT_D_MAX = 60
 
-#: One dimension of a check: ``(d, row) -> (ok, witness)``, where ``row`` is
-#: ``isocanted_fvector(d)``, or ``None`` if no open check reads it.
-Predicate = Callable[[int, FVector | None], tuple[bool, dict]]
+#: One dimension of a check: ``(d, row, binomials) -> (ok, witness)``, where
+#: ``row`` is ``isocanted_fvector(d)`` and ``binomials`` is ``C(d+1, 0..d+1)``,
+#: or both are ``None`` if no open check reads them.
+Predicate = Callable[[int, FVector | None, list[int] | None], tuple[bool, dict]]
 
 
 class ConjectureReport(Record):
@@ -60,17 +65,16 @@ class ConjectureReport(Record):
 
 def is_log_concave(seq: Sequence[int]) -> bool:
     """``seq[k+1]**2 >= seq[k] * seq[k+2]`` for every interior index."""
-    return all(b * b >= a * c for a, b, c in zip(seq, seq[1:], seq[2:]))
+    tail = seq[1:]
+    return all(map(ge, map(mul, tail, tail), map(mul, seq, seq[2:])))
 
 
 def is_unimodal(seq: Sequence[int]) -> bool:
-    """Non-decreasing up to some peak, then non-increasing."""
-    k = 0
-    while k + 1 < len(seq) and seq[k] <= seq[k + 1]:
-        k += 1
-    while k + 1 < len(seq) and seq[k] >= seq[k + 1]:
-        k += 1
-    return k == len(seq) - 1
+    """Non-decreasing up to some peak, then non-increasing; the empty sequence is not."""
+    tail = seq[1:]
+    # From the first strict fall on, every step must be non-increasing.
+    fall = next(compress(count(), map(gt, seq, tail)), len(tail))
+    return len(seq) > 0 and all(map(ge, seq[fall:], tail[fall:]))
 
 
 def _stirling_step(row: list[int]) -> list[int]:
@@ -137,7 +141,7 @@ def cubical_g2_value(d: int) -> int:
     return _g2(d, *isocanted_fvector(d)[:2])
 
 
-def _extremes(d: int, row: FVector | None) -> tuple[bool, dict]:
+def _extremes(d: int, row: FVector | None, binomials: list[int] | None) -> tuple[bool, dict]:
     lhs = (d + 1) * d // 2
     rhs = (1 << d) - 1
     equal = lhs == rhs
@@ -155,22 +159,22 @@ def _log_concave(d_min: int) -> Predicate:
     # checks them all, and each later one adds only m = d-2.
     factor_ok = all(_factor_identity(m) for m in range(1, d_min - 2))
 
-    def per_d(d: int, row: FVector) -> tuple[bool, dict]:
+    def per_d(d: int, row: FVector, binomials: list[int]) -> tuple[bool, dict]:
         nonlocal factor_ok
         factor_ok = factor_ok and (d < 3 or _factor_identity(d - 2))
-        pascal_ok = is_log_concave(_binomial_row(d + 1, d))
+        pascal_ok = is_log_concave(binomials)
         ok = is_log_concave(row) and factor_ok and pascal_ok
         return ok, {"d": d, "log_concave": ok, "factor_identity": factor_ok}
 
     return per_d
 
 
-def _unimodal(d: int, row: FVector) -> tuple[bool, dict]:
+def _unimodal(d: int, row: FVector, binomials: list[int]) -> tuple[bool, dict]:
     ok = is_unimodal(row)
     return ok, {"d": d, "unimodal": ok}
 
 
-def _argmax(d: int, row: FVector) -> tuple[bool, dict]:
+def _argmax(d: int, row: FVector, binomials: list[int]) -> tuple[bool, dict]:
     target = d // 3
     peak = max(row)
     equiv_ok = True
@@ -200,7 +204,7 @@ def _argmax(d: int, row: FVector) -> tuple[bool, dict]:
     }
 
 
-def _barany(d: int, row: FVector) -> tuple[bool, dict]:
+def _barany(d: int, row: FVector, binomials: list[int]) -> tuple[bool, dict]:
     bound = (d + 1) * d
     low = min(row)
     return low >= bound and row[-1] == bound, {"d": d, "min": low, "bound": bound}
@@ -210,7 +214,7 @@ def _three_d(d_min: int) -> Predicate:
     # S(d+2, 3) moves one recurrence step per dimension from the first one.
     stirling = _stirling_row(d_min + 2, 3)
 
-    def per_d(d: int, row: FVector) -> tuple[bool, dict]:
+    def per_d(d: int, row: FVector, binomials: list[int]) -> tuple[bool, dict]:
         nonlocal stirling
         total = sum(row) + 1  # f_d = 1 extends the row
         power = 3**d
@@ -223,7 +227,7 @@ def _three_d(d_min: int) -> Predicate:
     return per_d
 
 
-def _flag(d: int, row: FVector | None) -> tuple[bool, dict]:
+def _flag(d: int, row: FVector | None, binomials: list[int] | None) -> tuple[bool, dict]:
     flags = count_flags(d)
     bound = (1 << d) * factorial(d)
     # Compare 4*lhs > 4*rhs to stay in integers at d = 2.
@@ -239,7 +243,7 @@ def _flag(d: int, row: FVector | None) -> tuple[bool, dict]:
     }
 
 
-def _cubical_g2(d: int, row: FVector) -> tuple[bool, dict]:
+def _cubical_g2(d: int, row: FVector, binomials: list[int]) -> tuple[bool, dict]:
     g2 = _g2(d, row[0], row[1])
     return g2 >= 0, {"d": d, "g2": g2}
 
@@ -279,7 +283,10 @@ def _sweep_once(sweeps: list[tuple[str, int]], d_max: int) -> list[ConjectureRep
     """Walk ``d`` once for validated ``(name, first dimension)`` sweeps.
 
     Each dimension builds its row at most once, for the checks that are due
-    and still open; a check closes at its first failure.
+    and still open; a check closes at its first failure.  The binomial row
+    ``C(d+1, 0..d+1)`` under it moves to the next dimension by Pascal's rule,
+    additions only, and is built from scratch only where the dimension
+    before built no row.
     """
     firsts = [lo for _, lo in sweeps]
     reads_row = [_PREDICATES[name][2] for name, _ in sweeps]
@@ -287,11 +294,20 @@ def _sweep_once(sweeps: list[tuple[str, int]], d_max: int) -> list[ConjectureRep
     witnesses: list[list[dict]] = [[] for _ in sweeps]
     failures: list[dict | None] = [None] * len(sweeps)
     still_open = list(range(len(sweeps)))
+    binomials = row = None
     for d in range(min(firsts, default=d_max + 1), d_max + 1):
         due = [k for k in still_open if firsts[k] <= d]
-        row = isocanted_fvector(d) if any(reads_row[k] for k in due) else None
+        if any(reads_row[k] for k in due):
+            # Set at d-1 or reset there: C(d+1, j) = C(d, j-1) + C(d, j).
+            if binomials is None:
+                binomials = _binomial_row(d + 1, d + 2)
+            else:
+                binomials = [1, *map(add, binomials, binomials[1:]), 1]
+            row = _isocanted_row(d, binomials)
+        else:
+            binomials = row = None
         for k in due:
-            ok, witness = predicates[k](d, row)
+            ok, witness = predicates[k](d, row, binomials)
             witnesses[k].append(witness)
             if not ok:
                 failures[k] = dict(witness)

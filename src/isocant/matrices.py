@@ -193,17 +193,13 @@ class PerturbationMatrix(Record):
 
     def constant_cant(self) -> Fraction | None:
         """Return ``a > 0`` when every free entry equals ``-a``, else ``None``."""
-        n = self.n
-        free = [
-            self.entries[i][j]
-            for i in range(n - 1)
-            for j in range(n - 1)
-            if i != j
-        ]
+        free = [v for i, row in enumerate(self.entries[:-1]) for j, v in enumerate(row[:-1]) if i != j]
         if not free:
             return None
+        # Entries are Fractions, so the sign is the numerator's; the count
+        # compares by identity first, and ``decompose`` shares equal values.
         first = free[0]
-        if first >= 0 or any(v != first for v in free):
+        if first.numerator >= 0 or free.count(first) != len(free):
             return None
         return -first
 

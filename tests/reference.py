@@ -13,16 +13,12 @@ from isocant.combinatorics import (
     bfs_distances,
     build_face_lattice,
     count_flags,
-    isocanted_fvector,
     skeleton,
 )
 from isocant.conjectures import (
     DEFAULT_D_MAX,
     DEFAULT_D_MIN,
     ConjectureReport,
-    cubical_g2_value,
-    is_log_concave,
-    is_unimodal,
     stirling2,
 )
 from isocant.geometry import VertexSet, enumerate_vertices_oracle, hrep_from_matrix
@@ -509,6 +505,30 @@ def decompose(a):
 
 # The conjecture sweeps as they were before the one-pass sweep: each check
 # walks its own range and rebuilds the face-count row at every dimension.
+# They share no row builder or predicate with the library: rows come from
+# ``math.comb``, and the two sequence predicates are the loops the library
+# used before it compared through ``map``.
+
+
+def fvector(d: int, extended: bool = False) -> tuple[int, ...]:
+    """``(2**(d+1-j) - 2) * C(d+1, j)`` for ``j < d``, each binomial by ``math.comb``."""
+    row = tuple((2 ** (d + 1 - j) - 2) * comb(d + 1, j) for j in range(d))
+    return row + (1,) if extended else row
+
+
+def is_log_concave(seq: Sequence[int]) -> bool:
+    """``seq[k+1]**2 >= seq[k] * seq[k+2]`` for every interior index."""
+    return all(b * b >= a * c for a, b, c in zip(seq, seq[1:], seq[2:]))
+
+
+def is_unimodal(seq: Sequence[int]) -> bool:
+    """Non-decreasing up to some peak, then non-increasing."""
+    k = 0
+    while k + 1 < len(seq) and seq[k] <= seq[k + 1]:
+        k += 1
+    while k + 1 < len(seq) and seq[k] >= seq[k + 1]:
+        k += 1
+    return k == len(seq) - 1
 
 
 def _sweep(
@@ -555,7 +575,7 @@ def check_log_concave(d_min: int = DEFAULT_D_MIN, d_max: int = DEFAULT_D_MAX) ->
     _require_min(d_min)
 
     def per_d(d: int) -> tuple[bool, dict]:
-        seq = isocanted_fvector(d)
+        seq = fvector(d)
         ok = is_log_concave(seq)
         factor_ok = all(
             (2 ** (d - k - 1) - 1) ** 2 - (2 ** (d - k) - 1) * (2 ** (d - k - 2) - 1) == 2 ** (d - k - 2)
@@ -572,7 +592,7 @@ def check_unimodal(d_min: int = DEFAULT_D_MIN, d_max: int = DEFAULT_D_MAX) -> Co
     _require_min(d_min)
 
     def per_d(d: int) -> tuple[bool, dict]:
-        seq = isocanted_fvector(d)
+        seq = fvector(d)
         ok = is_unimodal(seq)
         return ok, {"d": d, "unimodal": ok}
 
@@ -599,7 +619,7 @@ def check_argmax(d_min: int = DEFAULT_D_MIN, d_max: int = DEFAULT_D_MAX) -> Conj
     _require_min(d_min)
 
     def per_d(d: int) -> tuple[bool, dict]:
-        seq = isocanted_fvector(d)
+        seq = fvector(d)
         target = d // 3
         peak = max(seq)
         argmax_first = seq.index(peak)
@@ -644,7 +664,7 @@ def check_barany(d_min: int = DEFAULT_D_MIN, d_max: int = DEFAULT_D_MAX) -> Conj
     _require_min(d_min)
 
     def per_d(d: int) -> tuple[bool, dict]:
-        seq = isocanted_fvector(d)
+        seq = fvector(d)
         bound = (d + 1) * d
         ok = min(seq) >= bound and seq[-1] == bound
         return ok, {"d": d, "min": min(seq), "bound": bound}
@@ -661,7 +681,7 @@ def check_3d(d_min: int = DEFAULT_D_MIN, d_max: int = DEFAULT_D_MAX) -> Conjectu
     _require_min(d_min)
 
     def per_d(d: int) -> tuple[bool, dict]:
-        total = sum(isocanted_fvector(d, extended=True))
+        total = sum(fvector(d, extended=True))
         closed = 3 ** (d + 1) - 2 ** (d + 2) + 2
         stirling_form = 2 * stirling2(d + 2, 3) + 1
         ok = total == closed == stirling_form and total > 3**d
@@ -703,7 +723,11 @@ def cubical_g2(d_min: int = 4, d_max: int = DEFAULT_D_MAX) -> ConjectureReport:
         raise ValueError("the second cubical g-entry needs dimension >= 4")
 
     def per_d(d: int) -> tuple[bool, dict]:
-        g2 = cubical_g2_value(d)
+        # h[1] and h[2] from the first two short cubical h-coefficients.
+        f0, f1 = fvector(d)[:2]
+        h1 = f0 - 2 ** (d - 1)
+        h2 = 2 * f1 - (d - 1) * f0 - h1
+        g2 = h2 - h1
         return g2 >= 0, {"d": d, "g2": g2}
 
     return _sweep("cubical_g2", d_min, d_max, per_d)

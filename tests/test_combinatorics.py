@@ -206,10 +206,11 @@ def test_orbit_bfs_diameter_matches_all_pairs_reference():
 
 
 def test_label_builders_match_per_face_reference():
-    # One shared subset table changes where labels come from, not what the
-    # builders return: faces in order per dimension, nodes, edges (in the
-    # set-difference order, which is not ascending from d = 7), BFS distances
-    # and cask/belt groups all match the per-face builders.
+    # One shared subset table and one face walk change where labels and
+    # faces come from, not what the builders return: faces in order per
+    # dimension, nodes, edges (in the set-difference order, which is not
+    # ascending from d = 7), BFS distances and cask/belt groups, keys and
+    # faces in order, all match the per-face builders.
     for d in range(2, 9):
         lattice = build_face_lattice(d)
         expected = reference.build_face_lattice_per_face(d)
@@ -224,7 +225,13 @@ def test_label_builders_match_per_face_reference():
         for source in (graph.nodes[0], graph.nodes[n // 3], graph.nodes[-1]):
             dist = bfs_distances(graph, source)
             assert list(dist.items()) == list(bfs_distances(old, source).items())
-        assert casks_and_belt(d) == reference.casks_and_belt_per_face(d)
+        # Dict equality ignores key order, so each group's items are compared
+        # as lists.
+        part = casks_and_belt(d)
+        old_part = reference.casks_and_belt_per_face(d)
+        assert part == old_part
+        for name in ("north", "south", "belt"):
+            assert list(getattr(part, name).items()) == list(getattr(old_part, name).items()), (d, name)
 
 
 def test_label_builders_share_one_object_per_label():
@@ -383,3 +390,31 @@ def test_check_label_validation():
     with pytest.raises(ValueError):
         check_label({1, 2, 3, 4}, 3)
     assert check_label({2, 4}, 3) == frozenset({2, 4})
+
+
+def test_unchecked_faces_equal_validated_faces():
+    for d in range(2, 9):
+        part = casks_and_belt(d)
+        groups = [build_face_lattice(d), part.north, part.south, part.belt]
+        for faces in (f for group in groups for f in group.values()):
+            for face in faces:
+                assert type(face) is FaceInterval
+                assert face == FaceInterval(face.bottom, face.top)
+                assert vars(face) == {"bottom": face.bottom, "top": face.top}
+    with pytest.raises(ValueError, match="bottom must be contained in top"):
+        FaceInterval(frozenset({1, 2}), frozenset({1, 3}))
+
+
+@pytest.mark.parametrize(
+    "d, message",
+    [
+        (1, "dimension must be an integer >= 2"),
+        (True, "dimension must be an integer >= 2"),
+        (9, "dimension 9 exceeds lattice limit 8"),
+    ],
+)
+def test_casks_and_belt_errors(d, message):
+    for build in (casks_and_belt, build_face_lattice):
+        with pytest.raises(ValueError) as err:
+            build(d)
+        assert str(err.value) == message

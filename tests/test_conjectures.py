@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from isocant import conjectures
 from isocant.conjectures import (
     CHECKS,
     check_3d,
@@ -304,3 +305,94 @@ def test_isocanted_fvector_matches_binomial_formula():
         row = tuple((2 ** (d + 1 - j) - 2) * math.comb(d + 1, j) for j in range(d))
         assert isocanted_fvector(d) == row
         assert isocanted_fvector(d, extended=True) == row + (1,)
+
+
+def _random_sequences(rng):
+    # Short int sequences from a small pool, so plateaus, zeros and negatives
+    # are common, with every length from the empty sequence up to 8.
+    yield []
+    for length in range(9):
+        for _ in range(2200):
+            low = rng.choice((-3, -1, 0, 0, 1))
+            yield [rng.randint(low, low + rng.choice((1, 2, 4, 9))) for _ in range(length)]
+
+
+def test_sequence_predicates_match_loop_references():
+    checked = 0
+    for seq in _random_sequences(random.Random(17)):
+        for given in (seq, tuple(seq)):
+            assert is_log_concave(given) is reference.is_log_concave(given), seq
+            assert is_unimodal(given) is reference.is_unimodal(given), seq
+        checked += 1
+    assert checked > 19000
+    # The edges a naive rewrite gets wrong: an empty sequence is not
+    # unimodal, and a plateau may sit on either side of the peak.
+    assert is_unimodal([]) is False and is_unimodal(()) is False
+    assert is_unimodal([0]) and is_unimodal([-2, -2]) and is_unimodal([0, 0, 1, 1, 0, 0])
+    assert not is_unimodal([1, 0, 0, 1]) and not is_unimodal([-1, -2, -2, -1])
+    assert is_log_concave([]) and is_log_concave([5]) and is_log_concave([0, 0, 0])
+    assert not is_log_concave([1, 0, 1]) and is_log_concave([-1, 1, -1])
+
+
+def _spy_on_rows(monkeypatch, name):
+    # Wrap one check so the sweep's rows and binomials at each dimension are
+    # recorded as handed out.
+    seen = []
+    floor, below, reads, make = conjectures._PREDICATES[name]
+
+    def make_spy(lo):
+        inner = make(lo)
+
+        def per_d(d, row, binomials):
+            seen.append((d, row, None if binomials is None else list(binomials)))
+            return inner(d, row, binomials)
+
+        return per_d
+
+    monkeypatch.setitem(conjectures._PREDICATES, name, (floor, below, reads, make_spy))
+    return seen
+
+
+#: d -> (C(d+1, 0..d+1) by ``math.comb``, the reference face-count row).
+_COMB_ROWS = {d: ([math.comb(d + 1, j) for j in range(d + 2)], reference.fvector(d)) for d in range(2, 301)}
+
+
+def test_sweep_carries_binomial_row_along_the_range(monkeypatch):
+    seen = _spy_on_rows(monkeypatch, "barany")
+    for names, lo, hi in [
+        (None, 2, 300), (None, 3, 300), (None, 4, 257), (None, 5, 300),
+        (["barany"], 2, 3), (["barany"], 5, 5), (["extremes", "barany"], 2, 90),
+    ]:
+        seen.clear()
+        run_all(names, lo, hi)
+        assert [d for d, _, _ in seen] == list(range(lo, hi + 1))
+        for d, row, binomials in seen:
+            assert (binomials, row) == _COMB_ROWS[d], (lo, d)
+
+
+def test_sweep_builds_binomial_row_where_none_came_before(monkeypatch):
+    # The g-entry check starts at 4; extremes and flag read no row, so the
+    # first row at 4 is built from scratch and then carried.
+    seen = _spy_on_rows(monkeypatch, "cubical_g2")
+    run_all(["extremes", "flag", "cubical_g2"], 2, 120)
+    assert [d for d, _, _ in seen] == list(range(4, 121))
+    for d, row, binomials in seen:
+        assert (binomials, row) == _COMB_ROWS[d], d
+
+
+def test_bench_shaped_sweeps_match_reference():
+    # The shape the benchmark runs: every check, from 2..5 up to 100.
+    for lo in range(2, 6):
+        got = [r.to_json() for r in run_all(None, lo, 100)]
+        assert got == [r.to_json() for r in reference.run_all(None, lo, 100)], lo
+
+
+def test_log_concave_check_reads_the_binomials_it_is_handed():
+    # Binomial rows are always log-concave, so only a forged row shows that
+    # the check tests the one the sweep hands out.
+    per_d = conjectures._PREDICATES["log_concave"][3](5)
+    row = isocanted_fvector(5)
+    binomials = [math.comb(6, j) for j in range(7)]
+    assert per_d(5, row, binomials)[0]
+    forged = binomials[:3] + [1] + binomials[4:]
+    assert per_d(5, row, forged) == (False, {"d": 5, "log_concave": False, "factor_identity": True})

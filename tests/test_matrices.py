@@ -569,3 +569,46 @@ def test_perturbation_errors_match_fraction_comparisons():
         assert got == expected, rows
         outcomes.add(got)
     assert len(outcomes) == 3
+
+
+def _free_entries_reference(p):
+    # The comparison loop constant_cant used before it counted by identity.
+    n = p.n
+    free = [p.entries[i][j] for i in range(n - 1) for j in range(n - 1) if i != j]
+    if not free or free[0] >= 0 or any(v != free[0] for v in free):
+        return None
+    return -free[0]
+
+
+def test_constant_cant_on_equal_distinct_and_mixed_entries():
+    for n in range(2, 8):
+        # Equal values as distinct Fraction objects: the count falls back to
+        # equality where identity does not hold.
+        rows = [
+            [F(0) if i == j or n - 1 in (i, j) else F(-3 * (i + j + 1), 2 * (i + j + 1)) for j in range(n)]
+            for i in range(n)
+        ]
+        free = [v for i, row in enumerate(rows[:-1]) for j, v in enumerate(row[:-1]) if i != j]
+        assert len({id(v) for v in free}) == len(free)
+        equal = PerturbationMatrix.from_rows(rows)
+        zero = PerturbationMatrix.constant(n, 0)
+        assert equal.constant_cant() == _free_entries_reference(equal)
+        assert zero.constant_cant() is _free_entries_reference(zero) is None
+        if n == 2:
+            assert equal.constant_cant() is None  # no free entry
+        else:
+            cant = equal.constant_cant()
+            assert cant == F(3, 2) and type(cant) is F
+        if n > 3:
+            # One free entry off by 1/7, then one set to zero.
+            for value in (F(-3, 2) - F(1, 7), F(0)):
+                moved = [list(row) for row in rows]
+                moved[n - 2][0] = value
+                p = PerturbationMatrix.from_rows(moved)
+                assert p.constant_cant() is _free_entries_reference(p) is None
+    # Decomposed isocanted matrices share one object per value.
+    spec = IsocantedSpec(6, F(7, 2), F(1, 3))
+    for a in (isocanted_vni(spec), conjugate_diag(isocanted_sni(spec), [F(k, 5) for k in range(6)] + [0])):
+        p = decompose(a).perturbation
+        assert p.constant_cant() == _free_entries_reference(p) == F(1, 3)
+        assert is_isocanted(a) == F(1, 3)
