@@ -11,10 +11,12 @@ set ``S``, so the vertex enumerator walks the edge graph from the maximum
 point without any linear programming, trying the ``2^(d+1) - 2`` cuts at each
 vertex and stepping each edge once: its cost is ``vertices * 2^(d+1)`` cut
 checks.  Each closed bound is the attained maximum of ``x_i - x_j``, so the
-closed table alone fixes the polytope, and central symmetry is read from it
-without enumerating vertices.  The walk, the symmetry check, face recovery,
-the unique-vertex check and the vertex-set match of ``label_vertices`` are
-exact, on integers after ``tropical._scaled`` clears denominators.
+closed table alone fixes the polytope, and central symmetry and the zonotope
+identity are read from it without enumerating vertices.  Face recovery reads
+each face's dimension from a per-pair table of vertex classes.  The walk, the
+closed-table checks, face recovery, the unique-vertex check and the
+vertex-set match of ``label_vertices`` are exact, on integers after
+``tropical._scaled`` clears denominators.
 """
 
 from __future__ import annotations
@@ -400,60 +402,63 @@ def central_symmetry_check(a: TropMatrix) -> bool:
     return bound == [list(col) for col in zip(*bound)]
 
 
+def _has_closed_table(a: TropMatrix, table: Sequence[Sequence[Rational]]) -> bool:
+    """True when ``a``'s polytope has the closed bounds ``x_i - x_j <= table[i][j]`` (nodes ``0..d``)."""
+    bound, den = _closed_bounds(hrep_from_matrix(a))
+    return bound == [[v * den for v in row] for row in table]
+
+
 def zonotope_check(spec: IsocantedSpec) -> bool:
     """Verify the polytope is the sum of a shrunken box and a diagonal segment.
 
-    Candidates are all sums of a vertex of ``prod [-(edge_length - cant), 0]``
-    with an endpoint of the segment from the origin to ``-cant * (1, ..., 1)``.
-    Three exact checks establish equality of vertex sets: every candidate lies
-    in the polytope, every oracle vertex is a candidate, and the candidates
-    with full active rank are exactly the oracle vertices.
+    The box is ``prod [-(edge_length - cant), 0]`` and the segment runs from
+    the origin to ``-cant * (1, ..., 1)``.  Their sum is the alcoved polytope
+    ``x_i - x_j <= edge_length - cant``, ``x_i <= 0``, ``-x_i <= edge_length``,
+    and that table is closed: each entry is the sum's support value in the
+    direction ``e_i - e_j``, the box's plus the segment's.  An alcoved
+    polytope is fixed by its closed table (:func:`_closed_bounds`), so the
+    check is that the isocanted polytope's closed table is this one.  No
+    vertex is enumerated; the oracle's cap and empty-polytope errors hold.
     """
-    d = spec.d
     ell, a = spec.edge_length, spec.cant
-    h = hrep_from_matrix(isocanted_vni(spec))
-    vset = enumerate_vertices_oracle(h)
-
-    box_side = ell - a
-    box_vertices = [
-        tuple(Fraction(0) if bit else -box_side for bit in bits)
-        for bits in itertools.product((0, 1), repeat=d)
-    ]
-    segment = [tuple(Fraction(0) for _ in range(d)), tuple(-a for _ in range(d))]
-    candidates = {
-        tuple(b[k] + s[k] for k in range(d)) for b in box_vertices for s in segment
-    }
-
-    if not all(h.contains(p) for p in candidates):
-        return False
-    oracle_points = set(vset.points)
-    if not oracle_points <= candidates:
-        return False
-    extremal = {p for p in candidates if h.tight_rank(p) == d}
-    return extremal == oracle_points
+    nodes = range(spec.d + 1)
+    table = [[0 if i == j or j == 0 else ell if i == 0 else ell - a for j in nodes] for i in nodes]
+    return _has_closed_table(isocanted_vni(spec), table)
 
 
 def oracle_face_counts(h: HRep, vset: VertexSet) -> tuple[int, ...]:
     """Face counts by dimension, recovered from vertex-facet incidences.
 
-    One ``tropical._scaled`` call clears the grounded vertices and the
-    hyperplane constants together, so each hyperplane's tight vertex set is
-    an int bitmask built from ``int`` comparisons.  Facet sets are
+    One ``tropical._scaled`` call clears the grounded vertices and the bound
+    constants together.  For each node pair ``j < i`` the vertices fall into
+    classes by the value of ``x_i - x_j``, kept as int bitmasks; ``same[i][j][k]``
+    is the class of vertex ``k``.  A bound's facet is the class at its ``lo``
+    or ``hi`` when that is neither empty nor every vertex.  Facet sets are
     intersected to closure (every proper face is an intersection of facets).
-    A face's dimension is ``d`` minus the constraint-graph rank of the
-    hyperplanes tight on all its vertices: those cut out its affine hull.
-    Hyperplanes tight on every vertex are implicit equalities of a flat
-    polytope and count towards every rank.
+    A face of ``n <= 3`` vertices is a vertex, an edge or a triangle, of
+    dimension ``n - 1``.  A larger face's affine hull is cut out by the
+    difference equations constant on it, so its dimension is the number of
+    classes of nodes with a constant difference over it, minus one; the
+    classes are counted at its lowest vertex from the table.
     """
-    planes = h.hyperplanes()
-    grid = [h._grounded(p) for p in vset.points] + [[c for _, _, c in planes]]
+    bounds = h._bounds()
+    grid = [h._grounded(p) for p in vset.points] + [[c for *_, lo, hi in bounds for c in (lo, hi)]]
     *xs, consts = _scaled(grid)[0]
     everything = (1 << len(xs)) - 1
-    tight = [
-        ((i, j), sum(1 << k for k, x in enumerate(xs) if x[i] - x[j] == c))
-        for (i, j, _), c in zip(planes, consts)
-    ]
-    facets = {mask for _, mask in tight if mask and mask != everything}
+    classes, same = {}, []
+    for i in range(h.d + 1):
+        same.append([])
+        for j in range(i):
+            diffs = [x[i] - x[j] for x in xs]
+            masks = classes[i, j] = dict.fromkeys(diffs, 0)
+            for k, v in enumerate(diffs):
+                masks[v] |= 1 << k
+            same[i].append([masks[v] for v in diffs])
+    facets = set()
+    for (i, j, _, _), lo, hi in zip(bounds, consts[::2], consts[1::2]):
+        pair, sign = (classes[i, j], 1) if i > j else (classes[j, i], -1)
+        facets.update(pair.get(sign * c, 0) for c in (lo, hi))
+    facets -= {0, everything}
 
     faces = set(facets)
     work = list(facets)
@@ -467,6 +472,17 @@ def oracle_face_counts(h: HRep, vset: VertexSet) -> tuple[int, ...]:
 
     counts = [0] * h.d
     for face in faces:
-        rank = _constraint_rank(h.d, (edge for edge, mask in tight if face & mask == face))
-        counts[h.d - rank] += 1
+        n = face.bit_count()
+        if n <= 3:
+            counts[n - 1] += 1
+            continue
+        # Each node with a constant difference to an earlier node joins its class.
+        k = (face & -face).bit_length() - 1
+        dim = h.d
+        for row in same:
+            for at in row:
+                if face & at[k] == face:
+                    dim -= 1
+                    break
+        counts[dim] += 1
     return tuple(counts)

@@ -22,7 +22,7 @@ from isocant.conjectures import (
     stirling2,
 )
 from isocant.geometry import VertexSet, enumerate_vertices_oracle, hrep_from_matrix
-from isocant.matrices import Decomposition, PerturbationMatrix
+from isocant.matrices import Decomposition, PerturbationMatrix, isocanted_vni
 from isocant.tropical import NEG_INF, TropMatrix, conjugate_diag, laplace_terms, mat_mul, trop_minor
 
 
@@ -174,6 +174,41 @@ def central_symmetry_by_vertices(a):
     """
     pts = set(enumerate_vertices_oracle(hrep_from_matrix(a)).points)
     return all(tuple(-v for v in p) in pts for p in pts)
+
+
+def zonotope_by_vertices(spec):
+    """Verify the isocanted polytope is the sum of a shrunken box and a diagonal segment.
+
+    The library's former ``zonotope_check``, kept as the reference for the
+    closed-table test.  Candidates are all sums of a vertex of
+    ``prod [-(edge_length - cant), 0]`` with an endpoint of the segment from
+    the origin to ``-cant * (1, ..., 1)``.  Three exact checks establish
+    equality of vertex sets: every candidate lies in the polytope, every
+    walk vertex is a candidate, and the candidates with full active rank are
+    exactly the walk vertices.
+    """
+    d = spec.d
+    ell, a = spec.edge_length, spec.cant
+    h = hrep_from_matrix(isocanted_vni(spec))
+    vset = enumerate_vertices_oracle(h)
+
+    box_side = ell - a
+    box_vertices = [
+        tuple(Fraction(0) if bit else -box_side for bit in bits)
+        for bits in itertools.product((0, 1), repeat=d)
+    ]
+    segment = [tuple(Fraction(0) for _ in range(d)), tuple(-a for _ in range(d))]
+    candidates = {
+        tuple(b[k] + s[k] for k in range(d)) for b in box_vertices for s in segment
+    }
+
+    if not all(h.contains(p) for p in candidates):
+        return False
+    oracle_points = set(vset.points)
+    if not oracle_points <= candidates:
+        return False
+    extremal = {p for p in candidates if h.tight_rank(p) == d}
+    return extremal == oracle_points
 
 
 def maximal_polytrope(rng, d):

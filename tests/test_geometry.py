@@ -9,6 +9,7 @@ import pytest
 
 from isocant.geometry import (
     ORACLE_DIM_LIMIT,
+    _has_closed_table,
     _lone_vertex,
     HRep,
     VertexSet,
@@ -308,11 +309,79 @@ def test_mixed_length_isocanted_same_combinatorics():
 
 
 def test_oracle_face_counts_match_closed_form():
-    for d in (2, 3):
-        spec = IsocantedSpec(d, F(3), F(1))
-        h = hrep_from_matrix(isocanted_vni(spec))
+    # Both placements and two seeded (edge, cant) pairs per dimension, up to
+    # d=7; d=8 (18,660 faces, about 0.3 s a case) stays out to keep the
+    # suite fast.
+    rng = random.Random(18)
+    for d in range(2, 8):
+        for _ in range(2):
+            ell = F(rng.randint(2, 12), rng.randint(1, 4))
+            spec = IsocantedSpec(d, ell, ell * F(rng.randint(1, 9), 10))
+            for build in (isocanted_vni, isocanted_sni):
+                h = hrep_from_matrix(build(spec))
+                vset = enumerate_vertices_oracle(h)
+                assert oracle_face_counts(h, vset) == isocanted_fvector(d), (spec, build)
+
+
+def _point_hrep(point):
+    """Every bound an equality through ``point``: a 0-dimensional polytope."""
+    x = (F(0), *point)
+    d = len(point)
+    single = tuple((x[i], x[i]) for i in range(1, d + 1))
+    diff = tuple((i, j, x[i] - x[j], x[i] - x[j]) for i, j in itertools.combinations(range(1, d + 1), 2))
+    return HRep(d, single, diff)
+
+
+def test_face_counts_of_a_point_and_a_segment():
+    for d in (2, 3, 5):
+        h = _point_hrep(tuple(F(k - 2, 3) for k in range(d)))
         vset = enumerate_vertices_oracle(h)
-        assert oracle_face_counts(h, vset) == isocanted_fvector(d)
+        assert len(vset) == 1
+        assert oracle_face_counts(h, vset) == reference.face_counts(h, vset) == (0,) * d
+    # A segment along (1, 1, 0): x_1 = x_2 in [0, 1] and x_3 = 1/2.
+    h = HRep(3, ((F(0), F(1)), (F(0), F(1)), (F(1, 2), F(1, 2))),
+             ((1, 2, F(0), F(0)), (1, 3, F(-1), F(1)), (2, 3, F(-1), F(1))))
+    vset = enumerate_vertices_oracle(h)
+    assert len(vset) == 2
+    assert oracle_face_counts(h, vset) == reference.face_counts(h, vset) == (2, 0, 0)
+
+
+def test_face_counts_with_unattained_and_coincident_bounds():
+    # Directly built: x_2 - x_3 = 1 is one bound whose lo and hi planes
+    # coincide, and x_3 <= 5 and |x_1 - x_3| <= 10 are attained nowhere on
+    # the quadrilateral (0, 1), (2, 1), (2, 2), (1, 2) in (x_1, x_2).
+    h = HRep(3, ((F(0), F(2)), (F(0), F(2)), (F(0), F(5))),
+             ((1, 2, F(-1), F(1)), (1, 3, F(-10), F(10)), (2, 3, F(1), F(1))))
+    vset = enumerate_vertices_oracle(h)
+    assert oracle_face_counts(h, vset) == reference.face_counts(h, vset) == (4, 4, 0)
+    # Seeded: each closed system gets bounds loosened past what the polytope
+    # attains and one bound pinned to lo == hi at a vertex, so it stays
+    # nonempty, against the affine-rank reference.
+    rng = random.Random(18)
+    pool = [F(-1, 2), F(-1), F(-3, 2), F(-2), F(-3), F(-7, 3)]
+    for d in (2, 3, 4):
+        for _ in range(4 if d < 4 else 2):
+            for kind, a in _seeded_cases(rng, d, pool):
+                full = hrep_from_matrix(a)
+                p = (F(0), *rng.choice(enumerate_vertices_oracle(full).points))
+                bounds = list(full._bounds())
+                for k in rng.sample(range(len(bounds)), len(bounds) // 3):
+                    i, j, lo, hi = bounds[k]
+                    bounds[k] = (i, j, lo - rng.choice((0, 1)), hi + rng.choice((1, F(5, 2))))
+                i, j, _, _ = bounds[pin := rng.randrange(len(bounds))]
+                bounds[pin] = (i, j, p[i] - p[j], p[i] - p[j])
+                h = HRep(d, tuple((lo, hi) for _, _, lo, hi in bounds[:d]), tuple(bounds[d:]))
+                vset = enumerate_vertices_oracle(h)
+                assert h.contains(p[1:])
+                assert oracle_face_counts(h, vset) == reference.face_counts(h, vset), (kind, h)
+
+
+def test_face_counts_of_an_empty_vertex_set_and_a_wrong_length_point():
+    h = hrep_from_matrix(isocanted_vni(IsocantedSpec(3, F(2), F(1))))
+    assert oracle_face_counts(h, VertexSet(3, ())) == (0, 0, 0)
+    for point in ((F(0), F(0)), (F(0),) * 4):
+        with pytest.raises(ValueError, match=f"^point dimension {len(point)} != 3$"):
+            oracle_face_counts(h, VertexSet(3, ((F(0),) * 3, point)))
 
 
 def _random_normal(rng, d, pool):
@@ -890,22 +959,59 @@ def test_maximal_polytrope_counts(d):
     # tight pairs it inherits from one edge.  Observed and pinned here on three
     # seeds per dimension (two at d=6, to keep the suite fast), not cited as a
     # theorem: C(2d, d) vertices, the most an alcoved d-polytope has, and
-    # f_k = C(d, k) C(2d - k, d).
+    # f_k = C(d, k) C(2d - k, d).  Up to d=5 one seed's counts also match the
+    # affine-rank reference.
     for seed in range(3 if d < 6 else 2):
         a = reference.maximal_polytrope(random.Random(seed), d)
         assert is_ni(a)
         h = hrep_from_matrix(a)
         vset = enumerate_vertices_oracle(h)
         assert len(vset) == comb(2 * d, d)
-        assert oracle_face_counts(h, vset) == tuple(comb(d, k) * comb(2 * d - k, d) for k in range(d))
+        counts = oracle_face_counts(h, vset)
+        assert counts == tuple(comb(d, k) * comb(2 * d - k, d) for k in range(d))
         if d <= 4:
             assert vset == reference.sweep_vertices(h)
+        if d <= 5 and seed == 0:
+            assert counts == reference.face_counts(h, vset)
 
 
 def test_zonotope_check_small_dimensions():
     assert zonotope_check(IsocantedSpec(2, F(2), F(1)))
     assert zonotope_check(IsocantedSpec(3, F(2), F(1)))
     assert zonotope_check(IsocantedSpec(2, F(5, 2), F(3, 4)))
+
+
+def test_zonotope_check_matches_vertex_reference():
+    rng = random.Random(18)
+    for d in range(2, 7):
+        for _ in range(3 if d < 6 else 1):
+            ell = F(rng.randint(2, 12), rng.randint(1, 4))
+            spec = IsocantedSpec(d, ell, ell * F(rng.randint(1, 9), 10))
+            assert zonotope_check(spec) is reference.zonotope_by_vertices(spec) is True, spec
+
+
+def _sum_table(d, ell, a):
+    # Closed bounds x_i - x_j <= t[i][j] of the box prod [-(ell - a), 0] plus
+    # the segment [0, -a * 1], node 0 the ground.
+    return [[F(0) if i == j or j == 0 else ell if i == 0 else ell - a for j in range(d + 1)]
+            for i in range(d + 1)]
+
+
+def test_closed_table_helper_rejects_a_moved_bound():
+    for d, ell, a in ((2, F(2), F(1)), (4, F(5, 2), F(3, 4))):
+        matrix = isocanted_vni(IsocantedSpec(d, ell, a))
+        table = _sum_table(d, ell, a)
+        assert _has_closed_table(matrix, table)
+        for i, j in itertools.permutations(range(d + 1), 2):
+            for step in (F(1, 7), F(-1, 7)):
+                moved = [list(row) for row in table]
+                moved[i][j] += step
+                assert not _has_closed_table(matrix, moved), (d, i, j, step)
+        # The matrix with one bound moved: x_1 - x_2 >= a - ell tightened by 1/7.
+        rows = [list(row) for row in matrix.entries]
+        rows[0][1] += F(1, 7)
+        assert not _has_closed_table(TropMatrix.from_rows(rows), table)
+        assert not _has_closed_table(isocanted_sni(IsocantedSpec(d, ell, a)), table)
 
 
 def test_zero_segment_sum_is_box():
