@@ -2,19 +2,22 @@
 
 Subcommands: ``classify``, ``build``, ``vertices``, ``fvector``, ``lattice``,
 ``verify``, ``export``.  JSON is the default output; ``--format table`` gives
-plain text.  Exit codes: 0 success, 1 verification failure (witness printed),
-2 usage or parse errors.  Outputs carry no timestamps, so identical inputs
-yield identical bytes.
+plain text.  Each ``cmd_*`` handler returns its exit code and text, and
+``main`` writes that text once, to ``--output`` or to stdout.  Exit codes:
+0 success, 1 verification failure (witness printed), 2 usage or parse errors
+(an unwritable ``--output`` included).  Outputs carry no timestamps, so
+identical inputs yield identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import combinatorics, conjectures, geometry, matrices, serialize
 from .combinatorics import label_text
@@ -38,15 +41,19 @@ BUILD_DIM_LIMIT = 400
 VERIFY_DIM_LIMIT = 500
 
 
-def _write_output(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _json(payload: object) -> str:
+    return json.dumps(payload, indent=2) + "\n"
 
 
-def _emit_json(payload: object, output: str | None) -> None:
-    _write_output(json.dumps(payload, indent=2) + "\n", output)
+def _lines(rows: list[str]) -> str:
+    return "\n".join(rows) + "\n"
+
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -60,10 +67,7 @@ def _dim_up_to(limit: int, command: str) -> Callable[[str], int]:
     """Argparse type for ``--dim``: an integer no larger than ``limit``."""
 
     def parse(text: str) -> int:
-        try:
-            d = int(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        d = _int(text)
         if d > limit:
             raise argparse.ArgumentTypeError(f"dimension {d} exceeds {command} limit {limit}")
         return d
@@ -88,11 +92,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _parse_precision(text: str) -> int:
     try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    try:
-        return serialize.check_precision(value)
+        return serialize.check_precision(_int(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
@@ -107,8 +107,6 @@ def _infer_labels(a, vset) -> dict | None:
     Best-effort decoration: anything non-canonical (not NI, degenerate box,
     mixed lengths, translated placement) simply yields no labels.
     """
-    if a.n < 3:
-        return None
     try:
         dec = matrices.decompose(a)  # raises ValueError when ``a`` is not NI
         cant = dec.perturbation.constant_cant()
@@ -125,7 +123,7 @@ def _infer_labels(a, vset) -> dict | None:
     return None
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def cmd_classify(args: argparse.Namespace) -> tuple[int, str]:
     a = serialize.read_matrix(args.input)
     if not a.is_finite():
         raise ValueError("classification needs finite entries")
@@ -153,121 +151,86 @@ def cmd_classify(args: argparse.Namespace) -> int:
                 ],
             }
     if args.format == "table":
-        rows = [f"{key}: {payload[key]}" for key in ("size", "normal", "ni", "vni", "sni", "isocanted")]
-        _write_output("\n".join(rows) + "\n", args.output)
-    else:
-        _emit_json(payload, args.output)
-    return 0
+        return 0, _lines([f"{k}: {v}" for k, v in payload.items() if k != "decomposition"])
+    return 0, _json(payload)
 
 
-def cmd_build(args: argparse.Namespace) -> int:
+def cmd_build(args: argparse.Namespace) -> tuple[int, str]:
     spec = _spec_from_args(args)
-    _emit_json(serialize.matrix_to_json(matrices.PLACEMENTS[args.placement](spec)), args.output)
-    return 0
+    return 0, _json(serialize.matrix_to_json(matrices.PLACEMENTS[args.placement](spec)))
 
 
-def cmd_vertices(args: argparse.Namespace) -> int:
+def cmd_vertices(args: argparse.Namespace) -> tuple[int, str]:
+    # ``pairs`` holds (label or None, point) from either source.
     if args.input:
         a = serialize.read_matrix(args.input)
         vset = geometry.enumerate_vertices_oracle(geometry.hrep_from_matrix(a))
         labels = _infer_labels(a, vset)
-        listing = [
-            {
-                "label": sorted(labels[p]) if labels else None,
-                "point": [scalar_to_json(c) for c in p],
-            }
-            for p in vset.points
-        ]
-        payload = {"d": vset.d, "source": "oracle", "vertices": listing}
+        pairs = [(labels[p] if labels else None, p) for p in vset.points]
+        payload: dict = {"d": vset.d, "source": "oracle"}
     else:
         if args.dim is None or args.ell is None or args.a is None:
             raise ValueError("vertices needs either an input file or --dim/--ell/--a")
         spec = _spec_from_args(args)
-        listing = [
-            {
-                "label": sorted(lab),
-                "point": [scalar_to_json(c) for c in point],
-            }
-            for lab, point in geometry.closed_form_vertices(spec, args.placement).items()
-        ]
-        payload = {
-            "d": spec.d,
-            "ell": scalar_to_json(spec.edge_length),
-            "a": scalar_to_json(spec.cant),
-            "placement": args.placement,
-            "vertices": listing,
-        }
+        pairs = geometry.closed_form_vertices(spec, args.placement).items()
+        ell, cant = scalar_to_json(spec.edge_length), scalar_to_json(spec.cant)
+        payload = {"d": spec.d, "ell": ell, "a": cant, "placement": args.placement}
     if args.format == "table":
-        rows = []
-        for item in payload["vertices"]:
-            label = "-" if item["label"] is None else label_text(item["label"])
-            coords = " ".join(str(c) for c in item["point"])
-            rows.append(f"{label}\t{coords}")
-        _write_output("\n".join(rows) + "\n", args.output)
-    else:
-        _emit_json(payload, args.output)
-    return 0
+        return 0, _lines([
+            f"{'-' if label is None else label_text(label)}\t"
+            + " ".join(str(scalar_to_json(c)) for c in point)
+            for label, point in pairs
+        ])
+    payload["vertices"] = [
+        {"label": None if label is None else sorted(label), "point": [scalar_to_json(c) for c in point]}
+        for label, point in pairs
+    ]
+    return 0, _json(payload)
 
 
-def cmd_fvector(args: argparse.Namespace) -> int:
+def cmd_fvector(args: argparse.Namespace) -> tuple[int, str]:
     counts = combinatorics.isocanted_fvector(args.dim, extended=args.extended)
     if args.format == "table":
-        _write_output(" ".join(str(c) for c in counts) + "\n", args.output)
-    else:
-        _emit_json({"d": args.dim, "f": list(counts)}, args.output)
-    return 0
+        return 0, " ".join(str(c) for c in counts) + "\n"
+    return 0, _json({"d": args.dim, "f": list(counts)})
 
 
-def cmd_lattice(args: argparse.Namespace) -> int:
+def cmd_lattice(args: argparse.Namespace) -> tuple[int, str]:
     lattice = combinatorics.build_face_lattice(args.dim)
+    dims = sorted(lattice)
     if args.format == "table":
-        rows = []
-        for dim in sorted(lattice):
-            for face in lattice[dim]:
-                rows.append(f"{dim}\t{label_text(face.bottom)}\t{label_text(face.top)}")
-        _write_output("\n".join(rows) + "\n", args.output)
-    else:
-        payload = {
-            "d": args.dim,
-            "counts": [len(lattice[k]) for k in sorted(lattice)],
-            "faces": {
-                str(k): [
-                    {"bottom": sorted(face.bottom), "top": sorted(face.top)}
-                    for face in lattice[k]
-                ]
-                for k in sorted(lattice)
-            },
-        }
-        _emit_json(payload, args.output)
-    return 0
+        return 0, _lines([
+            f"{k}\t{label_text(face.bottom)}\t{label_text(face.top)}"
+            for k in dims
+            for face in lattice[k]
+        ])
+    return 0, _json({
+        "d": args.dim,
+        "counts": [len(lattice[k]) for k in dims],
+        "faces": {
+            str(k): [{"bottom": sorted(face.bottom), "top": sorted(face.top)} for face in lattice[k]]
+            for k in dims
+        },
+    })
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     names = None if args.checks == "all" else [s.strip() for s in args.checks.split(",")]
     lo, hi = args.range
     reports = conjectures.run_all(names, lo, hi)
+    failed = [r for r in reports if not r.passed]
+    code = 1 if failed else 0
     if args.format == "table":
-        rows = [
-            f"{r.name}\t[{r.d_min},{r.d_max}]\t{'PASS' if r.passed else 'FAIL'}"
-            for r in reports
-        ]
-        text = "\n".join(rows) + "\n"
-        for r in reports:
-            if not r.passed:
-                text += f"counterexample {r.name}: {json.dumps(r.counterexample)}\n"
-        _write_output(text, args.output)
-    else:
-        stream = "\n".join(json.dumps(r.to_json()) for r in reports) + "\n"
-        _write_output(stream, args.output)
-    return 0 if all(r.passed for r in reports) else 1
+        rows = [f"{r.name}\t[{r.d_min},{r.d_max}]\t{'PASS' if r.passed else 'FAIL'}" for r in reports]
+        rows += [f"counterexample {r.name}: {json.dumps(r.counterexample)}" for r in failed]
+        return code, _lines(rows)
+    return code, _lines([json.dumps(r.to_json()) for r in reports])
 
 
-def cmd_export(args: argparse.Namespace) -> int:
+def cmd_export(args: argparse.Namespace) -> tuple[int, str]:
     spec = _spec_from_args(args)
     mesh = serialize.build_mesh(spec, args.placement, args.precision)
-    text = serialize.mesh_to_off(mesh) if args.format == "off" else serialize.mesh_to_obj(mesh)
-    _write_output(text, args.output)
-    return 0
+    return 0, serialize.mesh_to_off(mesh) if args.format == "off" else serialize.mesh_to_obj(mesh)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -277,8 +240,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=["json", "table"], default="json")
+    @contextlib.contextmanager
+    def command(
+        name: str, func: Callable, help: str, formats: tuple[str, ...] = ("json", "table")
+    ) -> Iterator[argparse.ArgumentParser]:
+        """Yield a subparser for its own arguments, then add ``--format`` and ``--output``."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        yield p
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--output", default=None, help="write to file instead of stdout")
 
     def add_spec(p: argparse.ArgumentParser, required: bool = True, dim_type: Callable = int) -> None:
@@ -287,54 +258,43 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--a", type=_parse_fraction, required=required, help="cant parameter")
         p.add_argument("--placement", choices=list(matrices.PLACEMENTS), default="vni")
 
-    p = sub.add_parser("classify", help="matrix class flags and decomposition")
-    p.add_argument("input", help="matrix JSON file")
-    add_format(p)
-    p.set_defaults(func=cmd_classify)
+    with command("classify", cmd_classify, "matrix class flags and decomposition") as p:
+        p.add_argument("input", help="matrix JSON file")
 
-    p = sub.add_parser("build", help="write an isocanted matrix file")
-    add_spec(p, dim_type=_dim_up_to(BUILD_DIM_LIMIT, "build"))
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_build)
+    with command("build", cmd_build, "write an isocanted matrix file", formats=()) as p:
+        add_spec(p, dim_type=_dim_up_to(BUILD_DIM_LIMIT, "build"))
 
-    p = sub.add_parser("vertices", help="labeled vertex listing")
-    p.add_argument("input", nargs="?", default=None, help="matrix JSON file (oracle mode)")
-    add_spec(p, required=False, dim_type=_dim_up_to(VERTICES_DIM_LIMIT, "vertices"))
-    add_format(p)
-    p.set_defaults(func=cmd_vertices)
+    with command("vertices", cmd_vertices, "labeled vertex listing") as p:
+        p.add_argument("input", nargs="?", default=None, help="matrix JSON file (oracle mode)")
+        add_spec(p, required=False, dim_type=_dim_up_to(VERTICES_DIM_LIMIT, "vertices"))
 
-    p = sub.add_parser("fvector", help="face counts by dimension")
-    p.add_argument("--dim", type=_dim_up_to(FVECTOR_DIM_LIMIT, "fvector"), required=True)
-    p.add_argument("--extended", action="store_true", help="append the top face count 1")
-    add_format(p)
-    p.set_defaults(func=cmd_fvector)
+    with command("fvector", cmd_fvector, "face counts by dimension") as p:
+        p.add_argument("--dim", type=_dim_up_to(FVECTOR_DIM_LIMIT, "fvector"), required=True)
+        p.add_argument("--extended", action="store_true", help="append the top face count 1")
 
-    p = sub.add_parser("lattice", help="full face listing")
-    p.add_argument("--dim", type=int, required=True)
-    add_format(p)
-    p.set_defaults(func=cmd_lattice)
+    with command("lattice", cmd_lattice, "full face listing") as p:
+        p.add_argument("--dim", type=int, required=True)
 
-    p = sub.add_parser("verify", help="run the exact verification sweeps")
-    p.add_argument("checks", nargs="?", default="all", help="comma list or 'all'")
-    p.add_argument("--range", type=_parse_range, default=(2, 60), help="LO:HI dimensions")
-    add_format(p)
-    p.set_defaults(func=cmd_verify)
+    with command("verify", cmd_verify, "run the exact verification sweeps") as p:
+        p.add_argument("checks", nargs="?", default="all", help="comma list or 'all'")
+        p.add_argument("--range", type=_parse_range, default=(2, 60), help="LO:HI dimensions")
 
-    p = sub.add_parser("export", help="write a d=3 mesh (OFF or OBJ)")
-    add_spec(p)
-    p.add_argument("--format", choices=["off", "obj"], default="off")
-    p.add_argument("--output", default=None)
+    with command("export", cmd_export, "write a d=3 mesh (OFF or OBJ)", formats=("off", "obj")) as p:
+        add_spec(p)
     p.add_argument("--precision", type=_parse_precision, default=serialize.DEFAULT_PRECISION)
-    p.set_defaults(func=cmd_export)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, text = args.func(args)
+        if args.output:
+            Path(args.output).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
+        return code
     except (MatrixParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

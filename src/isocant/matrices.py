@@ -186,6 +186,8 @@ class PerturbationMatrix(Record):
         return len(self.entries)
 
     def entry(self, i: int, j: int) -> Fraction:
+        if not (1 <= i <= self.n and 1 <= j <= self.n):
+            raise IndexError(f"index ({i}, {j}) out of range for size {self.n}")
         return self.entries[i - 1][j - 1]
 
     def is_zero(self) -> bool:

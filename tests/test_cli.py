@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -91,6 +92,24 @@ def test_classify_missing_file_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "classify", str(tmp_path / "absent.json"))
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv, code_if_written",
+    [
+        (["classify", str(Path(__file__).parent / "golden" / "nonni_d3.json")], 0),
+        (["verify", "all", "--range", "2:12"], 1),
+    ],
+    ids=["classify", "verify"],
+)
+def test_unwritable_output_exit_code(tmp_path, capsys, argv, code_if_written):
+    code, _, _ = run_cli(capsys, *argv, "--output", str(tmp_path / "out.txt"))
+    assert code == code_if_written
+    code, out, err = run_cli(capsys, *argv, "--output", str(tmp_path / "missing" / "out.txt"))
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""
+    assert not (tmp_path / "missing").exists()
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,7 +1,8 @@
 """CLI stdout and exit codes compared byte for byte with stored golden files.
 
 Each case runs ``isocant`` in-process and compares its stdout with
-``tests/golden/<name>.out``.  The golden files were written by this module
+``tests/golden/<name>.out``, then runs again with ``--output FILE`` and
+compares the file.  The golden files were written by this module
 before the label, placement and face-recovery code was consolidated, and the
 two vertex tables again when table labels gained separators.  The classify
 case on a translated mixed-length NI matrix was written before the box and
@@ -89,6 +90,20 @@ def test_cli_golden_bytes(name):
     code, out = run_case(argv)
     assert code == expected_code
     assert out == (GOLDEN / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_golden_output_file(name, tmp_path):
+    """``--output FILE`` gets the bytes stdout would; a case that exits 2 writes no file."""
+    expected_code, argv = CASES[name]
+    path = tmp_path / "out.txt"
+    code, out = run_case(argv + ["--output", str(path)])
+    assert code == expected_code
+    assert out == b""
+    if code == 2:
+        assert not path.exists()
+    else:
+        assert path.read_bytes() == (GOLDEN / f"{name}.out").read_bytes()
 
 
 if __name__ == "__main__":

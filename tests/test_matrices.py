@@ -141,6 +141,14 @@ def test_builders_reject_floats_and_bools(call, value):
         call(value)
 
 
+@pytest.mark.parametrize("i, j", [(0, 1), (4, 1), (1, 0), (1, 4)])
+def test_perturbation_entry_bounds(i, j):
+    p = PerturbationMatrix.constant(3, 1)
+    assert p.entry(1, 2) == -1 and p.entry(3, 3) == 0
+    with pytest.raises(IndexError, match=re.escape(f"index ({i}, {j}) out of range for size 3")):
+        p.entry(i, j)
+
+
 def test_isocanted_vni_entry_table():
     spec = IsocantedSpec(5, F(2), F(1))
     c = isocanted_vni(spec)

@@ -23,6 +23,7 @@ from isocant.serialize import (
     scalar_from_json,
     scalar_to_json,
     write_matrix,
+    write_mesh,
 )
 from isocant.tropical import NEG_INF, TropMatrix
 
@@ -232,6 +233,18 @@ def test_obj_output():
         if ln.startswith("f "):
             idx = [int(tok) for tok in ln.split()[1:]]
             assert all(1 <= i <= 14 for i in idx)
+
+
+def test_write_mesh_matches_mesh_text(tmp_path):
+    mesh = build_mesh(_spec3(), "sni")
+    for fmt, render in (("off", mesh_to_off), ("obj", mesh_to_obj)):
+        path = tmp_path / f"shape.{fmt}"
+        write_mesh(path, mesh, fmt)
+        assert path.read_bytes() == render(mesh).encode("utf-8")
+    path = tmp_path / "shape.ply"
+    with pytest.raises(ValueError, match=re.escape("unknown mesh format 'ply'")):
+        write_mesh(path, mesh, "ply")
+    assert not path.exists()
 
 
 def test_parse_off_rejects_other_files():
