@@ -16,13 +16,20 @@ identity are read from it without enumerating vertices.  Face recovery reads
 each face's dimension from a per-pair table of vertex classes.  The walk, the
 closed-table checks, face recovery, the unique-vertex check and the
 vertex-set match of ``label_vertices`` are exact, on integers after
-``tropical._scaled`` clears denominators.
+``tropical._scaled`` clears denominators.  ``TropMatrix``, ``HRep`` and
+``VertexSet`` each keep that integer grid (``_grid``), scaled once on first
+read or filled by the function that makes the record from ints it holds:
+``hrep_from_matrix`` from the matrix's grid, the walk from its integer
+points.  So one matrix taken through halfspaces, walk, faces, NI test,
+decomposition and symmetry check is scaled once.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable, Sequence
 
 from ._record import Record
@@ -51,6 +58,17 @@ class HRep(Record):
     def _bounds(self) -> tuple[tuple[int, int, Fraction, Fraction], ...]:
         """Every bound as ``(i, j, lo, hi)`` on ``x_i - x_j``, with ``j = 0`` the ground."""
         return tuple((i, 0, lo, hi) for i, (lo, hi) in enumerate(self.single, 1)) + self.diff
+
+    @cached_property
+    def _grid(self) -> tuple[tuple[tuple[int, int, int, int], ...], int]:
+        """:meth:`_bounds` with ``lo, hi`` as ints over one denominator, and that denominator.
+
+        ``hrep_from_matrix`` fills it from the matrix's grid; other systems
+        scale their bounds on first read.
+        """
+        bounds = self._bounds()
+        scaled, den = _scaled([(lo, hi) for *_, lo, hi in bounds])
+        return tuple((i, j, lo, hi) for (i, j, _, _), (lo, hi) in zip(bounds, scaled)), den
 
     def _grounded(self, point: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """``(0, *point)``: the point on the nodes ``0..d``, after checking its length."""
@@ -105,25 +123,32 @@ def hrep_from_matrix(a: TropMatrix) -> HRep:
     """Halfspace system of the alcoved polytope described by a finite matrix.
 
     Rows and columns give ``a[i, n] <= x_i <= -a[n, i]`` and
-    ``a[i, j] <= x_i - x_j <= -a[j, i]``; inconsistent bounds are rejected.
+    ``a[i, j] <= x_i - x_j <= -a[j, i]``; inconsistent bounds are rejected,
+    the single bounds checked first.  The bounds are every off-diagonal
+    entry, so the matrix's integer grid is theirs too: the checks run on it,
+    and it fills the system's ``_grid``.
     """
     if not a.is_finite():
         raise ValueError("matrix must have finite entries")
     n = a.n
-    for i in range(n):
-        if a.entries[i][i] != 0:
-            raise ValueError("matrix must have zero diagonal")
-
-    def bound(i: int, j: int, what: str) -> tuple[Fraction, Fraction]:
-        lo, hi = a.entry(i, j), -a.entry(j, i)
+    grid, den = a._grid
+    if any(grid[i][i] for i in range(n)):
+        raise ValueError("matrix must have zero diagonal")
+    e = a.entries
+    exact, scaled = [], []
+    pairs = itertools.chain(((i, n) for i in range(1, n)), itertools.combinations(range(1, n), 2))
+    for i, j in pairs:
+        lo, hi = grid[i - 1][j - 1], -grid[j - 1][i - 1]
         if lo > hi:
-            raise ValueError(f"inconsistent bounds on {what}: {lo} > {hi}")
-        return lo, hi
-
-    single = tuple(bound(i, n, f"x_{i}") for i in range(1, n))
-    pairs = itertools.combinations(range(1, n), 2)
-    diff = tuple((i, j, *bound(i, j, f"x_{i} - x_{j}")) for i, j in pairs)
-    return HRep(n - 1, single, diff)
+            what = f"x_{i}" if j == n else f"x_{i} - x_{j}"
+            raise ValueError(f"inconsistent bounds on {what}: {e[i - 1][j - 1]} > {-e[j - 1][i - 1]}")
+        node = 0 if j == n else j
+        exact.append((i, node, e[i - 1][j - 1], -e[j - 1][i - 1]))
+        scaled.append((i, node, lo, hi))
+    h = HRep(n - 1, tuple((lo, hi) for *_, lo, hi in exact[: n - 1]), tuple(exact[n - 1:]))
+    # A cached property reads the instance dict first, so this fills ``h._grid``.
+    vars(h)["_grid"] = tuple(scaled), den
+    return h
 
 
 def auxiliary_matrix(a: TropMatrix) -> TropMatrix:
@@ -170,25 +195,41 @@ class VertexSet(Record):
     def __len__(self) -> int:
         return len(self.points)
 
+    @cached_property
+    def _grid(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The grounded points ``(0, *p)`` as ints over one denominator, and that denominator.
+
+        The walk fills it over the bounds' denominator; other sets scale their
+        points on first read.  Readers meet it with their other grid at the
+        lcm of the two denominators (:func:`_over`).
+        """
+        return _scaled([(0, *p) for p in self.points])
+
+
+def _over(rows: Sequence[Sequence[int]], den: int, common: int) -> Sequence[Sequence[int]]:
+    """Integer ``rows`` over ``den`` as tuple rows over ``common``, a multiple of ``den``."""
+    k = common // den
+    return rows if k == 1 else [tuple([v * k for v in row]) for row in rows]
+
 
 def _closed_bounds(h: HRep) -> tuple[list[list[int]], int]:
     """Tightest bounds ``x_i - x_j <= bound[i][j] / den`` on the nodes ``0..d`` (``x_0 = 0``).
 
-    ``tropical._scaled`` clears the denominators.  Each pair starts from its
-    own bound, or its path through the ground when it has none, and
-    Floyd-Warshall closes them (the Kleene star).  Each closed entry is then
-    the attained maximum of ``x_i - x_j`` over the polytope.  Raises the
-    oracle's errors: a dimension above ``ORACLE_DIM_LIMIT``, and a negative
-    diagonal entry, which is a negative cycle: the system has no solution.
+    The bounds come from ``h._grid``, so a system is scaled at most once.
+    Each pair starts from its own bound, or its path through the ground
+    when it has none, and Floyd-Warshall closes them (the Kleene star).
+    Each closed entry is then the attained maximum of ``x_i - x_j`` over the
+    polytope.  Raises the oracle's errors: a dimension above
+    ``ORACLE_DIM_LIMIT``, and a negative diagonal entry, which is a negative
+    cycle: the system has no solution.
     """
     if h.d > ORACLE_DIM_LIMIT:
         raise ValueError(f"dimension {h.d} exceeds oracle limit {ORACLE_DIM_LIMIT}")
-    bounds = h._bounds()
-    scaled, den = _scaled([(hi, -lo) for _, _, lo, hi in bounds])
+    bounds, den = h._grid
     nodes = range(h.d + 1)
     own = {(k, k): 0 for k in nodes}
-    for (i, j, _, _), pair in zip(bounds, scaled):
-        for key, v in zip(((i, j), (j, i)), pair):
+    for i, j, lo, hi in bounds:
+        for key, v in (((i, j), hi), ((j, i), -lo)):
             own[key] = min(own.get(key, v), v)
     bound = [[own[i, j] if (i, j) in own else own[i, 0] + own[0, j] for j in nodes]
              for i in nodes]
@@ -235,8 +276,10 @@ def enumerate_vertices_oracle(h: HRep) -> VertexSet:
     found it, so only the start vertex compares all ``(d+1)^2`` pairs.  The
     cost is ``vertices * 2^(d+1)`` cut checks, with no linear programming.
     Points are sorted as integer tuples and then built with one ``Fraction``
-    per distinct coordinate value.  The name keeps "oracle" from the
-    exhaustive hyperplane-subset sweep this replaced, for compatibility.
+    per distinct coordinate value; the sorted tuples, grounded and over the
+    bounds' denominator, fill the result's ``_grid``.  The name keeps
+    "oracle" from the exhaustive hyperplane-subset sweep this replaced, for
+    compatibility.
     """
     bound, den = _closed_bounds(h)
     nodes = range(h.d + 1)
@@ -272,9 +315,11 @@ def enumerate_vertices_oracle(h: HRep) -> VertexSet:
                 back[y] = 0
                 work.append(y)
             back[y] |= 1 << (full ^ cut)
-    value = {v: Fraction(v, den) for v in {v for p in up for v in p}}
-    points = tuple(tuple(value[v] for v in p[1:]) for p in sorted(up))
-    return VertexSet(h.d, points)
+    grid = tuple(sorted(up))
+    value = {v: Fraction(v, den) for v in {v for p in grid for v in p}}
+    vset = VertexSet(h.d, tuple(tuple(value[v] for v in p[1:]) for p in grid))
+    vars(vset)["_grid"] = grid, den
+    return vset
 
 
 def _vertex_values(ell: Rational, a: Rational) -> tuple[tuple[Rational, Rational], ...]:
@@ -303,20 +348,35 @@ def isocanted_vertex_sni(spec: IsocantedSpec, w: Iterable[int]) -> Point:
     return tuple(v + half for v in isocanted_vertex(spec, w))
 
 
+def _placed_values(spec: IsocantedSpec, placement: str) -> list[tuple[Fraction, Fraction]]:
+    """The ``_vertex`` values of ``spec``'s vertices in the named placement."""
+    shift = {"vni": 0, "sni": spec.edge_length / 2}[placement]
+    return [(x + shift, y + shift) for x, y in _vertex_values(spec.edge_length, spec.cant)]
+
+
 def closed_form_vertices(spec: IsocantedSpec, placement: str = "vni") -> dict[frozenset[int], Point]:
     """Label-to-vertex map over all proper nonempty subsets of ``1..d+1``, in label order."""
-    shift = {"vni": 0, "sni": spec.edge_length / 2}[placement]
-    values = [(x + shift, y + shift) for x, y in _vertex_values(spec.edge_length, spec.cant)]
+    values = _placed_values(spec, placement)
     return {w: _vertex(w, spec.d, values) for w in all_vertex_labels(spec.d)}
 
 
 def label_vertices(spec: IsocantedSpec, vset: VertexSet, placement: str = "vni") -> VertexSet:
-    """Attach closed-form labels to oracle output, demanding exact agreement (on ints)."""
-    expected = closed_form_vertices(spec, placement)
-    grid = [tuple(p) for p in _scaled([*vset.points, *expected.values()])[0]]
-    if set(grid[: len(vset)]) != set(grid[len(vset):]) or len(vset) != len(expected):
+    """Attach closed-form labels to oracle output, demanding exact agreement.
+
+    Every closed-form coordinate is one of four values; they are scaled once,
+    and each expected vertex is compared as a grounded integer tuple with
+    ``vset._grid``, the two brought to a common denominator.
+    """
+    values = _placed_values(spec, placement)
+    ints, den = _scaled(values)
+    xs, xden = vset._grid
+    common = lcm(den, xden)
+    ints = _over(ints, den, common)
+    labels = list(all_vertex_labels(spec.d))
+    expected = {(0, *_vertex(w, spec.d, ints)) for w in labels}
+    if len(vset) != len(labels) or set(_over(xs, xden, common)) != expected:
         raise ValueError("oracle vertices do not match the closed-form vertex map")
-    return VertexSet(vset.d, vset.points, tuple(expected.items()))
+    return VertexSet(vset.d, vset.points, tuple((w, _vertex(w, spec.d, values)) for w in labels))
 
 
 def _lone_vertex(grid: Sequence[Sequence[int | None]], label: Sequence[int], slot: int) -> bool:
@@ -429,21 +489,28 @@ def zonotope_check(spec: IsocantedSpec) -> bool:
 def oracle_face_counts(h: HRep, vset: VertexSet) -> tuple[int, ...]:
     """Face counts by dimension, recovered from vertex-facet incidences.
 
-    One ``tropical._scaled`` call clears the grounded vertices and the bound
-    constants together.  For each node pair ``j < i`` the vertices fall into
-    classes by the value of ``x_i - x_j``, kept as int bitmasks; ``same[i][j][k]``
-    is the class of vertex ``k``.  A bound's facet is the class at its ``lo``
-    or ``hi`` when that is neither empty nor every vertex.  Facet sets are
-    intersected to closure (every proper face is an intersection of facets).
+    The grounded vertices (``vset._grid``) and the bounds (``h._grid``) are
+    read on their integer grids, at the lcm of their denominators; nothing is
+    scaled when the walk built ``vset`` from ``h``.  For each node pair
+    ``j < i`` the vertices fall into classes by the value of ``x_i - x_j``,
+    kept as int bitmasks; ``same[i][j][k]`` is the class of vertex ``k``.
+    A bound's facet is the class at its ``lo`` or ``hi`` when that is neither
+    empty nor every vertex.  Facet sets are intersected to closure (every
+    proper face is an intersection of facets).
     A face of ``n <= 3`` vertices is a vertex, an edge or a triangle, of
     dimension ``n - 1``.  A larger face's affine hull is cut out by the
     difference equations constant on it, so its dimension is the number of
     classes of nodes with a constant difference over it, minus one; the
-    classes are counted at its lowest vertex from the table.
+    classes are counted at its lowest vertex from the table.  A face of one
+    vertex is not met with the facets again: each meet is itself or empty.
     """
-    bounds = h._bounds()
-    grid = [h._grounded(p) for p in vset.points] + [[c for *_, lo, hi in bounds for c in (lo, hi)]]
-    *xs, consts = _scaled(grid)[0]
+    bounds, den = h._grid
+    xs, xden = vset._grid
+    bad = next((x for x in xs if len(x) != h.d + 1), None)
+    if bad is not None:
+        raise ValueError(f"point dimension {len(bad) - 1} != {h.d}")
+    common = lcm(den, xden)
+    xs, scale = _over(xs, xden, common), common // den
     everything = (1 << len(xs)) - 1
     classes, same = {}, []
     for i in range(h.d + 1):
@@ -455,20 +522,21 @@ def oracle_face_counts(h: HRep, vset: VertexSet) -> tuple[int, ...]:
                 masks[v] |= 1 << k
             same[i].append([masks[v] for v in diffs])
     facets = set()
-    for (i, j, _, _), lo, hi in zip(bounds, consts[::2], consts[1::2]):
-        pair, sign = (classes[i, j], 1) if i > j else (classes[j, i], -1)
+    for i, j, lo, hi in bounds:
+        pair, sign = (classes[i, j], scale) if i > j else (classes[j, i], -scale)
         facets.update(pair.get(sign * c, 0) for c in (lo, hi))
     facets -= {0, everything}
 
     faces = set(facets)
-    work = list(facets)
+    work = [face for face in facets if face & (face - 1)]
     while work:
         face = work.pop()
         for facet in facets:
             meet = face & facet
             if meet and meet not in faces:
                 faces.add(meet)
-                work.append(meet)
+                if meet & (meet - 1):
+                    work.append(meet)
 
     counts = [0] * h.d
     for face in faces:

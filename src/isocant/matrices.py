@@ -15,8 +15,9 @@ codimension-2 face beveled by the same amount.
 Every box and isocanted matrix comes from one entry table, the visualized
 box canted by ``cant`` (zero for a plain box); other placements are that
 table translated by ``tropical.conjugate_diag``.  The NI test and the
-decomposition run on the integer grid of ``tropical._scaled``: ``Fraction``
-values are built only for the results.
+decomposition run on the matrix's integer grid, which ``tropical._scaled``
+builds once per matrix and the matrix keeps: ``Fraction`` values are built
+only for the results.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from operator import sub
 from typing import Iterable, Sequence
 
 from ._record import Record
-from .tropical import TropMatrix, _scaled, as_rational, conjugate_diag
+from .tropical import TropMatrix, as_rational, conjugate_diag
 
 Rational = int | Fraction
 
@@ -46,8 +47,8 @@ def is_normal(a: TropMatrix) -> bool:
     )
 
 
-def _ni_grid(a: TropMatrix) -> tuple[list[list[int]], int] | None:
-    """``tropical._scaled(a.entries)`` when ``a`` is NI, else ``None``.
+def _ni_grid(a: TropMatrix) -> tuple[tuple[tuple[int, ...], ...], int] | None:
+    """The matrix's own integer grid (``a._grid``) when ``a`` is NI, else ``None``.
 
     A normal matrix has zero diagonal, so ``a (*) a >= a`` entrywise, and it
     is idempotent exactly when every triangle ``a[i,k] + a[k,j] <= a[i,j]``
@@ -55,7 +56,7 @@ def _ni_grid(a: TropMatrix) -> tuple[list[list[int]], int] | None:
     row ``i`` against row ``k`` as ``min_j (a[i,j] - a[k,j]) >= a[i,k]``.
     """
     if is_normal(a):
-        grid, den = _scaled(a.entries)
+        grid, den = a._grid
         if all(min(map(sub, row, rk)) >= x for row in grid for x, rk in zip(row, grid)):
             return grid, den
     return None
@@ -241,8 +242,8 @@ def decompose(a: TropMatrix) -> Decomposition:
     ``-a[d][i] - a[i][d]`` its i-th edge length.  The box is the visualized box
     of those lengths conjugated by the north-pole shift; the perturbation is
     then ``box - a`` and its sign and zero pattern are validated rather than
-    repaired.  All of it runs on the integer grid that the NI test scaled
-    ``a`` to, and one ``Fraction`` is built per distinct value of the result.
+    repaired.  All of it runs on the integer grid that the NI test reads
+    (``a._grid``), and one ``Fraction`` is built per distinct value of the result.
     """
     ni = _ni_grid(a)
     if ni is None:

@@ -87,11 +87,23 @@ def matrix_from_json(obj: object) -> TropMatrix:
         raise MatrixParseError("'size' must be an integer >= 2")
     if not isinstance(entries, list) or len(entries) != size:
         raise MatrixParseError(f"'entries' must be a {size}x{size} array")
+    # One scalar per distinct integer or string entry; the type test keeps
+    # ``True`` from reading the scalar of the equal key ``1``.
+    seen: dict[int | str, TropScalar] = {}
+
+    def scalar(v: object) -> TropScalar:
+        if type(v) is not int and type(v) is not str:
+            return scalar_from_json(v)
+        s = seen.get(v)
+        if s is None:
+            s = seen[v] = scalar_from_json(v)
+        return s
+
     rows = []
     for row in entries:
         if not isinstance(row, list) or len(row) != size:
             raise MatrixParseError(f"'entries' must be a {size}x{size} array")
-        rows.append(tuple(scalar_from_json(v) for v in row))
+        rows.append(tuple([scalar(v) for v in row]))
     return TropMatrix(tuple(rows))
 
 

@@ -19,13 +19,16 @@ clears denominators once, so this program and ``mat_mul`` run on ``int`` and
 ``Fraction`` appears only in their results.  The integer body of
 ``laplace_terms`` is one private helper on an already scaled grid, so a caller
 that expands many minors of one matrix (the unique-vertex check in
-``geometry``) scales it once and compares ``int`` terms.
+``geometry``) scales it once and compares ``int`` terms.  A ``TropMatrix``
+keeps its own scaled grid (``_grid``, built on first read), so the checks
+that read a whole matrix share one scaling of it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 from ._record import Record
@@ -161,19 +164,29 @@ class TropMatrix(Record):
         body = "; ".join(" ".join(str(v) for v in row) for row in self.entries)
         return f"TropMatrix[{body}]"
 
+    @cached_property
+    def _grid(self) -> tuple[tuple[tuple[int | None, ...], ...], int]:
+        """``_scaled(self.entries)``, built on first read and kept with the record.
+
+        Every integer path that reads a whole matrix reads this grid, so one
+        matrix clears its denominators once however many checks it meets.
+        """
+        return _scaled(self.entries)
+
 
 def _scaled(
     grid: Sequence[Sequence[TropScalar]],
-) -> tuple[list[list[int | None]], int]:
+) -> tuple[tuple[tuple[int | None, ...], ...], int]:
     """Clear denominators: ``grid`` times the lcm of its finite denominators.
 
-    Returns the integer grid, with ``None`` for ``-inf``, and that lcm.
+    Returns the integer grid as tuple rows, with ``None`` for ``-inf``, and
+    that lcm.
     """
     den = math.lcm(*(v.denominator for row in grid for v in row if v is not NEG_INF))
-    return [
-        [None if v is NEG_INF else v.numerator * (den // v.denominator) for v in row]
+    return tuple([
+        tuple([None if v is NEG_INF else v.numerator * (den // v.denominator) for v in row])
         for row in grid
-    ], den
+    ]), den
 
 
 def _unscaled(value: int | None, den: int) -> TropScalar:
@@ -206,7 +219,7 @@ class MinorEvaluation(Record):
 
 
 def _assignments(
-    grid: list[list[int | None]], cols: Sequence[int]
+    grid: Sequence[Sequence[int | None]], cols: Sequence[int]
 ) -> tuple[list[int | None], list[int]]:
     """Optimal assignments of ``cols`` to subsets of the rows of ``grid``.
 

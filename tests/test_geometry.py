@@ -1099,3 +1099,167 @@ def test_label_vertices_rejects_moved_and_dropped_points(placement):
     for bad in (moved, points[1:], points[:-1] + points[:1], points + points[:1]):
         with pytest.raises(ValueError, match=text):
             label_vertices(spec, VertexSet(3, tuple(map(tuple, bad))), placement)
+
+
+def _bound_error(a):
+    try:
+        hrep_from_matrix(a)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_hrep_inconsistent_bound_texts_and_order():
+    # The check runs on the matrix's integer grid; the message still shows
+    # the bounds as Fractions, and single bounds fail before difference bounds,
+    # each in index order.
+    def matrix(n, **entries):
+        rows = [[F(0)] * n for _ in range(n)]
+        for key, v in entries.items():
+            rows[int(key[1]) - 1][int(key[2]) - 1] = v
+        return TropMatrix.from_rows(rows)
+
+    cases = [
+        # x_1 and x_2 and x_1 - x_2 all fail: x_1 is reported.
+        (matrix(3, e13=F(1, 2), e31=F(1, 3), e23=F(5, 4), e12=F(3, 4), e21=F(1, 6)),
+         "inconsistent bounds on x_1: 1/2 > -1/3"),
+        # x_2 and x_1 - x_2 fail: the single bound comes first.
+        (matrix(3, e23=F(5, 4), e12=F(3, 4), e21=F(1, 6)),
+         "inconsistent bounds on x_2: 5/4 > 0"),
+        (matrix(3, e12=F(3, 4), e21=F(1, 2)),
+         "inconsistent bounds on x_1 - x_2: 3/4 > -1/2"),
+        # x_1 - x_3 and x_2 - x_3 fail at d = 3: combination order.
+        (matrix(4, e23=F(2), e32=F(-1, 3), e13=F(1, 7), e31=F(-1, 8)),
+         "inconsistent bounds on x_1 - x_3: 1/7 > 1/8"),
+        (matrix(4, e24=F(-2), e42=F(3)), "inconsistent bounds on x_2: -2 > -3"),
+    ]
+    for a, text in cases:
+        assert _bound_error(a) == text
+    # Equal bounds are consistent: a flat polytope, not an error.
+    assert _bound_error(matrix(3, e12=F(1, 2), e21=F(-1, 2))) is None
+    assert _bound_error(TropMatrix.from_rows([[0, 0], [0, F(1, 2)]])) == "matrix must have zero diagonal"
+
+
+def _face_counts_or_error(h, vset):
+    try:
+        return oracle_face_counts(h, vset)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _labels_or_error(spec, vset, placement):
+    try:
+        return label_vertices(spec, vset, placement)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _with_loose_bound(h):
+    # One more bound on x_1 - x_2, implied by the single bounds and looser by
+    # 1/7: the polytope is the same, but the bounds' denominator gains a 7
+    # that no vertex has.
+    (lo1, hi1), (lo2, hi2) = h.single[:2]
+    return HRep(h.d, h.single, h.diff + ((1, 2, lo1 - hi2 - F(1, 7), hi1 - lo2 + F(1, 7)),))
+
+
+def test_walk_grid_and_hand_built_grid_read_alike():
+    # A walk-built VertexSet carries the walk's integer points over the
+    # bounds' denominator; a hand-built one scales its points on first read.
+    # Face recovery and label matching must not tell them apart, whether the
+    # denominators agree or not (then they meet at the lcm).
+    rng = random.Random(2020)
+    pool = [F(-1, 2), F(-1), F(-3, 2), F(-2), F(-3), F(-7, 3)]
+    seen = {"lcm": 0, "labeled": 0, "empty": 0}
+    for d in (2, 3, 4, 5):
+        spec = IsocantedSpec(d, rng.choice((F(2), F(5, 2), F(3))), rng.choice((F(1, 2), F(3, 4), F(1))))
+        cases = list(_seeded_cases(rng, d, pool)) if d < 5 else []
+        cases += [("empty", TropMatrix.from_rows(_empty_rows(rng, d)))]
+        cases += [(p, PLACEMENTS[p](spec)) for p in ("vni", "sni")]
+        for kind, a in cases:
+            h = hrep_from_matrix(a)
+            twin, loose = HRep(h.d, h.single, h.diff), _with_loose_bound(h)
+            assert h._grid == twin._grid
+            walks = [_vertices_or_error(enumerate_vertices_oracle, g) for g in (h, twin, loose)]
+            assert walks[0] == walks[1] == walks[2], (kind, a)
+            if kind == "empty":
+                assert walks[0] == "empty polytope: no feasible vertex found"
+                assert _face_counts_or_error(h, VertexSet(d, ())) == (0,) * d
+                seen["empty"] += 1
+                continue
+            vset, loose_vset = walks[0], walks[2]
+            hand = VertexSet(d, vset.points)
+            assert vset == hand == loose_vset
+            if loose_vset._grid[1] != hand._grid[1]:
+                seen["lcm"] += 1
+            counts = {_face_counts_or_error(g, v) for g in (h, twin, loose) for v in (vset, hand, loose_vset)}
+            assert counts == {oracle_face_counts(h, vset)}, (kind, a)
+            short = VertexSet(d, vset.points[:-1] + (vset.points[-1][:-1],))
+            assert {_face_counts_or_error(g, short) for g in (h, loose)} == {f"point dimension {d - 1} != {d}"}
+            for placement in ("vni", "sni"):
+                labeled = {repr(_labels_or_error(spec, v, placement)) for v in (vset, hand, loose_vset)}
+                assert len(labeled) == 1, (kind, placement)
+                if placement == kind:
+                    assert label_vertices(spec, hand, placement).label_map == closed_form_vertices(spec, placement)
+                    seen["labeled"] += 1
+                else:
+                    assert labeled == {repr("oracle vertices do not match the closed-form vertex map")}
+    assert seen == {"lcm": 20, "labeled": 8, "empty": 4}
+
+
+def test_grids_are_scaled_at_most_twice_per_chain(monkeypatch):
+    # One polytope op of the benchmark's kind: parse, halfspaces, walk, faces,
+    # NI test, decomposition, labels and the symmetry check.  The matrix is
+    # scaled once, and label matching scales the four closed-form values.
+    from isocant import matrices, serialize, tropical
+    from isocant import geometry
+
+    calls = []
+    scaled = tropical._scaled
+
+    def counted(grid):
+        calls.append(len(grid))
+        return scaled(grid)
+
+    for module in (tropical, matrices, geometry):
+        monkeypatch.setattr(module, "_scaled", counted, raising=False)
+    spec = IsocantedSpec(4, F(5, 2), F(3, 4))
+    for placement, budget in (("sni", 2), ("vni", 2), (None, 1)):
+        a = PLACEMENTS[placement or "vni"](spec)
+        text = {"size": a.n, "entries": [[str(v) for v in row] for row in a.entries]}
+        calls.clear()
+        a = serialize.matrix_from_json(text)
+        h = hrep_from_matrix(a)
+        vset = enumerate_vertices_oracle(h)
+        assert oracle_face_counts(h, vset) == isocanted_fvector(4)
+        assert is_ni(a)
+        if placement:
+            dec = decompose(a)
+            found = IsocantedSpec(4, dec.edge_lengths[0], dec.perturbation.constant_cant())
+            label_vertices(found, vset, placement)
+            assert central_symmetry_check(a) is (placement == "sni")
+        assert len(calls) <= budget, (placement, calls)
+
+
+def test_isocanted_symmetry_and_unique_vertex_orbits():
+    # Permuting 1..d with d+1 fixed maps isocanted_vni to itself entrywise and
+    # the vertex of each label to the permuted vertex of the permuted label.
+    # So the unique-vertex check depends on a label's orbit only, fixed by its
+    # size and by whether it holds d+1: 2d orbits, each one answer.
+    rng = random.Random(4)
+    for d in range(2, 7):
+        spec = IsocantedSpec(d, F(rng.randint(9, 20), 4), F(rng.randint(1, 8), 5))
+        labels = list(all_vertex_labels(d))
+        if 3 <= d <= 5:
+            a = isocanted_vni(spec).entries
+            vertex = {w: isocanted_vertex(spec, w) for w in labels}
+            for perm in itertools.permutations(range(d)):
+                p = perm + (d,)
+                assert all(a[p[i]][p[j]] == v for i, row in enumerate(a) for j, v in enumerate(row))
+                for w, x in vertex.items():
+                    y = vertex[frozenset(p[k - 1] + 1 for k in w)]
+                    assert all(y[p[k]] == x[k] for k in range(d))
+        orbits = {}
+        for w in labels:
+            orbits.setdefault((len(w), d + 1 in w), set()).add(verify_unique_vertex(spec, w))
+        assert len(orbits) == 2 * d
+        assert all(len(answers) == 1 for answers in orbits.values()), orbits

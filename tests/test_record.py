@@ -19,7 +19,7 @@ from isocant.combinatorics import (
     skeleton,
 )
 from isocant.conjectures import ConjectureReport, check_extremes
-from isocant.geometry import HRep, VertexSet, hrep_from_matrix
+from isocant.geometry import HRep, VertexSet, enumerate_vertices_oracle, hrep_from_matrix
 from isocant.matrices import (
     Decomposition,
     IsocantedSpec,
@@ -117,6 +117,32 @@ def test_skeleton_adjacency_is_cached():
     assert graph._adjacency is graph._adjacency
     assert graph == skeleton(3)
     assert graph.neighbors(frozenset({1})) == [frozenset({1, 2}), frozenset({1, 3}), frozenset({1, 4})]
+
+
+def test_integer_grids_stay_outside_the_fields():
+    # TropMatrix, HRep and VertexSet keep their integer grid beside their
+    # fields: one read, or one fill by the function that made the record,
+    # leaves a record equal to, hashing and printing as its fresh twin.
+    a = isocanted_vni(IsocantedSpec(3, F(5, 2), F(3, 4)))
+    h = hrep_from_matrix(a)  # reads a's grid and fills h's
+    vset = enumerate_vertices_oracle(h)  # fills vset's
+    pairs = [
+        (a, TropMatrix(a.entries), ("entries",)),
+        (h, HRep(h.d, h.single, h.diff), ("d", "single", "diff")),
+        (vset, VertexSet(vset.d, vset.points), ("d", "points", "labels")),
+    ]
+    for record, fresh, fields in pairs:
+        assert "_grid" in vars(record) and "_grid" not in vars(fresh)
+        assert record == fresh and hash(record) == hash(fresh) and repr(record) == repr(fresh)
+        # Every denominator here is 4, so even the walk's grid, over the
+        # bounds' denominator, equals the one the twin scales on first read.
+        assert record._grid == fresh._grid and "_grid" in vars(fresh)
+        assert record == fresh and hash(record) == hash(fresh) and repr(record) == repr(fresh)
+        assert record._fields == type(record)._fields == fields
+        rows, den = record._grid
+        assert record._grid is record._grid and all(type(row) is tuple for row in rows)
+        with pytest.raises(AttributeError):
+            record._grid = (rows, den)
 
 
 def test_cli_import_does_not_load_dataclasses_or_inspect():

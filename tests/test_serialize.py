@@ -98,6 +98,18 @@ def test_matrix_from_json_rejects_bad_payloads(payload):
         matrix_from_json(payload)
 
 
+def test_matrix_from_json_shares_equal_entries():
+    a = matrix_from_json({"size": 3, "entries": [[0, "-1/2", -1], ["-1/2", 0, "-inf"], [-1, "-2/4", 0]]})
+    assert a.entries == ((0, F(-1, 2), -1), (F(-1, 2), 0, NEG_INF), (-1, F(-1, 2), 0))
+    # One scalar per distinct JSON entry: "-2/4" is a different text, so not shared.
+    assert a.entries[0][1] is a.entries[1][0] and a.entries[0][0] is a.entries[2][2]
+    assert a.entries[2][1] is not a.entries[0][1]
+    # An entry equal to an earlier one as a key is still checked by type.
+    for bad in ([[0, 1], [True, 0]], [[0, 1], [1.0, 0]], [[0, 1], [[1], 0]]):
+        with pytest.raises(MatrixParseError, match="is not"):
+            matrix_from_json({"size": 2, "entries": bad})
+
+
 def test_read_matrix_rejects_invalid_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")
