@@ -230,7 +230,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
 def cmd_export(args: argparse.Namespace) -> tuple[int, str]:
     spec = _spec_from_args(args)
     mesh = serialize.build_mesh(spec, args.placement, args.precision)
-    return 0, serialize.mesh_to_off(mesh) if args.format == "off" else serialize.mesh_to_obj(mesh)
+    return 0, serialize.MESH_FORMATS[args.format](mesh)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -279,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("checks", nargs="?", default="all", help="comma list or 'all'")
         p.add_argument("--range", type=_parse_range, default=(2, 60), help="LO:HI dimensions")
 
-    with command("export", cmd_export, "write a d=3 mesh (OFF or OBJ)", formats=("off", "obj")) as p:
+    with command("export", cmd_export, "write a d=3 mesh (OFF or OBJ)",
+                 formats=tuple(serialize.MESH_FORMATS)) as p:
         add_spec(p)
     p.add_argument("--precision", type=_parse_precision, default=serialize.DEFAULT_PRECISION)
 

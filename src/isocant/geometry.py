@@ -13,9 +13,10 @@ vertex and stepping each edge once: its cost is ``vertices * 2^(d+1)`` cut
 checks.  Each closed bound is the attained maximum of ``x_i - x_j``, so the
 closed table alone fixes the polytope, and central symmetry and the zonotope
 identity are read from it without enumerating vertices.  Face recovery reads
-each face's dimension from a per-pair table of vertex classes.  The walk, the
-closed-table checks, face recovery, the unique-vertex check and the
-vertex-set match of ``label_vertices`` are exact, on integers after
+only the vertex set: each facet is a class of vertices where some ``x_i - x_j``
+is extreme, and each face's dimension comes from the per-pair class table.
+The walk, the closed-table checks, face recovery, the unique-vertex check and
+the vertex-set match of ``label_vertices`` are exact, on integers after
 ``tropical._scaled`` clears denominators.  ``TropMatrix``, ``HRep`` and
 ``VertexSet`` each keep that integer grid (``_grid``), scaled once on first
 read or filled by the function that makes the record from ints it holds:
@@ -34,7 +35,9 @@ from typing import Iterable, Sequence
 
 from ._record import Record
 from .combinatorics import all_vertex_labels, check_label
-from .matrices import PLACEMENTS, IsocantedSpec, Rational, _visualized, decompose, isocanted_vni
+from .matrices import (
+    PLACEMENTS, IsocantedSpec, Rational, _require_finite, _visualized, decompose, isocanted_vni,
+)
 from .tropical import TropMatrix, _check_selection, _laplace_terms, _scaled
 
 Point = tuple[Fraction, ...]
@@ -46,14 +49,22 @@ ORACLE_DIM_LIMIT = 8
 class HRep(Record):
     """Halfspace description of an alcoved polytope.
 
-    ``single[i-1] = (lo, hi)`` bounds ``x_i``; each ``(i, j, lo, hi)`` in
-    ``diff`` bounds ``x_i - x_j`` for ``i < j``.  Bounds are exact rationals
-    with ``lo <= hi``; every reader goes through :meth:`_bounds`.
+    ``single[i-1] = (lo, hi)`` bounds ``x_i`` for ``i`` in ``1..d``; each
+    ``(i, j, lo, hi)`` in ``diff`` bounds ``x_i - x_j`` for distinct ``i, j`` in
+    ``1..d``.  Bounds are exact rationals with ``lo <= hi``, read through :meth:`_bounds`.
     """
 
     d: int
     single: tuple[tuple[Fraction, Fraction], ...]
     diff: tuple[tuple[int, int, Fraction, Fraction], ...]
+
+    def __post_init__(self) -> None:
+        d = self.d
+        if len(self.single) != d:
+            raise ValueError(f"dimension {d} needs {d} single bounds, got {len(self.single)}")
+        for i, j, _, _ in self.diff:
+            if i == j or not (0 < i <= d and 0 < j <= d):
+                raise ValueError(f"bound on x_{i} - x_{j} needs two distinct nodes in 1..{d}")
 
     def _bounds(self) -> tuple[tuple[int, int, Fraction, Fraction], ...]:
         """Every bound as ``(i, j, lo, hi)`` on ``x_i - x_j``, with ``j = 0`` the ground."""
@@ -128,8 +139,7 @@ def hrep_from_matrix(a: TropMatrix) -> HRep:
     entry, so the matrix's integer grid is theirs too: the checks run on it,
     and it fills the system's ``_grid``.
     """
-    if not a.is_finite():
-        raise ValueError("matrix must have finite entries")
+    _require_finite(a)
     n = a.n
     grid, den = a._grid
     if any(grid[i][i] for i in range(n)):
@@ -157,8 +167,7 @@ def auxiliary_matrix(a: TropMatrix) -> TropMatrix:
     Its columns are the generators of the polytope; a visualized NI matrix is
     its own auxiliary matrix.
     """
-    if not a.is_finite():
-        raise ValueError("matrix must have finite entries")
+    _require_finite(a)
     n = a.n
     rows = [
         tuple(a.entries[i][j] - a.entries[n - 1][j] for j in range(n))
@@ -200,8 +209,8 @@ class VertexSet(Record):
         """The grounded points ``(0, *p)`` as ints over one denominator, and that denominator.
 
         The walk fills it over the bounds' denominator; other sets scale their
-        points on first read.  Readers meet it with their other grid at the
-        lcm of the two denominators (:func:`_over`).
+        points on first read.  ``label_vertices`` meets it with its other grid
+        at the lcm of the two denominators (:func:`_over`).
         """
         return _scaled([(0, *p) for p in self.points])
 
@@ -487,16 +496,16 @@ def zonotope_check(spec: IsocantedSpec) -> bool:
 
 
 def oracle_face_counts(h: HRep, vset: VertexSet) -> tuple[int, ...]:
-    """Face counts by dimension, recovered from vertex-facet incidences.
+    """Face counts by dimension, recovered from the vertex set alone.
 
-    The grounded vertices (``vset._grid``) and the bounds (``h._grid``) are
-    read on their integer grids, at the lcm of their denominators; nothing is
-    scaled when the walk built ``vset`` from ``h``.  For each node pair
-    ``j < i`` the vertices fall into classes by the value of ``x_i - x_j``,
-    kept as int bitmasks; ``same[i][j][k]`` is the class of vertex ``k``.
-    A bound's facet is the class at its ``lo`` or ``hi`` when that is neither
-    empty nor every vertex.  Facet sets are intersected to closure (every
-    proper face is an intersection of facets).
+    The grounded vertices are read on their integer grid (``vset._grid``);
+    ``h`` gives only the dimension.  For each node pair ``j < i`` the
+    vertices fall into classes by the value of ``x_i - x_j``, kept as int
+    bitmasks; ``same[i][j][k]`` is the class of vertex ``k``.  The classes
+    at the minimum and the maximum of ``x_i - x_j`` are faces, and every
+    facet is one of them, since every bound is on some ``x_i - x_j``.  Those
+    short of every vertex are intersected to closure: every proper face is
+    an intersection of facets, and a meet of faces is a face.
     A face of ``n <= 3`` vertices is a vertex, an edge or a triangle, of
     dimension ``n - 1``.  A larger face's affine hull is cut out by the
     difference equations constant on it, so its dimension is the number of
@@ -504,28 +513,23 @@ def oracle_face_counts(h: HRep, vset: VertexSet) -> tuple[int, ...]:
     classes are counted at its lowest vertex from the table.  A face of one
     vertex is not met with the facets again: each meet is itself or empty.
     """
-    bounds, den = h._grid
-    xs, xden = vset._grid
+    xs, _ = vset._grid
     bad = next((x for x in xs if len(x) != h.d + 1), None)
     if bad is not None:
         raise ValueError(f"point dimension {len(bad) - 1} != {h.d}")
-    common = lcm(den, xden)
-    xs, scale = _over(xs, xden, common), common // den
     everything = (1 << len(xs)) - 1
-    classes, same = {}, []
+    facets, same = set(), []
     for i in range(h.d + 1):
         same.append([])
         for j in range(i):
             diffs = [x[i] - x[j] for x in xs]
-            masks = classes[i, j] = dict.fromkeys(diffs, 0)
+            masks = dict.fromkeys(diffs, 0)
             for k, v in enumerate(diffs):
                 masks[v] |= 1 << k
             same[i].append([masks[v] for v in diffs])
-    facets = set()
-    for i, j, lo, hi in bounds:
-        pair, sign = (classes[i, j], scale) if i > j else (classes[j, i], -scale)
-        facets.update(pair.get(sign * c, 0) for c in (lo, hi))
-    facets -= {0, everything}
+            if masks:
+                facets.update((masks[min(masks)], masks[max(masks)]))
+    facets.discard(everything)
 
     faces = set(facets)
     work = [face for face in facets if face & (face - 1)]

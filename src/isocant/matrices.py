@@ -24,10 +24,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import sub
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ._record import Record
-from .tropical import TropMatrix, as_rational, conjugate_diag
+from .tropical import TropMatrix, _Square, as_rational, conjugate_diag
 
 Rational = int | Fraction
 
@@ -134,7 +134,7 @@ def cube_sni(d: int, edge_length: Rational) -> TropMatrix:
     return box_sni(_cube_lengths(d, edge_length))
 
 
-class PerturbationMatrix(Record):
+class PerturbationMatrix(_Square, Record):
     """Non-positive square matrix with zero diagonal, last row and last column."""
 
     entries: tuple[tuple[Fraction, ...], ...]
@@ -164,10 +164,6 @@ class PerturbationMatrix(Record):
                     raise ValueError("perturbation entries must be non-positive")
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[Rational]]) -> "PerturbationMatrix":
-        return cls(tuple(tuple(row) for row in rows))
-
-    @classmethod
     def constant(cls, n: int, cant: Rational) -> "PerturbationMatrix":
         """The constant perturbation with every free entry equal to ``-cant``."""
         c = as_rational(cant)
@@ -181,15 +177,6 @@ class PerturbationMatrix(Record):
             for i in range(n)
         ]
         return cls(tuple(rows))
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def entry(self, i: int, j: int) -> Fraction:
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise IndexError(f"index ({i}, {j}) out of range for size {self.n}")
-        return self.entries[i - 1][j - 1]
 
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.entries for v in row)

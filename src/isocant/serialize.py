@@ -256,11 +256,11 @@ def parse_off(text: str) -> dict:
     }
 
 
+#: Mesh text writers by format name, for ``write_mesh`` and ``isocant export``.
+MESH_FORMATS = {"off": mesh_to_off, "obj": mesh_to_obj}
+
+
 def write_mesh(path: str | Path, mesh: MeshExport, fmt: str) -> None:
-    if fmt == "off":
-        text = mesh_to_off(mesh)
-    elif fmt == "obj":
-        text = mesh_to_obj(mesh)
-    else:
+    if fmt not in MESH_FORMATS:
         raise ValueError(f"unknown mesh format {fmt!r}")
-    Path(path).write_text(text, encoding="utf-8")
+    Path(path).write_text(MESH_FORMATS[fmt](mesh), encoding="utf-8")

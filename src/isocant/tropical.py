@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence, TypeVar, Union
 
 from ._record import Record
 
@@ -49,6 +49,7 @@ class _NegInf:
 NEG_INF = _NegInf()
 
 TropScalar = Union[Fraction, _NegInf]
+_SquareT = TypeVar("_SquareT", bound="_Square")
 
 #: Cap on permanent, minor and Laplace-term order, with no per-call override.
 #: The subset program would stay fast well beyond 10, but the refusal of 11 x 11
@@ -96,7 +97,30 @@ def trop_mul(x: TropScalar, y: TropScalar) -> TropScalar:
     return x + y
 
 
-class TropMatrix(Record):
+class _Square:
+    """Row construction, size and 1-based entry access for a record of square ``entries``.
+
+    A plain class, listed before ``Record``: a ``Record`` subclass without
+    fields of its own could not be created.
+    """
+
+    entries: tuple[tuple[object, ...], ...]
+
+    @classmethod
+    def from_rows(cls: type[_SquareT], rows: Iterable[Iterable[object]]) -> _SquareT:
+        return cls(tuple(tuple(row) for row in rows))
+
+    @property
+    def n(self) -> int:
+        return len(self.entries)
+
+    def entry(self, i: int, j: int) -> object:
+        if not (1 <= i <= self.n and 1 <= j <= self.n):
+            raise IndexError(f"index ({i}, {j}) out of range for size {self.n}")
+        return self.entries[i - 1][j - 1]
+
+
+class TropMatrix(_Square, Record):
     """Square matrix over the max-plus semiring.
 
     Public indexing is 1-based throughout (``entry(1, 1)`` is the top-left
@@ -123,19 +147,6 @@ class TropMatrix(Record):
             raise ValueError("matrix size must be at least 2")
         if any(len(row) != n for row in self.entries):
             raise ValueError("matrix must be square")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[object]]) -> "TropMatrix":
-        return cls(tuple(tuple(row) for row in rows))
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def entry(self, i: int, j: int) -> TropScalar:
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise IndexError(f"index ({i}, {j}) out of range for size {self.n}")
-        return self.entries[i - 1][j - 1]
 
     def row(self, i: int) -> tuple[TropScalar, ...]:
         if not 1 <= i <= self.n:

@@ -384,6 +384,72 @@ def test_face_counts_of_an_empty_vertex_set_and_a_wrong_length_point():
             oracle_face_counts(h, VertexSet(3, ((F(0),) * 3, point)))
 
 
+SQUARE_BOUNDS = ((F(0), F(1)), (F(0), F(1)))
+
+
+@pytest.mark.parametrize("i, j", [(5, 1), (1, 3), (2, 0), (1, 1)])
+def test_hrep_rejects_a_difference_bound_off_two_nodes(i, j):
+    # A bound on node 5 at d=2 was dropped by the walk, which returned the
+    # square, and face recovery then failed with a KeyError.
+    with pytest.raises(ValueError, match=rf"^bound on x_{i} - x_{j} needs two distinct nodes in 1\.\.2$"):
+        HRep(2, SQUARE_BOUNDS, ((1, 2, F(-1), F(1)), (i, j, F(0), F(1))))
+
+
+def test_hrep_rejects_a_third_single_bound():
+    # x_3 in [5, 6] at d=2 was ignored without any error.
+    with pytest.raises(ValueError, match=r"^dimension 2 needs 2 single bounds, got 3$"):
+        HRep(2, SQUARE_BOUNDS + ((F(5), F(6)),), ())
+
+
+def test_hrep_rejects_a_missing_single_bound():
+    # One single bound at d=2 made the walk fail with a KeyError.
+    with pytest.raises(ValueError, match=r"^dimension 2 needs 2 single bounds, got 1$"):
+        HRep(2, SQUARE_BOUNDS[:1], ())
+
+
+def test_hrep_takes_a_difference_bound_in_either_node_order():
+    hs = [HRep(2, SQUARE_BOUNDS, (bound,)) for bound in ((1, 2, F(-1, 2), F(1)), (2, 1, F(-1), F(1, 2)))]
+    vsets = [enumerate_vertices_oracle(h) for h in hs]
+    assert vsets[0] == vsets[1] and len(vsets[0]) == 5
+    assert oracle_face_counts(hs[0], vsets[0]) == oracle_face_counts(hs[1], vsets[1]) == (5, 5)
+
+
+def test_every_d2_matrix_over_one_zero_minus_one():
+    # All 729 zero-diagonal 3 x 3 matrices with off-diagonal entries in
+    # {1, 0, -1}, against the references: the NI test, the walk (or the same
+    # error), face counts, central symmetry and, on NI inputs, the
+    # decomposition.  Many of the walked systems have a bound that no vertex
+    # attains, so face recovery meets extreme classes that are no bound's.
+    seen = dict.fromkeys(("ni", "inconsistent", "empty", "walked", "unattained"), 0)
+    for values in itertools.product((1, 0, -1), repeat=6):
+        off = iter(values)
+        a = TropMatrix.from_rows([[0 if i == j else next(off) for j in range(3)] for i in range(3)])
+        assert is_ni(a) == reference.is_ni(a), a
+        symmetric = _vertices_or_error(central_symmetry_check, a)
+        assert symmetric == _vertices_or_error(reference.central_symmetry_by_vertices, a), a
+        if is_ni(a):
+            seen["ni"] += 1
+            assert _vertices_or_error(decompose, a) == _vertices_or_error(reference.decompose, a), a
+        try:
+            h = hrep_from_matrix(a)
+        except ValueError as exc:
+            assert str(exc).startswith("inconsistent bounds on x_"), a
+            assert symmetric == str(exc), a
+            seen["inconsistent"] += 1
+            continue
+        vset = _vertices_or_error(enumerate_vertices_oracle, h)
+        assert vset == _vertices_or_error(reference.sweep_vertices, h), a
+        if isinstance(vset, str):
+            seen["empty"] += 1
+            continue
+        seen["walked"] += 1
+        assert oracle_face_counts(h, vset) == reference.face_counts(h, vset), a
+        xs = [(0, *p) for p in vset.points]
+        if any(not {lo, hi} <= {x[i] - x[j] for x in xs} for i, j, lo, hi in h._bounds()):
+            seen["unattained"] += 1
+    assert seen == {"ni": 29, "inconsistent": 513, "empty": 56, "walked": 160, "unattained": 119}
+
+
 def _random_normal(rng, d, pool):
     n = d + 1
     return [[F(0) if i == j else rng.choice(pool) for j in range(n)] for i in range(n)]

@@ -105,11 +105,25 @@ def test_construction_defaults_and_validation():
     assert MeshExport((), (), (), ()).precision == MeshExport.precision
     with pytest.raises(TypeError):
         VertexSet(1)
-    # FaceInterval sets its fields itself and keeps the containment check.
+    # FaceInterval takes Record's constructor and checks containment after it.
     face = FaceInterval(frozenset({1}), frozenset({1, 2}))
     assert (face.bottom, face.top) == (frozenset({1}), frozenset({1, 2}))
     with pytest.raises(ValueError):
         FaceInterval(frozenset({1, 2}), frozenset({1}))
+
+
+def test_square_records_share_rows_size_and_entry():
+    # TropMatrix and PerturbationMatrix take from_rows, n and entry from one
+    # plain base listed before Record; their fields are still just entries.
+    rows = [[0, -1, 0], [-2, 0, 0], [0, 0, 0]]
+    for cls in (TropMatrix, PerturbationMatrix):
+        a = cls.from_rows(rows)
+        assert type(a) is cls and cls._fields == ("entries",)
+        assert a == cls(tuple(tuple(F(v) for v in row) for row in rows))
+        assert (a.n, a.entry(2, 1), a.entry(3, 3)) == (3, F(-2), F(0))
+        for i, j in ((0, 1), (1, 4)):
+            with pytest.raises(IndexError, match=rf"^index \({i}, {j}\) out of range for size 3$"):
+                a.entry(i, j)
 
 
 def test_skeleton_adjacency_is_cached():
