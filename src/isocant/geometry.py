@@ -197,6 +197,12 @@ class VertexSet(Record):
     points: tuple[Point, ...]
     labels: tuple[tuple[frozenset[int], Point], ...] = ()
 
+    def __post_init__(self) -> None:
+        d = self.d
+        bad = next((p for p in self.points if len(p) != d), None)
+        if bad is not None:
+            raise ValueError(f"point dimension {len(bad)} != {d}")
+
     @property
     def label_map(self) -> dict[frozenset[int], Point]:
         return dict(self.labels)
@@ -393,17 +399,17 @@ def _lone_vertex(grid: Sequence[Sequence[int | None]], label: Sequence[int], slo
 
     ``label`` and ``slot`` are 1-based.  For every row subset one larger than
     the label, the Laplace terms along the slot column must all coincide.
+    One assignment program over all rows and the label's columns yields the
+    terms of every subset (``tropical._laplace_terms``).
     """
     cols = sorted([*label, slot])
     order = len(cols)
     # Every row subset shares the columns, so one check stands for all.
     _check_selection(len(grid), range(1, order + 1), cols)
-    idx = [j - 1 for j in cols]
-    for rows in itertools.combinations(range(len(grid)), order):
-        terms = _laplace_terms(grid, rows, idx, slot - 1)
-        if terms.count(terms[0]) != order:
-            return False
-    return order >= 2
+    return order >= 2 and all(
+        terms.count(terms[0]) == order
+        for terms in _laplace_terms(grid, [j - 1 for j in cols], slot - 1)
+    )
 
 
 def unique_vertex_conditions(c: TropMatrix, w: Iterable[int], point: Sequence[Fraction]) -> bool:
@@ -418,8 +424,9 @@ def unique_vertex_conditions(c: TropMatrix, w: Iterable[int], point: Sequence[Fr
     (all ``k!`` attain ``-inf``), and an empty label has ``k = 1`` and fails.
     A label holding every index ``1..n`` leaves no slot and is an error, as
     is a label entry outside ``1..n``.
-    The extended matrix is scaled to integers once, and the row-subset loop
-    compares ``int`` terms from ``tropical._laplace_terms``.
+    The extended matrix is scaled to integers once, and one assignment
+    program yields the ``int`` terms of every row subset
+    (``tropical._laplace_terms``).
     """
     label = sorted(set(w))
     n = c.n

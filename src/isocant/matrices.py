@@ -40,11 +40,9 @@ def _require_finite(a: TropMatrix, what: str = "matrix") -> None:
 def is_normal(a: TropMatrix) -> bool:
     """Zero diagonal and all entries non-positive (origin lies in the polytope)."""
     _require_finite(a)
-    # A Fraction's sign is its numerator's.
-    return all(
-        not row[i].numerator and all(v.numerator <= 0 for v in row)
-        for i, row in enumerate(a.entries)
-    )
+    # The cached grid is the matrix times a positive integer: same signs.
+    grid, _ = a._grid
+    return all(not row[i] for i, row in enumerate(grid)) and max(map(max, grid)) <= 0
 
 
 def _ni_grid(a: TropMatrix) -> tuple[tuple[tuple[int, ...], ...], int] | None:

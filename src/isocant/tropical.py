@@ -14,22 +14,26 @@ terms of every minor coincide.
 A permanent is an optimal assignment, so it is computed by a dynamic program
 over row subsets instead of over the ``k!`` permutations: columns are assigned
 in order, and each subset of rows keeps the best partial sum and the number of
-partial assignments attaining it, which costs ``O(2^k * k)`` steps.  Each call
-clears denominators once, so this program and ``mat_mul`` run on ``int`` and
-``Fraction`` appears only in their results.  The integer body of
-``laplace_terms`` is one private helper on an already scaled grid, so a caller
-that expands many minors of one matrix (the unique-vertex check in
-``geometry``) scales it once and compares ``int`` terms.  A ``TropMatrix``
+partial assignments attaining it, which costs ``O(2^k * k)`` steps.  The
+subsets are visited by size, one layer per column, from a table of masks kept
+for the process, so a program over many rows that stops at a small size
+touches only the small subsets.  Each call clears denominators once, so this
+program and ``mat_mul`` run on ``int`` and ``Fraction`` appears only in their
+results.  The integer body of ``laplace_terms`` is one private helper on an
+already scaled grid: one program over all rows of a grid gives the Laplace
+terms of every row subset of a given size, so the unique-vertex check in
+``geometry`` scales its matrix once and compares ``int`` terms.  A ``TropMatrix``
 keeps its own scaled grid (``_grid``, built on first read), so the checks
 that read a whole matrix share one scaling of it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence, TypeVar, Union
+from typing import Iterable, Iterator, Sequence, TypeVar, Union
 
 from ._record import Record
 
@@ -229,41 +233,67 @@ class MinorEvaluation(Record):
     multiplicity: int
 
 
+#: Row masks by row count and size, built on first use and kept: ``_LAYERS[n][m]``
+#: lists each mask of ``m`` of ``n`` rows once as ``(mask, ((p, r), ...))``, one
+#: pair per row ``r`` in the mask, where ``p`` is the position of the mask
+#: without ``r`` in layer ``m - 1``.  Positions, not masks, index the program's
+#: tables, so nothing is sized ``2^n``: a layer is built only when a program
+#: reaches it.
+_Layer = tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+_LAYERS: dict[int, list[_Layer]] = {}
+
+
+def _layers(n: int, top: int) -> list[_Layer]:
+    """The mask layers ``0..top`` (at least) of ``n`` rows, from ``_LAYERS``."""
+    layers = _LAYERS.setdefault(n, [((0, ()),)])
+    while len(layers) <= top:
+        below = {mask: p for p, (mask, _) in enumerate(layers[-1])}
+        layers.append(tuple(
+            (mask, tuple([(below[mask ^ (1 << r)], r) for r in rows]))
+            for rows in itertools.combinations(range(n), len(layers))
+            for mask in [sum(1 << r for r in rows)]
+        ))
+    return layers
+
+
 def _assignments(
     grid: Sequence[Sequence[int | None]], cols: Sequence[int]
-) -> tuple[list[int | None], list[int]]:
+) -> tuple[list[list[int | None]], list[list[int]]]:
     """Optimal assignments of ``cols`` to subsets of the rows of ``grid``.
 
-    For each row mask with ``m <= len(cols)`` bits, ``best[mask]`` is the
-    largest sum over bijections from the rows in ``mask`` to ``cols[:m]``
-    (``None`` when every one meets ``-inf``) and ``count[mask]`` is how many
-    bijections attain it.  Masks with more bits than columns stay unset.
+    The program visits the row masks layer by layer (``_layers``): layer
+    ``m`` assigns ``cols[m - 1]`` to one row of each mask of ``m`` rows, on
+    top of the best assignment of the rest in layer ``m - 1``, and reads that
+    column once.  For the ``p``-th mask of layer ``m <= len(cols)``,
+    ``best[m][p]`` is the largest sum over bijections from its rows to
+    ``cols[:m]`` (``None`` when every one meets ``-inf``) and ``count[m][p]``
+    is how many bijections attain it.  That is ``O(C(n, m) * m)`` steps per
+    layer, ``O(2^k * k)`` in all for a ``k x k`` permanent.
     """
-    size = 1 << len(grid)
-    best: list[int | None] = [None] * size
-    count = [0] * size
-    best[0], count[0] = 0, 1
-    for mask in range(1, size):
-        c = mask.bit_count() - 1
-        if c >= len(cols):
-            continue
-        col = cols[c]
-        top = None
-        ways = 0
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            prev = best[mask ^ bit]
-            v = grid[bit.bit_length() - 1][col]
-            if prev is None or v is None:
-                continue
-            total = prev + v
-            if top is None or total > top:
-                top, ways = total, count[mask ^ bit]
-            elif total == top:
-                ways += count[mask ^ bit]
-        best[mask], count[mask] = top, ways
+    best: list[list[int | None]] = [[0]]
+    count = [[1]]
+    for col, layer in zip(cols, _layers(len(grid), len(cols))[1:]):
+        column = [row[col] for row in grid]
+        below, ways_below = best[-1], count[-1]
+        tops: list[int | None] = []
+        counts = []
+        for _, subs in layer:
+            top = None
+            ways = 0
+            for p, r in subs:
+                prev = below[p]
+                v = column[r]
+                if prev is None or v is None:
+                    continue
+                total = prev + v
+                if top is None or total > top:
+                    top, ways = total, ways_below[p]
+                elif total == top:
+                    ways += ways_below[p]
+            tops.append(top)
+            counts.append(ways)
+        best.append(tops)
+        count.append(counts)
     return best, count
 
 
@@ -272,11 +302,11 @@ def _grid_permanent(grid: Sequence[Sequence[TropScalar]]) -> MinorEvaluation:
     k = len(grid)
     scaled, den = _scaled(grid)
     best, count = _assignments(scaled, range(k))
-    if best[-1] is None:
+    if best[-1][0] is None:
         # Every permutation hits -inf, so all of them attain the maximum.
         return MinorEvaluation(NEG_INF, math.factorial(k))
     # An empty grid is the empty product: the multiplicative identity, once.
-    return MinorEvaluation(Fraction(best[-1], den), count[-1])
+    return MinorEvaluation(Fraction(best[-1][0], den), count[-1][0])
 
 
 def _check_selection(
@@ -314,24 +344,25 @@ def trop_minor(a: TropMatrix, rows: Iterable[int], cols: Iterable[int]) -> Minor
 
 
 def _laplace_terms(
-    grid: Sequence[Sequence[int | None]], rows: Sequence[int], cols: Sequence[int], e: int
-) -> list[int | None]:
-    """Laplace terms of the minor ``rows`` x ``cols`` of an already scaled grid.
+    grid: Sequence[Sequence[int | None]], cols: Sequence[int], e: int
+) -> Iterator[list[int | None]]:
+    """Laplace terms along column ``e`` of the minor on each ``len(cols)`` rows of ``grid``.
 
-    Indices are 0-based into ``grid`` and ``e`` is the expansion column, one
-    of ``cols``.  The terms are ``int`` (``None`` for ``-inf``), in the order
-    of ``rows``.
+    ``grid`` is already scaled, indices are 0-based and ``e`` is one of
+    ``cols``.  One ``_assignments`` program over all rows and the other
+    columns stops one layer short of ``len(cols)`` rows; the row sets of that
+    size are then read in layer order, each term ``grid[r][e]`` plus the
+    best assignment of the set without ``r``.  The terms are ``int``
+    (``None`` for ``-inf``), in ascending row order.
     """
-    sub = [grid[i] for i in rows]
-    # One pass over the other columns yields every complementary minor: the one
-    # omitting row r sits at the mask of all rows but r.
-    best, _ = _assignments(sub, [c for c in cols if c != e])
-    full = len(best) - 1
-    terms: list[int | None] = []
-    for r, row in enumerate(sub):
-        minor = best[full ^ (1 << r)]
-        terms.append(None if minor is None or row[e] is None else row[e] + minor)
-    return terms
+    best, _ = _assignments(grid, [c for c in cols if c != e])
+    minors = best[-1]
+    column = [row[e] for row in grid]
+    for _, subs in _layers(len(grid), len(cols))[len(cols)]:
+        yield [
+            None if minors[p] is None or column[r] is None else column[r] + minors[p]
+            for p, r in subs
+        ]
 
 
 def laplace_terms(
@@ -350,7 +381,7 @@ def laplace_terms(
         raise ValueError(f"expansion column {expansion_col} not in selection")
     grid, den = _scaled([[a.entries[i - 1][j - 1] for j in col_idx] for i in row_idx])
     k = len(col_idx)
-    terms = _laplace_terms(grid, range(k), range(k), col_idx.index(expansion_col))
+    [terms] = _laplace_terms(grid, range(k), col_idx.index(expansion_col))
     return [_unscaled(t, den) for t in terms]
 
 

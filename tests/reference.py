@@ -23,7 +23,9 @@ from isocant.conjectures import (
 )
 from isocant.geometry import VertexSet, enumerate_vertices_oracle, hrep_from_matrix
 from isocant.matrices import Decomposition, PerturbationMatrix, isocanted_vni
-from isocant.tropical import NEG_INF, TropMatrix, conjugate_diag, laplace_terms, mat_mul, trop_minor
+from isocant.tropical import (
+    NEG_INF, TropMatrix, _check_selection, conjugate_diag, laplace_terms, mat_mul, trop_minor,
+)
 
 
 def affine_dim(pts):
@@ -469,6 +471,53 @@ def unique_vertex_conditions_by_permutations(c, w, point):
             return False
     return order >= 2
 
+
+
+def assignments_by_permutations(grid, cols):
+    """``{mask: (best, count)}`` for each row mask of at most ``len(cols)`` rows of an int grid.
+
+    ``best`` is the largest sum over bijections from the mask's rows to
+    ``cols[:m]`` (``None`` when each meets a ``None`` entry) and ``count`` how
+    many attain it, by listing every bijection.
+    """
+    out = {}
+    for m in range(min(len(cols), len(grid)) + 1):
+        for rows in itertools.combinations(range(len(grid)), m):
+            sums = []
+            for perm in itertools.permutations(rows):
+                vals = [grid[r][c] for r, c in zip(perm, cols)]
+                if None not in vals:
+                    sums.append(sum(vals))
+            top = max(sums, default=None)
+            out[sum(1 << r for r in rows)] = (top, sums.count(top))
+    return out
+
+
+def lone_vertex_by_subsets(grid, label, slot):
+    """The unique-vertex test on an int grid, one row subset at a time.
+
+    The loop the library ran before one assignment program served every
+    subset: the same selection check, then for each row subset one larger
+    than the label its Laplace terms along ``slot``, each complementary
+    minor by all permutations, must coincide.
+    """
+    cols = sorted([*label, slot])
+    order = len(cols)
+    _check_selection(len(grid), range(1, order + 1), cols)
+    others = [j - 1 for j in cols if j != slot]
+    for rows in itertools.combinations(range(len(grid)), order):
+        terms = []
+        for r in rows:
+            sums = []
+            for perm in itertools.permutations([i for i in rows if i != r]):
+                vals = [grid[i][j] for i, j in zip(perm, others)]
+                if None not in vals:
+                    sums.append(sum(vals))
+            minor, v = max(sums, default=None), grid[r][slot - 1]
+            terms.append(None if minor is None or v is None else v + minor)
+        if terms.count(terms[0]) != order:
+            return False
+    return order >= 2
 
 # The matrix-class predicates by their definitions, as the library ran them
 # before the NI test became the triangle inequality on integers: NI through

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction as F
 from math import comb
 
@@ -43,7 +44,7 @@ from isocant.matrices import (
     isocanted_vni,
     is_ni,
 )
-from isocant.tropical import NEG_INF, TropMatrix, _scaled, mat_mul
+from isocant.tropical import _LAYERS, NEG_INF, TropMatrix, _scaled, mat_mul
 
 import reference
 
@@ -381,7 +382,19 @@ def test_face_counts_of_an_empty_vertex_set_and_a_wrong_length_point():
     assert oracle_face_counts(h, VertexSet(3, ())) == (0, 0, 0)
     for point in ((F(0), F(0)), (F(0),) * 4):
         with pytest.raises(ValueError, match=f"^point dimension {len(point)} != 3$"):
-            oracle_face_counts(h, VertexSet(3, ((F(0),) * 3, point)))
+            oracle_face_counts(h, VertexSet(len(point), (point,)))
+
+
+def test_vertex_set_refuses_points_of_another_dimension():
+    # The first point whose length is not d is named, before any grid is built.
+    for points, bad in (
+        (((F(0), F(0)), (F(1),)), 2),
+        (((F(0),) * 3, (F(1),)), 1),
+        (((F(0),) * 3, (F(1),) * 4, (F(2),)), 4),
+    ):
+        with pytest.raises(ValueError, match=f"^point dimension {bad} != 3$"):
+            VertexSet(3, points)
+    assert len(VertexSet(3, ((F(0),) * 3, (F(1),) * 3))) == 2
 
 
 SQUARE_BOUNDS = ((F(0), F(1)), (F(0), F(1)))
@@ -705,7 +718,7 @@ def test_isocanted_vertex_rejects_bad_labels():
         isocanted_vertex(spec, {5})
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("d", range(2, 9))
 def test_verify_unique_vertex_sweep(d):
     spec = IsocantedSpec(d, F(5, 2), F(3, 4))
     for size in range(1, d + 1):
@@ -1132,6 +1145,60 @@ def test_lone_vertex_helper_fails_a_moved_slot_column():
     assert _lone_vertex(grid, [1, 2], 3) is False
 
 
+
+def test_lone_vertex_one_pass_matches_the_per_subset_loop():
+    # One assignment program over all rows against the loop over row subsets
+    # it replaced: seeded normal matrices with -inf entries and a random
+    # candidate in the slot column, d = 1..6, labels of every size from empty
+    # to all columns but the slot, some with an entry outside 1..n, plus
+    # closed-form vertices and nudged ones.  Same result or same error.
+    rng = random.Random(2202)
+    pool = [F(0), F(-1), F(-3, 2), F(-2), NEG_INF]
+    cases = []
+    for d in range(1, 7):
+        n = d + 1
+        for _ in range(30):
+            slot = rng.randint(1, n)
+            label = rng.sample([j for j in range(1, n + 1) if j != slot], rng.randint(0, n - 1))
+            if rng.random() < 0.15:
+                label.append(rng.choice((0, n + 1, n + 2)))
+            point = [rng.choice(pool + [F(1, 2)]) for _ in range(n)]
+            c = TropMatrix.from_rows(_random_normal(rng, d, pool))
+            cases.append((c.replace_column(slot, point), label, slot))
+        if d >= 2:
+            spec = IsocantedSpec(d, F(5, 2), F(3, 4))
+            for w in rng.sample(list(all_vertex_labels(d)), 6):
+                slot = min(set(range(1, n + 1)) - w)
+                point = list(isocanted_vertex(spec, w)) + [F(0)]
+                cases.append((isocanted_vni(spec).replace_column(slot, point), sorted(w), slot))
+                point[rng.randrange(d)] += F(1, 7)
+                cases.append((isocanted_vni(spec).replace_column(slot, point), sorted(w), slot))
+    outcomes = set()
+    for c, label, slot in cases:
+        grid, _ = _scaled(c.entries)
+        got, expected = (
+            _unique_vertex_or_error(check, grid, label, slot)
+            for check in (_lone_vertex, reference.lone_vertex_by_subsets)
+        )
+        assert got == expected, (c, label, slot)
+        outcomes.add(got if isinstance(got, bool) else got[1].split()[0])
+    assert outcomes == {True, False, "column", "row"}
+
+
+def test_unique_vertex_on_31_rows_stops_at_the_label_size():
+    # d = 30: the program reads the masks of at most |w| + 1 of the 31 rows,
+    # so nothing it keeps or allocates is sized 2^31.
+    spec = IsocantedSpec(30, F(2), F(1))
+    tracemalloc.start()
+    try:
+        assert verify_unique_vertex(spec, [1])
+        assert verify_unique_vertex(spec, [1, 2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert [len(layer) for layer in _LAYERS[31]] == [comb(31, m) for m in range(4)]
+
 def test_verify_unique_vertex_cap_error():
     # d = 10 with a 10-element label needs a minor of order 11.
     with pytest.raises(ValueError, match="^minor order 11 exceeds permanent limit 10$"):
@@ -1259,7 +1326,9 @@ def test_walk_grid_and_hand_built_grid_read_alike():
                 seen["lcm"] += 1
             counts = {_face_counts_or_error(g, v) for g in (h, twin, loose) for v in (vset, hand, loose_vset)}
             assert counts == {oracle_face_counts(h, vset)}, (kind, a)
-            short = VertexSet(d, vset.points[:-1] + (vset.points[-1][:-1],))
+            with pytest.raises(ValueError, match=f"^point dimension {d - 1} != {d}$"):
+                VertexSet(d, vset.points[:-1] + (vset.points[-1][:-1],))
+            short = VertexSet(d - 1, tuple(p[:-1] for p in vset.points))
             assert {_face_counts_or_error(g, short) for g in (h, loose)} == {f"point dimension {d - 1} != {d}"}
             for placement in ("vni", "sni"):
                 labeled = {repr(_labels_or_error(spec, v, placement)) for v in (vset, hand, loose_vset)}

@@ -457,6 +457,26 @@ def _class_outcome(predicate, a):
         return "ValueError", str(exc)
 
 
+
+def test_is_normal_verdicts_on_seeded_matrices():
+    # is_normal reads signs off the cached int grid (the matrix times the lcm
+    # of its denominators): the same verdicts as the entrywise definition on
+    # normal matrices with mixed denominators, some with one entry moved a
+    # hair past 0, and the finite-entry error first.
+    rng = random.Random(2203)
+    pool = [F(0), F(-1, 3), F(-5, 7), F(-2), F(-1, 1000)]
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        rows = [[F(0) if i == j else rng.choice(pool) for j in range(n)] for i in range(n)]
+        i, j = rng.randrange(n), rng.randrange(n)
+        rows[i][j] = rng.choice((rows[i][j], F(1, 1000), F(-1, 1000), F(3, 2), NEG_INF))
+        a = TropMatrix.from_rows(rows)
+        got = _class_outcome(is_normal, a)
+        assert got == _class_outcome(reference.is_normal, a), rows
+        seen.add(got if isinstance(got, bool) else got[1])
+    assert seen == {True, False, "matrix must have finite entries"}
+
 def test_class_predicates_match_product_definition():
     # The integer triangle test and the cheap vni/sni pre-checks against the
     # definitions through the tropical square, on seeded inputs of size 2..10.

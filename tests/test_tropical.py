@@ -3,14 +3,21 @@
 import itertools
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import isocant
+import reference
 from isocant.tropical import (
     NEG_INF,
     MinorEvaluation,
     TropMatrix,
+    _assignments,
+    _layers,
     as_scalar,
     conjugate_diag,
     laplace_terms,
@@ -231,6 +238,43 @@ def test_permanent_size_limit():
     with pytest.raises(ValueError, match=message):
         laplace_terms(big, full, full, 1)
 
+
+
+def test_assignments_match_permutation_reference():
+    # The layered program against every bijection, on int grids with None for
+    # -inf: k = 1..8 rows, as many columns as rows or fewer, taken in a
+    # shuffled order from a grid wider than k.  Each layer lists every mask of
+    # its size once, and best and count agree on every one.
+    rng = random.Random(2201)
+    pools = [(-2, -1, 0, 1, None), (0, 1), (None, None, None, 3, -5), (7, -3, 2, 11)]
+    cases = 0
+    for k in range(1, 9):
+        for m in sorted({k, k - 1, rng.randint(0, k), 0} if k < 8 else {8, 5}):
+            for pool in pools if k < 7 else pools[:2]:
+                grid = [[rng.choice(pool) for _ in range(k + 2)] for _ in range(k)]
+                cols = rng.sample(range(k + 2), m)
+                best, count = _assignments(grid, cols)
+                layers = _layers(k, m)
+                got = {}
+                for size in range(m + 1):
+                    masks = [mask for mask, _ in layers[size]]
+                    assert sorted(masks) == [x for x in range(1 << k) if x.bit_count() == size]
+                    got.update((mask, (best[size][p], count[size][p])) for p, mask in enumerate(masks))
+                assert got == reference.assignments_by_permutations(grid, cols), (grid, cols)
+                cases += 1
+    assert cases > 60
+
+
+def test_no_mask_table_is_built_at_import():
+    src = str(Path(isocant.__file__).resolve().parent.parent)
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import isocant.cli, isocant.tropical as t\n"
+        "print(len(t._LAYERS))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout.split() == ["0"]
 
 def test_minor_ragged_selection():
     a = TropMatrix.from_rows([[0, 0], [0, 0]])
