@@ -7,11 +7,13 @@ bound a difference bound on the nodes ``0..d``, and ``HRep`` lists them in
 one table that every reader goes through; closing them under shortest paths
 gives the tightest bounds (the Kleene star, the normal idempotent form).
 Every edge of such a polytope runs along a cut direction ``+1_S`` for a node
-set ``S``, so the vertex enumerator walks the edge graph from the maximum
-point without any linear programming, trying the ``2^(d+1) - 2`` cuts at each
-vertex and stepping each edge once: its cost is ``vertices * 2^(d+1)`` cut
-checks.  Each closed bound is the attained maximum of ``x_i - x_j``, so the
-closed table alone fixes the polytope, and central symmetry and the zonotope
+set ``S``, and ``S`` is an up-set of the vertex's tight order (the tight part
+of the closed table), so the vertex enumerator walks the edge graph from the
+maximum point without any linear programming, trying at each vertex only the
+unions of its up-sets and stepping each edge once; each vertex carries its
+tight order in both directions from the edge that found it.  Each closed
+bound is the attained maximum of ``x_i - x_j``, so the closed table alone
+fixes the polytope, and central symmetry and the zonotope
 identity are read from it without enumerating vertices.  Face recovery reads
 only the vertex set: each facet is a class of vertices where some ``x_i - x_j``
 is extreme, and each face's dimension comes from the per-pair class table.
@@ -42,7 +44,8 @@ from .tropical import TropMatrix, _check_selection, _laplace_terms, _scaled
 
 Point = tuple[Fraction, ...]
 
-#: Cap on the vertex oracle's dimension; each vertex costs 2^(d+1) cut checks.
+#: Cap on the vertex oracle's dimension; each vertex tries the unions of its
+#: up-sets and builds one 2^(d+1) neighbour table to test their connectivity.
 ORACLE_DIM_LIMIT = 8
 
 
@@ -281,56 +284,80 @@ def enumerate_vertices_oracle(h: HRep) -> VertexSet:
     the vertex where every ``x_i`` sits at its closed upper bound.  Every edge
     of an alcoved polytope runs along a cut direction ``+1_S`` for a proper
     nonempty node set ``S`` (ground included, points re-grounded to
-    ``x_0 = 0``), so from each vertex the walk tries all ``2^(d+1) - 2``
-    cuts.  A cut is an edge when the tight bounds not crossing it leave
-    exactly the two components ``S`` and its complement, and no tight bound
-    leaving ``S`` blocks the step; the step length is the least slack of the
-    bounds leaving ``S``.  Each edge is stepped once: the vertex it reaches
-    skips the reverse cut (the complement of ``S``).  Tightness is carried
-    along the walk: a new vertex takes its tight pairs from the edge that
-    found it, so only the start vertex compares all ``(d+1)^2`` pairs.  The
-    cost is ``vertices * 2^(d+1)`` cut checks, with no linear programming.
-    Points are sorted as integer tuples and then built with one ``Fraction``
-    per distinct coordinate value; the sorted tuples, grounded and over the
-    bounds' denominator, fill the result's ``_grid``.  The name keeps
-    "oracle" from the exhaustive hyperplane-subset sweep this replaced, for
-    compatibility.
+    ``x_0 = 0``).  Each vertex keeps its tight order both ways: ``ups[i]``
+    holds the nodes ``j`` with ``x_i - x_j`` at its bound, which ``i`` cannot
+    rise without, and ``downs[j]`` the nodes ``i`` with ``j`` in ``ups[i]``.
+    A cut that no tight bound blocks is closed under ``ups``, so it is a
+    union of some of them: the walk tries only the distinct proper nonempty
+    unions, built as a set, and such an up-set ``S`` is an edge when the
+    tight bounds not crossing it leave exactly the two components ``S`` and
+    its complement (:func:`_connected`, on a neighbour table built once some
+    up-set is not a reverse cut).  The step length is the least slack of the
+    bounds leaving ``S``, computed once per stepped cut over its crossing
+    pairs (a table filled per walk).  Each edge is stepped once: the vertex it reaches
+    skips the reverse cut (the complement of ``S``).  A new vertex takes
+    ``ups`` and ``downs`` from the edge that found it: pairs on one side of
+    the cut keep their state, and a crossing pair whose slack is the step
+    becomes tight, so only the start vertex compares all ``(d+1)^2`` pairs,
+    and no linear programming is needed.  Points are sorted as integer
+    tuples and then built with one ``Fraction`` per distinct coordinate
+    value; the sorted tuples, grounded and over the bounds' denominator,
+    fill the result's ``_grid``.  The name keeps "oracle" from the
+    exhaustive hyperplane-subset sweep this replaced, for compatibility.
     """
     bound, den = _closed_bounds(h)
     nodes = range(h.d + 1)
     full = (1 << (h.d + 1)) - 1
     start = tuple(bound[k][0] for k in nodes)
-    # up[x][i]: the nodes j with x_i - x_j at its bound, so that i cannot rise without j.
-    up = {start: [sum(1 << j for j in nodes if start[i] - start[j] == bound[i][j]) for i in nodes]}
+    # ups[i]: the nodes j with x_i - x_j at its bound, so that i cannot rise without j;
+    # downs[j]: the nodes i with j in ups[i].
+    ups = [sum(1 << j for j in nodes if start[i] - start[j] == bound[i][j]) for i in nodes]
+    order = {start: (ups, [sum(1 << i for i in nodes if ups[i] >> j & 1) for j in nodes])}
     # back[x]: bit c set when cut c leads back along an edge already stepped into x.
     back = {start: 0}
+    # pairs[cut]: the pairs (i, j) with i in the cut and j outside it, filled on first use.
+    pairs: list[list[tuple[int, int]] | None] = [None] * full
     work = [start]
     while work:
         x = work.pop()
-        ups, skip = up[x], back[x]
-        tight = [ups[i] | sum(1 << j for j in nodes if ups[j] >> i & 1) for i in nodes]
-        blocked = _subset_unions(ups)
-        reach = _subset_unions(tight)
-        for cut in range(1, full):
-            if (skip >> cut & 1 or blocked[cut] & ~cut
-                    or not _connected(cut, reach) or not _connected(full ^ cut, reach)):
+        (ups, downs), skip = order[x], back[x]
+        # A cut that no tight bound blocks is closed under ups: a union of some of them.
+        cuts = {0}
+        for u in ups:
+            cuts |= {c | u for c in cuts}
+        reach = None
+        for cut in cuts - {0, full}:
+            if skip >> cut & 1:
                 continue
-            outs = [j for j in nodes if not cut >> j & 1]
-            step = min(bound[i][j] - x[i] + x[j] for i in nodes if cut >> i & 1 for j in outs)
-            lift = [step if cut >> k & 1 else 0 for k in nodes]
-            y = tuple(x[k] + lift[k] - lift[0] for k in nodes)
-            if y not in up:
+            if reach is None:
+                reach = _subset_unions([u | w for u, w in zip(ups, downs)])
+            rest = full ^ cut
+            if not _connected(cut, reach) or not _connected(rest, reach):
+                continue
+            crossing = pairs[cut]
+            if crossing is None:
+                outs = [j for j in nodes if not cut >> j & 1]
+                crossing = pairs[cut] = [(i, j) for i in nodes if cut >> i & 1 for j in outs]
+            slacks = [bound[i][j] - x[i] + x[j] for i, j in crossing]
+            step = min(slacks)
+            # The cut rises by the step against the rest, and x_0 stays 0.
+            low = -step if cut & 1 else 0
+            high = low + step
+            y = tuple([v + high if cut >> k & 1 else v + low for k, v in enumerate(x)])
+            if y not in order:
                 # Pairs on one side keep their state; a pair leaving the cut is tight
                 # when its slack is the step, and one entering it cannot be (step > 0).
-                up[y] = [
-                    ups[i] & cut | sum(1 << j for j in outs if bound[i][j] - x[i] + x[j] == step)
-                    if cut >> i & 1 else ups[i] & ~cut
-                    for i in nodes
-                ]
+                up = [u & cut if cut >> k & 1 else u & rest for k, u in enumerate(ups)]
+                down = [w & cut if cut >> k & 1 else w & rest for k, w in enumerate(downs)]
+                for (i, j), s in zip(crossing, slacks):
+                    if s == step:
+                        up[i] |= 1 << j
+                        down[j] |= 1 << i
+                order[y] = up, down
                 back[y] = 0
                 work.append(y)
-            back[y] |= 1 << (full ^ cut)
-    grid = tuple(sorted(up))
+            back[y] |= 1 << rest
+    grid = tuple(sorted(order))
     value = {v: Fraction(v, den) for v in {v for p in grid for v in p}}
     vset = VertexSet(h.d, tuple(tuple(value[v] for v in p[1:]) for p in grid))
     vars(vset)["_grid"] = grid, den
@@ -517,8 +544,10 @@ def oracle_face_counts(h: HRep, vset: VertexSet) -> tuple[int, ...]:
     dimension ``n - 1``.  A larger face's affine hull is cut out by the
     difference equations constant on it, so its dimension is the number of
     classes of nodes with a constant difference over it, minus one; the
-    classes are counted at its lowest vertex from the table.  A face of one
-    vertex is not met with the facets again: each meet is itself or empty.
+    classes are counted at its lowest vertex from the table.  Every vertex
+    of a polytope with two or more is a face from the start, so a face of
+    one or two vertices is not met with the facets again: each meet is
+    itself, one of its vertices or empty.
     """
     xs, _ = vset._grid
     bad = next((x for x in xs if len(x) != h.d + 1), None)
@@ -539,14 +568,16 @@ def oracle_face_counts(h: HRep, vset: VertexSet) -> tuple[int, ...]:
     facets.discard(everything)
 
     faces = set(facets)
-    work = [face for face in facets if face & (face - 1)]
+    if len(xs) > 1:
+        faces.update(1 << k for k in range(len(xs)))
+    work = [face for face in facets if face.bit_count() > 2]
     while work:
         face = work.pop()
         for facet in facets:
             meet = face & facet
             if meet and meet not in faces:
                 faces.add(meet)
-                if meet & (meet - 1):
+                if meet.bit_count() > 2:
                     work.append(meet)
 
     counts = [0] * h.d

@@ -233,19 +233,21 @@ class MinorEvaluation(Record):
     multiplicity: int
 
 
-#: Row masks by row count and size, built on first use and kept: ``_LAYERS[n][m]``
-#: lists each mask of ``m`` of ``n`` rows once as ``(mask, ((p, r), ...))``, one
-#: pair per row ``r`` in the mask, where ``p`` is the position of the mask
-#: without ``r`` in layer ``m - 1``.  Positions, not masks, index the program's
-#: tables, so nothing is sized ``2^n``: a layer is built only when a program
-#: reaches it.
+#: Row masks by row count and size, built on first use: ``_LAYERS[n][m]`` lists
+#: each mask of ``m`` of ``n`` rows once as ``(mask, ((p, r), ...))``, one pair
+#: per row ``r`` in the mask, where ``p`` is the position of the mask without
+#: ``r`` in layer ``m - 1``.  Positions, not masks, index the program's tables,
+#: so nothing is sized ``2^n``: a layer is built only when a program reaches
+#: it.  Tables are kept for the process only up to ``PERMANENT_SIZE_LIMIT``
+#: rows; a taller grid's layers are built for the call and dropped with it.
 _Layer = tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 _LAYERS: dict[int, list[_Layer]] = {}
 
 
 def _layers(n: int, top: int) -> list[_Layer]:
-    """The mask layers ``0..top`` (at least) of ``n`` rows, from ``_LAYERS``."""
-    layers = _LAYERS.setdefault(n, [((0, ()),)])
+    """The mask layers ``0..top`` (at least) of ``n`` rows, kept in ``_LAYERS`` for short grids."""
+    start = [((0, ()),)]
+    layers = _LAYERS.setdefault(n, start) if n <= PERMANENT_SIZE_LIMIT else start
     while len(layers) <= top:
         below = {mask: p for p, (mask, _) in enumerate(layers[-1])}
         layers.append(tuple(
@@ -257,7 +259,7 @@ def _layers(n: int, top: int) -> list[_Layer]:
 
 
 def _assignments(
-    grid: Sequence[Sequence[int | None]], cols: Sequence[int]
+    grid: Sequence[Sequence[int | None]], cols: Sequence[int], layers: list[_Layer] | None = None
 ) -> tuple[list[list[int | None]], list[list[int]]]:
     """Optimal assignments of ``cols`` to subsets of the rows of ``grid``.
 
@@ -268,11 +270,13 @@ def _assignments(
     ``best[m][p]`` is the largest sum over bijections from its rows to
     ``cols[:m]`` (``None`` when every one meets ``-inf``) and ``count[m][p]``
     is how many bijections attain it.  That is ``O(C(n, m) * m)`` steps per
-    layer, ``O(2^k * k)`` in all for a ``k x k`` permanent.
+    layer, ``O(2^k * k)`` in all for a ``k x k`` permanent.  A caller that
+    reads a further layer passes the grid's ``layers``, so a tall grid's
+    tables, which are not kept, are built once per call.
     """
     best: list[list[int | None]] = [[0]]
     count = [[1]]
-    for col, layer in zip(cols, _layers(len(grid), len(cols))[1:]):
+    for col, layer in zip(cols, (layers or _layers(len(grid), len(cols)))[1:]):
         column = [row[col] for row in grid]
         below, ways_below = best[-1], count[-1]
         tops: list[int | None] = []
@@ -355,10 +359,11 @@ def _laplace_terms(
     best assignment of the set without ``r``.  The terms are ``int``
     (``None`` for ``-inf``), in ascending row order.
     """
-    best, _ = _assignments(grid, [c for c in cols if c != e])
+    layers = _layers(len(grid), len(cols))
+    best, _ = _assignments(grid, [c for c in cols if c != e], layers)
     minors = best[-1]
     column = [row[e] for row in grid]
-    for _, subs in _layers(len(grid), len(cols))[len(cols)]:
+    for _, subs in layers[len(cols)]:
         yield [
             None if minors[p] is None or column[r] is None else column[r] + minors[p]
             for p, r in subs

@@ -21,7 +21,9 @@ from isocant.conjectures import (
     ConjectureReport,
     stirling2,
 )
-from isocant.geometry import VertexSet, enumerate_vertices_oracle, hrep_from_matrix
+from isocant.geometry import (
+    VertexSet, _closed_bounds, _connected, _subset_unions, enumerate_vertices_oracle, hrep_from_matrix,
+)
 from isocant.matrices import Decomposition, PerturbationMatrix, isocanted_vni
 from isocant.tropical import (
     NEG_INF, TropMatrix, _check_selection, conjugate_diag, laplace_terms, mat_mul, trop_minor,
@@ -165,6 +167,51 @@ def sweep_vertices(h):
         raise ValueError("empty polytope: no feasible vertex found")
     points = tuple(sorted(tuple(Fraction(v, scale) for v in p) for p in feasible))
     return VertexSet(d, points)
+
+
+def walk_by_cut_scan(h):
+    """All vertices by the edge walk that tries every cut at every vertex.
+
+    The library's former walk, kept as the reference for the up-set scan:
+    each vertex rebuilds its tight order's transpose, and each of the
+    ``2^(d+1) - 2`` cuts is tested for blocking tight bounds and for two
+    connected sides; the step's slack is computed twice.  The result, its
+    ``_grid`` and its errors are the library walk's.
+    """
+    bound, den = _closed_bounds(h)
+    nodes = range(h.d + 1)
+    full = (1 << (h.d + 1)) - 1
+    start = tuple(bound[k][0] for k in nodes)
+    up = {start: [sum(1 << j for j in nodes if start[i] - start[j] == bound[i][j]) for i in nodes]}
+    back = {start: 0}
+    work = [start]
+    while work:
+        x = work.pop()
+        ups, skip = up[x], back[x]
+        tight = [ups[i] | sum(1 << j for j in nodes if ups[j] >> i & 1) for i in nodes]
+        blocked = _subset_unions(ups)
+        reach = _subset_unions(tight)
+        for cut in range(1, full):
+            if (skip >> cut & 1 or blocked[cut] & ~cut
+                    or not _connected(cut, reach) or not _connected(full ^ cut, reach)):
+                continue
+            outs = [j for j in nodes if not cut >> j & 1]
+            step = min(bound[i][j] - x[i] + x[j] for i in nodes if cut >> i & 1 for j in outs)
+            lift = [step if cut >> k & 1 else 0 for k in nodes]
+            y = tuple(x[k] + lift[k] - lift[0] for k in nodes)
+            if y not in up:
+                up[y] = [
+                    ups[i] & cut | sum(1 << j for j in outs if bound[i][j] - x[i] + x[j] == step)
+                    if cut >> i & 1 else ups[i] & ~cut
+                    for i in nodes
+                ]
+                back[y] = 0
+                work.append(y)
+            back[y] |= 1 << (full ^ cut)
+    grid = tuple(sorted(up))
+    vset = VertexSet(h.d, tuple(tuple(Fraction(v, den) for v in p[1:]) for p in grid))
+    vars(vset)["_grid"] = grid, den
+    return vset
 
 
 def central_symmetry_by_vertices(a):

@@ -532,6 +532,57 @@ def test_walk_matches_subset_sweep():
         assert enumerate_vertices_oracle(h) == reference.sweep_vertices(h)
 
 
+def _walk_or_error(walk, h):
+    try:
+        vset = walk(h)
+    except ValueError as exc:
+        return str(exc)
+    return vset, vset._grid
+
+
+def test_up_set_walk_matches_cut_scan():
+    # The walk that scans each vertex's up-sets against the walk that tries
+    # every cut: the same vertex set and grid, or the same error text.  Kleene
+    # stars over a small pool have many non-simple vertices.
+    rng = random.Random(23)
+    cases = []
+    for d in (2, 3, 4, 5):
+        for _ in range(4 if d < 5 else 2):
+            cases.append(_kleene_star(_random_normal(rng, d, [F(0), F(-1), F(-2)])))
+            cases.extend(a for _, a in _seeded_cases(rng, d, [F(-1, 2), F(-1), F(-2), F(-3)]))
+            cases.append(TropMatrix.from_rows(_empty_rows(rng, d)))
+        cases.append(TropMatrix.from_rows([[F(0)] * (d + 1)] * (d + 1)))
+        cases.append(reference.maximal_polytrope(rng, d))
+    cases.append(reference.maximal_polytrope(rng, 6))
+    for d in range(2, 8):
+        spec = IsocantedSpec(d, F(rng.randint(3, 9), 2), F(rng.randint(1, 5), 3))
+        cases += [isocanted_vni(spec), isocanted_sni(spec)]
+    seen = {"empty": 0, "point": 0, "non-simple": 0}
+    for a in cases:
+        h = hrep_from_matrix(a)
+        got = _walk_or_error(enumerate_vertices_oracle, h)
+        assert got == _walk_or_error(reference.walk_by_cut_scan, h), a
+        if isinstance(got, str):
+            seen["empty"] += 1
+            continue
+        (points, _), bounds = got[1], h._grid[0]
+        seen["point"] += len(points) == 1
+        # Bounds and points share the closure's denominator.
+        seen["non-simple"] += any(
+            sum(x[i] - x[j] in (lo, hi) for i, j, lo, hi in bounds) > h.d for x in points
+        )
+    assert seen["empty"] == 14 and seen["point"] >= 4 and seen["non-simple"] >= 30, seen
+
+
+def test_walk_of_negated_bounds_is_the_negated_vertex_set():
+    # Metamorphic, d = 7: x is a vertex of P exactly when -x is one of -P.
+    h = hrep_from_matrix(reference.maximal_polytrope(random.Random(7), 7))
+    negated = HRep(7, tuple((-hi, -lo) for lo, hi in h.single),
+                   tuple((i, j, -hi, -lo) for i, j, lo, hi in h.diff))
+    points = enumerate_vertices_oracle(h).points
+    assert enumerate_vertices_oracle(negated).points == tuple(sorted(tuple(-v for v in p) for p in points))
+
+
 def _seeded_cases(rng, d, pool):
     """Seeded NI, non-NI and flat (equal-bound) matrices of size ``d + 1``; all contain the origin."""
     nonni = _random_normal(rng, d, pool)
@@ -1187,7 +1238,8 @@ def test_lone_vertex_one_pass_matches_the_per_subset_loop():
 
 def test_unique_vertex_on_31_rows_stops_at_the_label_size():
     # d = 30: the program reads the masks of at most |w| + 1 of the 31 rows,
-    # so nothing it keeps or allocates is sized 2^31.
+    # so nothing it allocates is sized 2^31, and a grid taller than the
+    # permanent cap keeps no mask table after the call.
     spec = IsocantedSpec(30, F(2), F(1))
     tracemalloc.start()
     try:
@@ -1197,7 +1249,14 @@ def test_unique_vertex_on_31_rows_stops_at_the_label_size():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
-    assert [len(layer) for layer in _LAYERS[31]] == [comb(31, m) for m in range(4)]
+    assert 31 not in _LAYERS
+
+
+def test_unique_vertex_on_6_rows_keeps_its_mask_table():
+    _LAYERS.pop(6, None)
+    assert verify_unique_vertex(IsocantedSpec(5, F(2), F(1)), [1, 2])
+    assert [len(layer) for layer in _LAYERS[6]] == [comb(6, m) for m in range(4)]
+
 
 def test_verify_unique_vertex_cap_error():
     # d = 10 with a 10-element label needs a minor of order 11.
