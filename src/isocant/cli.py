@@ -163,6 +163,8 @@ def cmd_build(args: argparse.Namespace) -> tuple[int, str]:
 def cmd_vertices(args: argparse.Namespace) -> tuple[int, str]:
     # ``pairs`` holds (label or None, point) from either source.
     if args.input:
+        if (args.dim, args.ell, args.a) != (None, None, None):
+            raise ValueError("vertices takes an input file or --dim/--ell/--a, not both")
         a = serialize.read_matrix(args.input)
         vset = geometry.enumerate_vertices_oracle(geometry.hrep_from_matrix(a))
         labels = _infer_labels(a, vset)

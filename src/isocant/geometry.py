@@ -17,8 +17,10 @@ fixes the polytope, and central symmetry and the zonotope
 identity are read from it without enumerating vertices.  Face recovery reads
 only the vertex set: each facet is a class of vertices where some ``x_i - x_j``
 is extreme, and each face's dimension comes from the per-pair class table.
-The walk, the closed-table checks, face recovery, the unique-vertex check and
-the vertex-set match of ``label_vertices`` are exact, on integers after
+Each isocanted vertex's closed form, fixed by its label, is written once
+(``_vertex_values``); the poles are two of them.  The walk, the closed-table
+checks, face recovery, the unique-vertex check and the vertex-set match of
+``label_vertices`` are exact, on integers after
 ``tropical._scaled`` clears denominators.  ``TropMatrix``, ``HRep`` and
 ``VertexSet`` each keep that integer grid (``_grid``), scaled once on first
 read or filled by the function that makes the record from ints it holds:
@@ -32,13 +34,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Iterable, Sequence
 
 from ._record import Record
 from .combinatorics import all_vertex_labels, check_label
 from .matrices import (
-    PLACEMENTS, IsocantedSpec, Rational, _require_finite, _visualized, decompose, isocanted_vni,
+    IsocantedSpec, Rational, _require_finite, _visualized, decompose, isocanted_vni,
 )
 from .tropical import TropMatrix, _check_selection, _laplace_terms, _scaled
 
@@ -218,16 +219,9 @@ class VertexSet(Record):
         """The grounded points ``(0, *p)`` as ints over one denominator, and that denominator.
 
         The walk fills it over the bounds' denominator; other sets scale their
-        points on first read.  ``label_vertices`` meets it with its other grid
-        at the lcm of the two denominators (:func:`_over`).
+        points on first read.
         """
         return _scaled([(0, *p) for p in self.points])
-
-
-def _over(rows: Sequence[Sequence[int]], den: int, common: int) -> Sequence[Sequence[int]]:
-    """Integer ``rows`` over ``den`` as tuple rows over ``common``, a multiple of ``den``."""
-    k = common // den
-    return rows if k == 1 else [tuple([v * k for v in row]) for row in rows]
 
 
 def _closed_bounds(h: HRep) -> tuple[list[list[int]], int]:
@@ -364,8 +358,13 @@ def enumerate_vertices_oracle(h: HRep) -> VertexSet:
     return vset
 
 
-def _vertex_values(ell: Rational, a: Rational) -> tuple[tuple[Rational, Rational], ...]:
-    return (a - a, a - ell), (-a, -ell)
+def _vertex_values(ell: Rational, a: Rational, shift: Rational) -> tuple[tuple[Rational, Rational], ...]:
+    """Isocanted vertex coordinates, ``values[n in label] = (labeled, unlabeled)``, moved by ``shift``.
+
+    Unmoved, a label without ``n`` takes ``(0, cant - edge_length)``; one with
+    ``n`` takes ``(-cant, -edge_length)``.
+    """
+    return (shift + a - a, shift + a - ell), (shift - a, shift - ell)
 
 
 def _vertex(label: frozenset[int], d: int, values: Sequence[tuple[Rational, Rational]]) -> tuple:
@@ -374,26 +373,22 @@ def _vertex(label: frozenset[int], d: int, values: Sequence[tuple[Rational, Rati
     return tuple(labeled if k in label else unlabeled for k in range(1, d + 1))
 
 
-def isocanted_vertex(spec: IsocantedSpec, w: Iterable[int]) -> Point:
-    """Closed-form vertex of the visualized isocanted polytope for label ``w``.
+def _placed_values(spec: IsocantedSpec, placement: str) -> tuple[tuple[Rational, Rational], ...]:
+    """The ``_vertex_values`` of the named placement: ``sni`` is ``vni`` moved by half an edge."""
+    shift = {"vni": 0, "sni": spec.edge_length / 2}.get(placement)
+    if shift is None:
+        raise ValueError(f"unknown placement '{placement}'")
+    return _vertex_values(spec.edge_length, spec.cant, shift)
 
-    With the maximum at the origin: when the last index is absent, labeled
-    coordinates are zero and the rest are ``cant - edge_length``; when it is
-    present, labeled coordinates are ``-cant`` and the rest ``-edge_length``.
-    """
-    return _vertex(check_label(w, spec.d), spec.d, _vertex_values(spec.edge_length, spec.cant))
+
+def isocanted_vertex(spec: IsocantedSpec, w: Iterable[int]) -> Point:
+    """Closed-form vertex of the visualized isocanted polytope for label ``w``."""
+    return _vertex(check_label(w, spec.d), spec.d, _placed_values(spec, "vni"))
 
 
 def isocanted_vertex_sni(spec: IsocantedSpec, w: Iterable[int]) -> Point:
-    """Vertex of the origin-symmetric placement: the visualized vertex shifted."""
-    half = spec.edge_length / 2
-    return tuple(v + half for v in isocanted_vertex(spec, w))
-
-
-def _placed_values(spec: IsocantedSpec, placement: str) -> list[tuple[Fraction, Fraction]]:
-    """The ``_vertex`` values of ``spec``'s vertices in the named placement."""
-    shift = {"vni": 0, "sni": spec.edge_length / 2}[placement]
-    return [(x + shift, y + shift) for x, y in _vertex_values(spec.edge_length, spec.cant)]
+    """Vertex of the origin-symmetric placement: the visualized vertex moved by half an edge."""
+    return _vertex(check_label(w, spec.d), spec.d, _placed_values(spec, "sni"))
 
 
 def closed_form_vertices(spec: IsocantedSpec, placement: str = "vni") -> dict[frozenset[int], Point]:
@@ -405,18 +400,19 @@ def closed_form_vertices(spec: IsocantedSpec, placement: str = "vni") -> dict[fr
 def label_vertices(spec: IsocantedSpec, vset: VertexSet, placement: str = "vni") -> VertexSet:
     """Attach closed-form labels to oracle output, demanding exact agreement.
 
-    Every closed-form coordinate is one of four values; they are scaled once,
-    and each expected vertex is compared as a grounded integer tuple with
-    ``vset._grid``, the two brought to a common denominator.
+    Every closed-form coordinate is one of four values, each a coordinate of
+    some vertex, so when the sets agree ``vset._grid``'s denominator is a
+    multiple of theirs.  The values are scaled once and brought onto that
+    grid, and each expected vertex is compared as a grounded integer tuple.
     """
     values = _placed_values(spec, placement)
-    ints, den = _scaled(values)
-    xs, xden = vset._grid
-    common = lcm(den, xden)
-    ints = _over(ints, den, common)
+    ints, vden = _scaled(values)
+    xs, den = vset._grid
+    k, off = divmod(den, vden)
+    ints = [(x * k, y * k) for x, y in ints]
     labels = list(all_vertex_labels(spec.d))
-    expected = {(0, *_vertex(w, spec.d, ints)) for w in labels}
-    if len(vset) != len(labels) or set(_over(xs, xden, common)) != expected:
+    if (off or len(vset) != len(labels)
+            or set(xs) != {(0, *_vertex(w, spec.d, ints)) for w in labels}):
         raise ValueError("oracle vertices do not match the closed-form vertex map")
     return VertexSet(vset.d, vset.points, tuple((w, _vertex(w, spec.d, values)) for w in labels))
 
@@ -477,15 +473,16 @@ def verify_unique_vertex(spec: IsocantedSpec, w: Iterable[int]) -> bool:
     label = check_label(w, spec.d)
     [[ell, a]], _ = _scaled([(spec.edge_length, spec.cant)])
     slot = next(k for k in range(1, spec.n + 1) if k not in label)
-    vertex = _vertex(label, spec.d, _vertex_values(ell, a)) + (0,)
+    vertex = _vertex(label, spec.d, _vertex_values(ell, a, 0)) + (0,)
     rows = zip(_visualized([ell] * spec.d, a), vertex)
     return _lone_vertex([row[:slot - 1] + (v,) + row[slot:] for row, v in rows], label, slot)
 
 
 def poles(spec: IsocantedSpec, placement: str = "vni") -> tuple[Point, Point]:
-    """North and south poles: the polytope's maximum and minimum points."""
-    mn, mx = polytope_extremes(PLACEMENTS[placement](spec))
-    return mx, mn
+    """North and south poles: the maximum and minimum points, labeled ``1..d`` and ``d+1``."""
+    values = _placed_values(spec, placement)
+    north, south = frozenset(range(1, spec.n)), frozenset({spec.n})
+    return _vertex(north, spec.d, values), _vertex(south, spec.d, values)
 
 
 def bounding_box(a: TropMatrix) -> HRep:
@@ -550,9 +547,8 @@ def oracle_face_counts(h: HRep, vset: VertexSet) -> tuple[int, ...]:
     itself, one of its vertices or empty.
     """
     xs, _ = vset._grid
-    bad = next((x for x in xs if len(x) != h.d + 1), None)
-    if bad is not None:
-        raise ValueError(f"point dimension {len(bad) - 1} != {h.d}")
+    if xs and vset.d != h.d:
+        raise ValueError(f"point dimension {vset.d} != {h.d}")
     everything = (1 << len(xs)) - 1
     facets, same = set(), []
     for i in range(h.d + 1):

@@ -259,7 +259,7 @@ def _layers(n: int, top: int) -> list[_Layer]:
 
 
 def _assignments(
-    grid: Sequence[Sequence[int | None]], cols: Sequence[int], layers: list[_Layer] | None = None
+    grid: Sequence[Sequence[int | None]], cols: Sequence[int], layers: list[_Layer]
 ) -> tuple[list[list[int | None]], list[list[int]]]:
     """Optimal assignments of ``cols`` to subsets of the rows of ``grid``.
 
@@ -270,13 +270,11 @@ def _assignments(
     ``best[m][p]`` is the largest sum over bijections from its rows to
     ``cols[:m]`` (``None`` when every one meets ``-inf``) and ``count[m][p]``
     is how many bijections attain it.  That is ``O(C(n, m) * m)`` steps per
-    layer, ``O(2^k * k)`` in all for a ``k x k`` permanent.  A caller that
-    reads a further layer passes the grid's ``layers``, so a tall grid's
-    tables, which are not kept, are built once per call.
+    layer, ``O(2^k * k)`` in all for a ``k x k`` permanent.
     """
     best: list[list[int | None]] = [[0]]
     count = [[1]]
-    for col, layer in zip(cols, (layers or _layers(len(grid), len(cols)))[1:]):
+    for col, layer in zip(cols, layers[1:]):
         column = [row[col] for row in grid]
         below, ways_below = best[-1], count[-1]
         tops: list[int | None] = []
@@ -305,7 +303,7 @@ def _grid_permanent(grid: Sequence[Sequence[TropScalar]]) -> MinorEvaluation:
     """Tropical permanent of a square grid with multiplicity."""
     k = len(grid)
     scaled, den = _scaled(grid)
-    best, count = _assignments(scaled, range(k))
+    best, count = _assignments(scaled, range(k), _layers(k, k))
     if best[-1][0] is None:
         # Every permutation hits -inf, so all of them attain the maximum.
         return MinorEvaluation(NEG_INF, math.factorial(k))

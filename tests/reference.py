@@ -23,8 +23,9 @@ from isocant.conjectures import (
 )
 from isocant.geometry import (
     VertexSet, _closed_bounds, _connected, _subset_unions, enumerate_vertices_oracle, hrep_from_matrix,
+    polytope_extremes,
 )
-from isocant.matrices import Decomposition, PerturbationMatrix, isocanted_vni
+from isocant.matrices import PLACEMENTS, Decomposition, PerturbationMatrix, isocanted_vni
 from isocant.tropical import (
     NEG_INF, TropMatrix, _check_selection, conjugate_diag, laplace_terms, mat_mul, trop_minor,
 )
@@ -212,6 +213,17 @@ def walk_by_cut_scan(h):
     vset = VertexSet(h.d, tuple(tuple(Fraction(v, den) for v in p[1:]) for p in grid))
     vars(vset)["_grid"] = grid, den
     return vset
+
+
+def poles_by_extremes(spec, placement="vni"):
+    """North and south poles read from the placed isocanted matrix.
+
+    The library's former ``poles``, kept as the reference for the poles read
+    from the vertex map: the coordinatewise maximum and minimum of an NI
+    matrix's polytope come from its auxiliary matrix (``polytope_extremes``).
+    """
+    mn, mx = polytope_extremes(PLACEMENTS[placement](spec))
+    return mx, mn
 
 
 def central_symmetry_by_vertices(a):

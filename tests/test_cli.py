@@ -251,6 +251,15 @@ def test_vertices_requires_spec_or_input(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("option", [["--dim", "2"], ["--ell", "5"], ["--a", "1"]])
+def test_vertices_refuses_input_file_with_spec(tmp_path, capsys, option):
+    path = tmp_path / "m3.json"
+    write_matrix(path, isocanted_sni(IsocantedSpec(3, F(2), F(1))))
+    code, out, err = run_cli(capsys, "vertices", str(path), *option, "--format", "table")
+    assert (code, out) == (2, "")
+    assert err == "error: vertices takes an input file or --dim/--ell/--a, not both\n"
+
+
 def test_lattice_counts(capsys):
     code, out, _ = run_cli(capsys, "lattice", "--dim", "3")
     assert code == 0

@@ -983,6 +983,22 @@ def test_poles_vni_and_sni():
     assert north_s == (F(1), F(1), F(1))
 
 
+@pytest.mark.parametrize("placement", ["vni", "sni"])
+def test_poles_match_matrix_extremes_and_walk(placement):
+    # The poles come from the vertex map; the former matrix route and the
+    # coordinatewise extremes of the walked vertex set must agree with them.
+    rng = random.Random(2401)
+    for d in range(2, 7):
+        for _ in range(3):
+            den = rng.choice((1, 2, 3, 7))
+            ell = F(rng.randint(2, 30), den)
+            spec = IsocantedSpec(d, ell, ell * F(rng.randint(1, 9), 10))
+            got = poles(spec, placement)
+            assert got == reference.poles_by_extremes(spec, placement), spec
+            points = enumerate_vertices_oracle(hrep_from_matrix(PLACEMENTS[placement](spec))).points
+            assert got == (tuple(map(max, zip(*points))), tuple(map(min, zip(*points)))), spec
+
+
 def test_pole_labels_match_vertex_map():
     spec = IsocantedSpec(4, F(2), F(1))
     north, south = poles(spec)
@@ -1273,8 +1289,45 @@ def test_closed_form_vertices_match_per_label_vertices(placement):
         got = closed_form_vertices(spec, placement)
         assert list(got.items()) == [(w, vertex(spec, w)) for w in all_vertex_labels(d)]
         assert all(type(v) is F for p in got.values() for v in p)
-    with pytest.raises(KeyError):
+        # The symmetric placement is the visualized one moved by half an edge.
+        half = spec.edge_length / 2
+        assert [isocanted_vertex_sni(spec, w) for w in got] == [
+            tuple(v + half for v in isocanted_vertex(spec, w)) for w in got
+        ]
+    with pytest.raises(ValueError, match="^unknown placement 'box'$"):
         closed_form_vertices(HEXAGON, "box")
+
+
+def test_label_vertices_refuses_a_grid_off_the_closed_form_denominator():
+    # The integer vertices of cant 1 against cant 1/2: the set's grid has
+    # denominator 1, and the closed-form values need 2.  Then the vertices of
+    # ell 3, cant 1/2 (values over 2) shrunk by 2/3, a set over 3 whose
+    # integer grid is the values' own: only the denominators tell them apart.
+    walked = enumerate_vertices_oracle(hrep_from_matrix(isocanted_vni(IsocantedSpec(3, 2, 1))))
+    spec = IsocantedSpec(3, 2, F(1, 2))
+    shrunk = IsocantedSpec(3, 3, F(1, 2))
+    points = tuple(tuple(v * F(2, 3) for v in p) for p in closed_form_vertices(shrunk).values())
+    cases = [(spec, VertexSet(3, walked.points)), (shrunk, VertexSet(3, points))]
+    for spec, vset in cases:
+        assert vset._grid[1] % _scaled(list(closed_form_vertices(spec).values()))[1]
+        with pytest.raises(ValueError, match="^oracle vertices do not match the closed-form vertex map$"):
+            label_vertices(spec, vset)
+
+
+def test_unknown_placement_is_a_value_error():
+    from isocant.serialize import build_mesh
+
+    spec = IsocantedSpec(3, F(2), F(1))
+    vset = enumerate_vertices_oracle(hrep_from_matrix(isocanted_vni(spec)))
+    calls = [
+        lambda: closed_form_vertices(spec, "bogus"),
+        lambda: poles(spec, "bogus"),
+        lambda: label_vertices(spec, vset, "bogus"),
+        lambda: build_mesh(spec, "bogus"),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^unknown placement 'bogus'$"):
+            call()
 
 
 @pytest.mark.parametrize("placement", ["vni", "sni"])
@@ -1358,7 +1411,7 @@ def test_walk_grid_and_hand_built_grid_read_alike():
     # A walk-built VertexSet carries the walk's integer points over the
     # bounds' denominator; a hand-built one scales its points on first read.
     # Face recovery and label matching must not tell them apart, whether the
-    # denominators agree or not (then they meet at the lcm).
+    # denominators agree or not (label matching reads each set's own grid).
     rng = random.Random(2020)
     pool = [F(-1, 2), F(-1), F(-3, 2), F(-2), F(-3), F(-7, 3)]
     seen = {"lcm": 0, "labeled": 0, "empty": 0}
@@ -1375,7 +1428,8 @@ def test_walk_grid_and_hand_built_grid_read_alike():
             assert walks[0] == walks[1] == walks[2], (kind, a)
             if kind == "empty":
                 assert walks[0] == "empty polytope: no feasible vertex found"
-                assert _face_counts_or_error(h, VertexSet(d, ())) == (0,) * d
+                # An empty set has no point of the wrong dimension.
+                assert {_face_counts_or_error(h, VertexSet(k, ())) for k in (d - 1, d)} == {(0,) * d}
                 seen["empty"] += 1
                 continue
             vset, loose_vset = walks[0], walks[2]

@@ -253,7 +253,7 @@ def test_assignments_match_permutation_reference():
             for pool in pools if k < 7 else pools[:2]:
                 grid = [[rng.choice(pool) for _ in range(k + 2)] for _ in range(k)]
                 cols = rng.sample(range(k + 2), m)
-                best, count = _assignments(grid, cols)
+                best, count = _assignments(grid, cols, _layers(len(grid), len(cols)))
                 layers = _layers(k, m)
                 got = {}
                 for size in range(m + 1):
