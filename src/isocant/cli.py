@@ -40,6 +40,11 @@ BUILD_DIM_LIMIT = 400
 #: 0.6 s, and from d=1,424 the flag counts outgrow the 4,300-digit print limit.
 VERIFY_DIM_LIMIT = 500
 
+#: Largest matrix size that ``classify`` reads, checked right after parsing: its
+#: O(n^3) NI test can run four times (n=140: 0.5 s; n=200: 1.2 s).  ``build`` can
+#: write a larger matrix: ``build --dim 400`` gives n=401, 8 to 12 s uncapped.
+CLASSIFY_SIZE_LIMIT = 140
+
 
 def _json(payload: object) -> str:
     return json.dumps(payload, indent=2) + "\n"
@@ -125,6 +130,8 @@ def _infer_labels(a, vset) -> dict | None:
 
 def cmd_classify(args: argparse.Namespace) -> tuple[int, str]:
     a = serialize.read_matrix(args.input)
+    if a.n > CLASSIFY_SIZE_LIMIT:
+        raise ValueError(f"matrix size {a.n} exceeds classify limit {CLASSIFY_SIZE_LIMIT}")
     if not a.is_finite():
         raise ValueError("classification needs finite entries")
     payload: dict = {

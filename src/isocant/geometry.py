@@ -21,7 +21,8 @@ Each isocanted vertex's closed form, fixed by its label, is written once
 (``_vertex_values``); the poles are two of them.  The walk, the closed-table
 checks, face recovery, the unique-vertex check and the vertex-set match of
 ``label_vertices`` are exact, on integers after
-``tropical._scaled`` clears denominators.  ``TropMatrix``, ``HRep`` and
+``tropical._scaled`` clears denominators; the walk's points come back
+through ``tropical._unscaled``.  ``TropMatrix``, ``HRep`` and
 ``VertexSet`` each keep that integer grid (``_grid``), scaled once on first
 read or filled by the function that makes the record from ints it holds:
 ``hrep_from_matrix`` from the matrix's grid, the walk from its integer
@@ -41,7 +42,9 @@ from .combinatorics import all_vertex_labels, check_label
 from .matrices import (
     IsocantedSpec, Rational, _require_finite, _visualized, decompose, isocanted_vni,
 )
-from .tropical import TropMatrix, _check_selection, _laplace_terms, _scaled
+from .tropical import (
+    TropMatrix, _check_selection, _exact_rows, _laplace_terms, _scaled, _unscaled, as_rational,
+)
 
 Point = tuple[Fraction, ...]
 
@@ -66,7 +69,12 @@ class HRep(Record):
         d = self.d
         if len(self.single) != d:
             raise ValueError(f"dimension {d} needs {d} single bounds, got {len(self.single)}")
-        for i, j, _, _ in self.diff:
+        # Every bound passes the exact-number gate at once; node indices stay ints.
+        exact = _exact_rows((*self.single, *(b[2:] for b in self.diff)), {Fraction}, as_rational)
+        object.__setattr__(self, "single", exact[:d])
+        diff = tuple((i, j, *b) for (i, j, _, _), b in zip(self.diff, exact[d:]))
+        object.__setattr__(self, "diff", diff)
+        for i, j, _, _ in diff:
             if i == j or not (0 < i <= d and 0 < j <= d):
                 raise ValueError(f"bound on x_{i} - x_{j} needs two distinct nodes in 1..{d}")
 
@@ -203,6 +211,7 @@ class VertexSet(Record):
 
     def __post_init__(self) -> None:
         d = self.d
+        object.__setattr__(self, "points", _exact_rows(self.points, {Fraction}, as_rational))
         bad = next((p for p in self.points if len(p) != d), None)
         if bad is not None:
             raise ValueError(f"point dimension {len(bad)} != {d}")
@@ -294,10 +303,10 @@ def enumerate_vertices_oracle(h: HRep) -> VertexSet:
     the cut keep their state, and a crossing pair whose slack is the step
     becomes tight, so only the start vertex compares all ``(d+1)^2`` pairs,
     and no linear programming is needed.  Points are sorted as integer
-    tuples and then built with one ``Fraction`` per distinct coordinate
-    value; the sorted tuples, grounded and over the bounds' denominator,
-    fill the result's ``_grid``.  The name keeps "oracle" from the
-    exhaustive hyperplane-subset sweep this replaced, for compatibility.
+    tuples and turned back into scalars by ``tropical._unscaled``; the
+    sorted tuples, grounded and over the bounds' denominator, fill the
+    result's ``_grid``.  The name keeps "oracle" from the exhaustive
+    hyperplane-subset sweep this replaced, for compatibility.
     """
     bound, den = _closed_bounds(h)
     nodes = range(h.d + 1)
@@ -352,8 +361,7 @@ def enumerate_vertices_oracle(h: HRep) -> VertexSet:
                 work.append(y)
             back[y] |= 1 << rest
     grid = tuple(sorted(order))
-    value = {v: Fraction(v, den) for v in {v for p in grid for v in p}}
-    vset = VertexSet(h.d, tuple(tuple(value[v] for v in p[1:]) for p in grid))
+    vset = VertexSet(h.d, tuple(p[1:] for p in _unscaled(grid, den)))
     vars(vset)["_grid"] = grid, den
     return vset
 

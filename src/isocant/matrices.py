@@ -16,8 +16,8 @@ Every box and isocanted matrix comes from one entry table, the visualized
 box canted by ``cant`` (zero for a plain box); other placements are that
 table translated by ``tropical.conjugate_diag``.  The NI test and the
 decomposition run on the matrix's integer grid, which ``tropical._scaled``
-builds once per matrix and the matrix keeps: ``Fraction`` values are built
-only for the results.
+builds once per matrix and the matrix keeps; ``tropical._unscaled`` turns
+the results back into ``Fraction`` values.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from operator import sub
 from typing import Sequence
 
 from ._record import Record
-from .tropical import TropMatrix, _Square, as_rational, conjugate_diag
+from .tropical import TropMatrix, _Square, _exact_rows, _unscaled, as_rational, conjugate_diag
 
 Rational = int | Fraction
 
@@ -138,15 +138,7 @@ class PerturbationMatrix(_Square, Record):
     entries: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        # As in ``TropMatrix``: anything but tuple rows of fractions is copied.
-        entries = self.entries
-        if not (
-            type(entries) is tuple
-            and all(type(row) is tuple for row in entries)
-            and all(type(v) is Fraction for row in entries for v in row)
-        ):
-            coerced = tuple(tuple(as_rational(v) for v in row) for row in entries)
-            object.__setattr__(self, "entries", coerced)
+        object.__setattr__(self, "entries", _exact_rows(self.entries, {Fraction}, as_rational))
         n = len(self.entries)
         if n < 2 or any(len(row) != n for row in self.entries):
             raise ValueError("perturbation matrix must be square, size >= 2")
@@ -167,14 +159,8 @@ class PerturbationMatrix(_Square, Record):
         c = as_rational(cant)
         if c < 0:
             raise ValueError("cant must be non-negative")
-        rows = [
-            tuple(
-                Fraction(0) if (i == j or i == n - 1 or j == n - 1) else -c
-                for j in range(n)
-            )
-            for i in range(n)
-        ]
-        return cls(tuple(rows))
+        rows = [[0 if i == j or i == n - 1 or j == n - 1 else -c for j in range(n)] for i in range(n)]
+        return cls(rows)
 
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.entries for v in row)
@@ -228,7 +214,7 @@ def decompose(a: TropMatrix) -> Decomposition:
     of those lengths conjugated by the north-pole shift; the perturbation is
     then ``box - a`` and its sign and zero pattern are validated rather than
     repaired.  All of it runs on the integer grid that the NI test reads
-    (``a._grid``), and one ``Fraction`` is built per distinct value of the result.
+    (``a._grid``), and ``tropical._unscaled`` turns the result back into scalars.
     """
     ni = _ni_grid(a)
     if ni is None:
@@ -241,9 +227,8 @@ def decompose(a: TropMatrix) -> Decomposition:
     # Conjugating by the shifts ``-last`` adds ``last[j] - last[i]`` to entry (i, j).
     box = [[v - s + t for v, t in zip(row, last)] for row, s in zip(_visualized(lengths, 0), last)]
     pert = [list(map(sub, brow, arow)) for brow, arow in zip(box, grid)]
-    value = {v: Fraction(v, den) for v in {v for part in (box, pert) for row in part for v in row}}
-    box, pert = (tuple(tuple(map(value.__getitem__, row)) for row in part) for part in (box, pert))
-    return Decomposition(TropMatrix(box), PerturbationMatrix(pert))
+    rows = _unscaled(box + pert, den)
+    return Decomposition(TropMatrix(rows[:a.n]), PerturbationMatrix(rows[a.n:]))
 
 
 def is_isocanted(a: TropMatrix) -> Fraction | None:

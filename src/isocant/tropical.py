@@ -17,14 +17,16 @@ in order, and each subset of rows keeps the best partial sum and the number of
 partial assignments attaining it, which costs ``O(2^k * k)`` steps.  The
 subsets are visited by size, one layer per column, from a table of masks kept
 for the process, so a program over many rows that stops at a small size
-touches only the small subsets.  Each call clears denominators once, so this
-program and ``mat_mul`` run on ``int`` and ``Fraction`` appears only in their
-results.  The integer body of ``laplace_terms`` is one private helper on an
-already scaled grid: one program over all rows of a grid gives the Laplace
-terms of every row subset of a given size, so the unique-vertex check in
-``geometry`` scales its matrix once and compares ``int`` terms.  A ``TropMatrix``
-keeps its own scaled grid (``_grid``, built on first read), so the checks
-that read a whole matrix share one scaling of it.
+touches only the small subsets.  The integer body of ``laplace_terms`` is one
+private helper on an already scaled grid: one program over all rows of a grid
+gives the Laplace terms of every row subset of a given size, so the
+unique-vertex check in ``geometry`` scales its matrix once and compares
+``int`` terms.
+
+Exact numbers cross one boundary, kept here: ``_exact_rows`` is the gate into
+every record of number rows, ``_scaled`` clears a grid's denominators once per
+call (a ``TropMatrix`` keeps its own scaled grid, ``_grid``, built on first
+read), and ``_unscaled`` is the only step from an integer grid back to scalars.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence, TypeVar, Union
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar, Union
 
 from ._record import Record
 
@@ -85,6 +87,15 @@ def as_rational(value: object) -> Fraction:
     return Fraction(value)
 
 
+def _exact_rows(rows: Iterable[Iterable[object]], kinds: set[type], convert: Callable) -> tuple:
+    """``rows`` itself when tuple rows of entries typed in ``kinds``, else a copy through ``convert``."""
+    # The set tests run at C level: one type test per row and one per entry.
+    tuple_rows = type(rows) is tuple and set(map(type, rows)) <= {tuple}
+    if tuple_rows and set(map(type, itertools.chain.from_iterable(rows))) <= kinds:
+        return rows
+    return tuple(tuple(map(convert, row)) for row in rows)
+
+
 def trop_add(x: TropScalar, y: TropScalar) -> TropScalar:
     """Tropical addition: max, with ``NEG_INF`` neutral."""
     if x is NEG_INF:
@@ -112,7 +123,7 @@ class _Square:
 
     @classmethod
     def from_rows(cls: type[_SquareT], rows: Iterable[Iterable[object]]) -> _SquareT:
-        return cls(tuple(tuple(row) for row in rows))
+        return cls(rows)
 
     @property
     def n(self) -> int:
@@ -135,17 +146,7 @@ class TropMatrix(_Square, Record):
     entries: tuple[tuple[TropScalar, ...], ...]
 
     def __post_init__(self) -> None:
-        # Tuple rows of scalars pass on one type test per row and per entry;
-        # anything else is copied into tuples, so records stay hashable.  The
-        # integer paths read ``numerator`` and ``denominator`` and rely on it.
-        entries = self.entries
-        if not (
-            type(entries) is tuple
-            and all(type(row) is tuple for row in entries)
-            and all(type(v) is Fraction or v is NEG_INF for row in entries for v in row)
-        ):
-            coerced = tuple(tuple(as_scalar(v) for v in row) for row in entries)
-            object.__setattr__(self, "entries", coerced)
+        object.__setattr__(self, "entries", _exact_rows(self.entries, {Fraction, _NegInf}, as_scalar))
         n = len(self.entries)
         if n < 2:
             raise ValueError("matrix size must be at least 2")
@@ -204,8 +205,10 @@ def _scaled(
     ]), den
 
 
-def _unscaled(value: int | None, den: int) -> TropScalar:
-    return NEG_INF if value is None else Fraction(value, den)
+def _unscaled(rows: Sequence[Sequence[int | None]], den: int) -> tuple[tuple[TropScalar, ...], ...]:
+    """Undo :func:`_scaled`: tuple rows of scalars, ``NEG_INF`` for ``None``, one object per value."""
+    value = {v: NEG_INF if v is None else Fraction(v, den) for v in set().union(*rows)}
+    return tuple([tuple(map(value.__getitem__, row)) for row in rows])
 
 
 def mat_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
@@ -216,14 +219,11 @@ def mat_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
     b_cols = list(zip(*scaled[a.n:]))
     rows = []
     for a_row in scaled[: a.n]:
-        rows.append(tuple(
-            _unscaled(max(
-                (x + y for x, y in zip(a_row, b_col) if x is not None and y is not None),
-                default=None,
-            ), den)
+        rows.append([
+            max((x + y for x, y in zip(a_row, b_col) if x is not None and y is not None), default=None)
             for b_col in b_cols
-        ))
-    return TropMatrix(tuple(rows))
+        ])
+    return TropMatrix(_unscaled(rows, den))
 
 
 class MinorEvaluation(Record):
@@ -304,11 +304,10 @@ def _grid_permanent(grid: Sequence[Sequence[TropScalar]]) -> MinorEvaluation:
     k = len(grid)
     scaled, den = _scaled(grid)
     best, count = _assignments(scaled, range(k), _layers(k, k))
-    if best[-1][0] is None:
-        # Every permutation hits -inf, so all of them attain the maximum.
-        return MinorEvaluation(NEG_INF, math.factorial(k))
-    # An empty grid is the empty product: the multiplicative identity, once.
-    return MinorEvaluation(Fraction(best[-1][0], den), count[-1][0])
+    [[value]] = _unscaled([best[-1]], den)
+    # When every permutation hits -inf, all of them attain the maximum.  An
+    # empty grid is the empty product: the multiplicative identity, once.
+    return MinorEvaluation(value, math.factorial(k) if value is NEG_INF else count[-1][0])
 
 
 def _check_selection(
@@ -385,7 +384,7 @@ def laplace_terms(
     grid, den = _scaled([[a.entries[i - 1][j - 1] for j in col_idx] for i in row_idx])
     k = len(col_idx)
     [terms] = _laplace_terms(grid, range(k), col_idx.index(expansion_col))
-    return [_unscaled(t, den) for t in terms]
+    return list(_unscaled([terms], den)[0])
 
 
 def conjugate_diag(a: TropMatrix, diag: Sequence[object]) -> TropMatrix:

@@ -6,16 +6,17 @@ from pathlib import Path
 
 import pytest
 
-from isocant import conjectures
+from isocant import cli, conjectures, matrices
 from isocant.cli import (
     BUILD_DIM_LIMIT,
+    CLASSIFY_SIZE_LIMIT,
     FVECTOR_DIM_LIMIT,
     VERIFY_DIM_LIMIT,
     VERTICES_DIM_LIMIT,
     build_parser,
     main,
 )
-from isocant.matrices import IsocantedSpec, isocanted_sni
+from isocant.matrices import IsocantedSpec, cube_vni, isocanted_sni
 from isocant.serialize import matrix_to_json, write_matrix
 
 
@@ -164,6 +165,28 @@ def test_verify_range_cap_refuses_before_any_sweep(capsys, monkeypatch):
         assert f"argument --range: dimension {hi} exceeds verify limit {VERIFY_DIM_LIMIT}" in captured.err
     args = build_parser().parse_args(["verify", "--range", f"{VERIFY_DIM_LIMIT}:{VERIFY_DIM_LIMIT}"])
     assert args.range == (VERIFY_DIM_LIMIT, VERIFY_DIM_LIMIT)
+
+
+def test_classify_size_cap_refuses_before_any_class_test(tmp_path, capsys, monkeypatch):
+    # ``build --dim 400`` writes a matrix of size 401, which took seconds to
+    # classify: its O(n^3) NI test can run four times.
+    path = tmp_path / "cube.json"
+
+    def classify(n):
+        write_matrix(path, cube_vni(n - 1, 1))
+        return run_cli(capsys, "classify", str(path))
+
+    monkeypatch.setattr(cli, "CLASSIFY_SIZE_LIMIT", 3)
+    assert classify(3)[0] == 0
+    assert classify(4) == (2, "", "error: matrix size 4 exceeds classify limit 3\n")
+    monkeypatch.undo()
+
+    def never(a):
+        raise AssertionError("a class test ran")
+
+    monkeypatch.setattr(matrices, "is_normal", never)
+    n = CLASSIFY_SIZE_LIMIT + 1
+    assert classify(n) == (2, "", f"error: matrix size {n} exceeds classify limit {CLASSIFY_SIZE_LIMIT}\n")
 
 
 def test_vertices_closed_form(capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from isocant.geometry import HRep, VertexSet
 from isocant.matrices import (
     IsocantedSpec,
     PerturbationMatrix,
@@ -108,8 +109,8 @@ def test_cube_dimension_must_be_an_int(cube, d):
         cube(d, 2)
 
 
-# Every matrix builder that takes user numbers, with one argument replaced by
-# a float or a bool that ``Fraction()`` alone would accept silently.
+# Every matrix builder and record that takes user numbers, with one argument
+# replaced by a float or a bool that ``Fraction()`` alone would accept silently.
 INEXACT_CALLS = [
     ("box_vni", lambda v: box_vni([2, v]), 0.5, True),
     ("box_sni", lambda v: box_sni([v, 2]), 0.5, True),
@@ -124,6 +125,11 @@ INEXACT_CALLS = [
     ("trop_matrix_constructor", lambda v: TropMatrix(((0, v), (-1, 0))), 0.5, True),
     ("isocanted_spec_edge_length", lambda v: IsocantedSpec(3, v, F(1, 2)), 1.5, True),
     ("isocanted_spec_cant", lambda v: IsocantedSpec(3, F(2), v), 0.5, True),
+    # A float bound once built an HRep whose walk then failed with an
+    # AttributeError, and a bool bound was walked as 1.
+    ("hrep_single", lambda v: HRep(2, ((v, F(1)), (F(0), F(1))), ()), 0.0, True),
+    ("hrep_diff", lambda v: HRep(2, ((F(0), F(1)),) * 2, ((1, 2, v, F(1)),)), 0.5, True),
+    ("vertex_set", lambda v: VertexSet(2, ((F(0), F(1)), (v, F(1)))), 0.5, True),
 ]
 
 

@@ -28,7 +28,7 @@ from isocant.matrices import (
     isocanted_vni,
 )
 from isocant.serialize import MeshExport, build_mesh
-from isocant.tropical import MinorEvaluation, TropMatrix, trop_minor
+from isocant.tropical import NEG_INF, MinorEvaluation, TropMatrix, trop_minor
 
 SPEC = IsocantedSpec(3, F(2), F(1))
 
@@ -124,6 +124,45 @@ def test_square_records_share_rows_size_and_entry():
         for i, j in ((0, 1), (1, 4)):
             with pytest.raises(IndexError, match=rf"^index \({i}, {j}\) out of range for size 3$"):
                 a.entry(i, j)
+
+
+# Each record of number rows from one entry ``v``, built from tuple rows of
+# Fractions and from list rows of ints: one gate makes the second the first.
+EXACT_AND_LOOSE = {
+    TropMatrix: (
+        lambda v: TropMatrix(((F(0), v), (F(-1), F(0)))),
+        lambda v: TropMatrix([[0, v], (-1, 0)]),
+    ),
+    PerturbationMatrix: (
+        lambda v: PerturbationMatrix(((F(0), v, F(0)), (F(0),) * 3, (F(0),) * 3)),
+        lambda v: PerturbationMatrix([[0, v, 0], [0, 0, 0], [0, 0, 0]]),
+    ),
+    HRep: (
+        lambda v: HRep(2, ((v, F(1)), (F(0), F(1))), ((1, 2, F(-1), v),)),
+        lambda v: HRep(2, [[v, 1], [0, 1]], [[1, 2, -1, v]]),
+    ),
+    VertexSet: (
+        lambda v: VertexSet(2, ((v, F(1)), (F(0), F(0)))),
+        lambda v: VertexSet(2, [[v, 1], [0, 0]]),
+    ),
+}
+
+
+@pytest.mark.parametrize("cls", list(EXACT_AND_LOOSE), ids=lambda c: c.__name__)
+def test_number_records_pass_one_exact_gate(cls):
+    # Floats and bools are refused with the scalar texts in
+    # ``test_builders_reject_floats_and_bools``.
+    exact, loose = EXACT_AND_LOOSE[cls]
+    record = loose(-1)
+    assert record == exact(F(-1)) and hash(record) == hash(exact(F(-1)))
+    # The field values' repr tells ints from Fractions and lists from tuples.
+    assert repr(record._values) == repr(exact(F(-1))._values)
+    if cls is TropMatrix:
+        assert loose(NEG_INF).entries[0][1] is exact(NEG_INF).entries[0][1] is NEG_INF
+    else:
+        for make in (exact, loose):
+            with pytest.raises(TypeError):
+                make(NEG_INF)
 
 
 def test_skeleton_adjacency_is_cached():

@@ -18,6 +18,8 @@ from isocant.tropical import (
     TropMatrix,
     _assignments,
     _layers,
+    _scaled,
+    _unscaled,
     as_scalar,
     conjugate_diag,
     laplace_terms,
@@ -104,6 +106,21 @@ def test_constructor_makes_rows_tuples():
         twin = TropMatrix.from_rows(rows)
         assert type(a.entries) is tuple and all(type(row) is tuple for row in a.entries)
         assert a == twin and hash(a) == hash(twin)
+
+
+def test_unscaled_inverts_scaled_with_one_object_per_value():
+    rng = random.Random(25)
+    pools = [[NEG_INF, -3, 0, 2, F(-1, 2), F(5, 6), F(7, 4)], *GRID_POOLS]
+    for pool in pools:
+        for _ in range(10):
+            rows = [[rng.choice(pool) for _ in range(rng.randint(1, 4))] for _ in range(rng.randint(1, 4))]
+            back = _unscaled(*_scaled(rows))
+            assert back == tuple(map(tuple, rows))
+            assert all(type(row) is tuple for row in back)
+            values = [v for row in back for v in row]
+            assert len({id(v) for v in values}) == len(set(values))
+    [[low, none, high, same]] = _unscaled([[-1, None, 2, 2]], 4)
+    assert (low, none, high) == (F(-1, 4), NEG_INF, F(1, 2)) and high is same
 
 
 def test_mat_mul_zero_matrix_idempotent():
