@@ -110,7 +110,8 @@ def _infer_labels(a, vset) -> dict | None:
     """Point-to-label map when the matrix is a canonical isocanted placement.
 
     Best-effort decoration: anything non-canonical (not NI, degenerate box,
-    mixed lengths, translated placement) simply yields no labels.
+    mixed lengths, translated placement) simply yields no labels.  A zero
+    last row can only be ``vni``, any other only ``sni``.
     """
     try:
         dec = matrices.decompose(a)  # raises ValueError when ``a`` is not NI
@@ -119,13 +120,10 @@ def _infer_labels(a, vset) -> dict | None:
         if cant is None or len(lengths) != 1:
             return None
         spec = IsocantedSpec(a.n - 1, lengths.pop(), cant)
-        for placement, builder in matrices.PLACEMENTS.items():
-            if builder(spec) == a:
-                labeled = geometry.label_vertices(spec, vset, placement)
-                return {point: label for label, point in labeled.labels}
+        labeled = geometry.label_vertices(spec, vset, "sni" if any(a.entries[-1]) else "vni")
     except ValueError:
         return None
-    return None
+    return {point: label for label, point in labeled.labels}
 
 
 def cmd_classify(args: argparse.Namespace) -> tuple[int, str]:

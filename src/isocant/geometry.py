@@ -4,8 +4,8 @@ An alcoved polytope is cut out by bounds on single coordinates and on
 coordinate differences, so every defining hyperplane has the form ``x_i = c``
 or ``x_i - x_j = c``.  Adding a ground node 0 with ``x_0 = 0`` makes every
 bound a difference bound on the nodes ``0..d``, and ``HRep`` lists them in
-one table that every reader goes through; closing them under shortest paths
-gives the tightest bounds (the Kleene star, the normal idempotent form).
+one table that every reader goes through; closing its dense integer form
+(``_grid``) gives the tightest bounds (the Kleene star, the NI form).
 Every edge of such a polytope runs along a cut direction ``+1_S`` for a node
 set ``S``, and ``S`` is an up-set of the vertex's tight order (the tight part
 of the closed table), so the vertex enumerator walks the edge graph from the
@@ -25,7 +25,7 @@ checks, face recovery, the unique-vertex check and the vertex-set match of
 through ``tropical._unscaled``.  ``TropMatrix``, ``HRep`` and
 ``VertexSet`` each keep that integer grid (``_grid``), scaled once on first
 read or filled by the function that makes the record from ints it holds:
-``hrep_from_matrix`` from the matrix's grid, the walk from its integer
+``hrep_from_matrix`` relabels the matrix's grid, the walk keeps its integer
 points.  So one matrix taken through halfspaces, walk, faces, NI test,
 decomposition and symmetry check is scaled once.
 """
@@ -75,6 +75,9 @@ class HRep(Record):
         diff = tuple((i, j, *b) for (i, j, _, _), b in zip(self.diff, exact[d:]))
         object.__setattr__(self, "diff", diff)
         for i, j, _, _ in diff:
+            for k in (i, j):
+                if isinstance(k, bool) or not isinstance(k, int):
+                    raise TypeError(f"node indices must be ints, got {k!r}")
             if i == j or not (0 < i <= d and 0 < j <= d):
                 raise ValueError(f"bound on x_{i} - x_{j} needs two distinct nodes in 1..{d}")
 
@@ -83,15 +86,23 @@ class HRep(Record):
         return tuple((i, 0, lo, hi) for i, (lo, hi) in enumerate(self.single, 1)) + self.diff
 
     @cached_property
-    def _grid(self) -> tuple[tuple[tuple[int, int, int, int], ...], int]:
-        """:meth:`_bounds` with ``lo, hi`` as ints over one denominator, and that denominator.
+    def _grid(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """Stated upper bounds ``x_i - x_j <= table[i][j] / den`` on the nodes ``0..d``, and ``den``.
 
-        ``hrep_from_matrix`` fills it from the matrix's grid; other systems
-        scale their bounds on first read.
+        A pair bounded twice keeps the least bound, and an unbounded pair its
+        path through the ground.  ``hrep_from_matrix`` fills it from the
+        matrix's grid; other systems scale their bounds on first read.
         """
         bounds = self._bounds()
         scaled, den = _scaled([(lo, hi) for *_, lo, hi in bounds])
-        return tuple((i, j, lo, hi) for (i, j, _, _), (lo, hi) in zip(bounds, scaled)), den
+        nodes = range(self.d + 1)
+        own = {(k, k): 0 for k in nodes}
+        for (i, j, _, _), (lo, hi) in zip(bounds, scaled):
+            for key, v in (((i, j), hi), ((j, i), -lo)):
+                own[key] = min(own.get(key, v), v)
+        return tuple([
+            tuple([own[i, j] if (i, j) in own else own[i, 0] + own[0, j] for j in nodes]) for i in nodes
+        ]), den
 
     def _grounded(self, point: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """``(0, *point)``: the point on the nodes ``0..d``, after checking its length."""
@@ -123,23 +134,15 @@ def _constraint_rank(d: int, edges: Iterable[tuple[int, int]]) -> int:
 
     Edge ``(i, j)`` stands for the normal of ``x_i - x_j``, with ``j = 0`` the
     ground node for a single bound ``x_i``.  The rank is ``d + 1`` minus the
-    number of connected components on the nodes ``0..d``.
+    number of connected components on the nodes ``0..d``, each kept as
+    the bitmask of its nodes.
     """
-    parent = list(range(d + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    rank = 0
+    comp = [1 << k for k in range(d + 1)]
     for i, j in edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            rank += 1
-    return rank
+        if comp[i] != comp[j]:
+            joined = comp[i] | comp[j]
+            comp = [joined if m & joined else m for m in comp]
+    return d + 1 - len(set(comp))
 
 
 def hrep_from_matrix(a: TropMatrix) -> HRep:
@@ -148,8 +151,8 @@ def hrep_from_matrix(a: TropMatrix) -> HRep:
     Rows and columns give ``a[i, n] <= x_i <= -a[n, i]`` and
     ``a[i, j] <= x_i - x_j <= -a[j, i]``; inconsistent bounds are rejected,
     the single bounds checked first.  The bounds are every off-diagonal
-    entry, so the matrix's integer grid is theirs too: the checks run on it,
-    and it fills the system's ``_grid``.
+    entry, so the matrix's integer grid is their table too: the checks run
+    on it, and relabelled (``x_p - x_q <= -a[q, p]``) it fills ``h._grid``.
     """
     _require_finite(a)
     n = a.n
@@ -157,19 +160,19 @@ def hrep_from_matrix(a: TropMatrix) -> HRep:
     if any(grid[i][i] for i in range(n)):
         raise ValueError("matrix must have zero diagonal")
     e = a.entries
-    exact, scaled = [], []
+    bounds = []
     pairs = itertools.chain(((i, n) for i in range(1, n)), itertools.combinations(range(1, n), 2))
     for i, j in pairs:
-        lo, hi = grid[i - 1][j - 1], -grid[j - 1][i - 1]
-        if lo > hi:
+        lo, hi = e[i - 1][j - 1], -e[j - 1][i - 1]
+        if grid[i - 1][j - 1] + grid[j - 1][i - 1] > 0:
             what = f"x_{i}" if j == n else f"x_{i} - x_{j}"
-            raise ValueError(f"inconsistent bounds on {what}: {e[i - 1][j - 1]} > {-e[j - 1][i - 1]}")
-        node = 0 if j == n else j
-        exact.append((i, node, e[i - 1][j - 1], -e[j - 1][i - 1]))
-        scaled.append((i, node, lo, hi))
-    h = HRep(n - 1, tuple((lo, hi) for *_, lo, hi in exact[: n - 1]), tuple(exact[n - 1:]))
+            raise ValueError(f"inconsistent bounds on {what}: {lo} > {hi}")
+        bounds.append((i, 0 if j == n else j, lo, hi))
+    h = HRep(n - 1, tuple((lo, hi) for *_, lo, hi in bounds[: n - 1]), tuple(bounds[n - 1:]))
+    # Node p is matrix index p - 1, and the ground node 0 is the last index.
+    at = (n - 1, *range(n - 1))
     # A cached property reads the instance dict first, so this fills ``h._grid``.
-    vars(h)["_grid"] = tuple(scaled), den
+    vars(h)["_grid"] = tuple([tuple([-grid[q][p] for q in at]) for p in at]), den
     return h
 
 
@@ -192,18 +195,17 @@ def polytope_extremes(a: TropMatrix) -> tuple[Point, Point]:
     """Coordinatewise minimum and maximum of the polytope of an NI matrix.
 
     The minimum is the last column of the auxiliary matrix, the maximum its
-    diagonal; both are attained because NI matrices describe their polytope
-    tightly.
+    diagonal, read off ``a`` itself; both are attained because NI matrices
+    describe their polytope tightly.
     """
-    aux = auxiliary_matrix(a)
+    _require_finite(a)
+    e = a.entries
     d = a.n - 1
-    mn = tuple(aux.entries[i][d] for i in range(d))
-    mx = tuple(aux.entries[i][i] for i in range(d))
-    return mn, mx
+    return tuple(e[i][d] - e[d][d] for i in range(d)), tuple(e[i][i] - e[d][i] for i in range(d))
 
 
 class VertexSet(Record):
-    """Exact vertex list, optionally labeled by proper subsets of ``[d+1]``."""
+    """Exact vertex list, optionally labeled by proper subsets of ``[d+1]``; label points are points too."""
 
     d: int
     points: tuple[Point, ...]
@@ -212,7 +214,10 @@ class VertexSet(Record):
     def __post_init__(self) -> None:
         d = self.d
         object.__setattr__(self, "points", _exact_rows(self.points, {Fraction}, as_rational))
-        bad = next((p for p in self.points if len(p) != d), None)
+        keys, pts = zip(*self.labels) if self.labels else ((), ())
+        pts = _exact_rows(pts, {Fraction}, as_rational)
+        object.__setattr__(self, "labels", tuple(zip(keys, pts)))
+        bad = next((p for p in itertools.chain(self.points, pts) if len(p) != d), None)
         if bad is not None:
             raise ValueError(f"point dimension {len(bad)} != {d}")
 
@@ -236,24 +241,17 @@ class VertexSet(Record):
 def _closed_bounds(h: HRep) -> tuple[list[list[int]], int]:
     """Tightest bounds ``x_i - x_j <= bound[i][j] / den`` on the nodes ``0..d`` (``x_0 = 0``).
 
-    The bounds come from ``h._grid``, so a system is scaled at most once.
-    Each pair starts from its own bound, or its path through the ground
-    when it has none, and Floyd-Warshall closes them (the Kleene star).
-    Each closed entry is then the attained maximum of ``x_i - x_j`` over the
-    polytope.  Raises the oracle's errors: a dimension above
-    ``ORACLE_DIM_LIMIT``, and a negative diagonal entry, which is a negative
-    cycle: the system has no solution.
+    Floyd-Warshall closes the system's table of stated bounds, ``h._grid``,
+    so a system is scaled at most once (the Kleene star).  Each closed entry
+    is then the attained maximum of ``x_i - x_j`` over the polytope.  Raises
+    the oracle's errors: a dimension above ``ORACLE_DIM_LIMIT``, and a
+    negative diagonal entry, which is a negative cycle: the system has no
+    solution.
     """
     if h.d > ORACLE_DIM_LIMIT:
         raise ValueError(f"dimension {h.d} exceeds oracle limit {ORACLE_DIM_LIMIT}")
-    bounds, den = h._grid
+    bound, den = h._grid
     nodes = range(h.d + 1)
-    own = {(k, k): 0 for k in nodes}
-    for i, j, lo, hi in bounds:
-        for key, v in (((i, j), hi), ((j, i), -lo)):
-            own[key] = min(own.get(key, v), v)
-    bound = [[own[i, j] if (i, j) in own else own[i, 0] + own[0, j] for j in nodes]
-             for i in nodes]
     for k in nodes:
         bound = [[min(b, row[k] + via) for b, via in zip(row, bound[k])] for row in bound]
     if any(bound[k][k] < 0 for k in nodes):

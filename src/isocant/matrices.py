@@ -15,9 +15,9 @@ codimension-2 face beveled by the same amount.
 Every box and isocanted matrix comes from one entry table, the visualized
 box canted by ``cant`` (zero for a plain box); other placements are that
 table translated by ``tropical.conjugate_diag``.  The NI test and the
-decomposition run on the matrix's integer grid, which ``tropical._scaled``
-builds once per matrix and the matrix keeps; ``tropical._unscaled`` turns
-the results back into ``Fraction`` values.
+decomposition, which reads the box off the ground row and column, run on
+the matrix's integer grid, which ``tropical._scaled`` builds once per matrix
+and the matrix keeps; ``tropical._unscaled`` turns the results back.
 """
 
 from __future__ import annotations
@@ -210,22 +210,21 @@ def decompose(a: TropMatrix) -> Decomposition:
     """Split an NI matrix into its NI box matrix and perturbation parts.
 
     The last row, negated, is the polytope's maximum (its north pole) and
-    ``-a[d][i] - a[i][d]`` its i-th edge length.  The box is the visualized box
-    of those lengths conjugated by the north-pole shift; the perturbation is
-    then ``box - a`` and its sign and zero pattern are validated rather than
-    repaired.  All of it runs on the integer grid that the NI test reads
-    (``a._grid``), and ``tropical._unscaled`` turns the result back into scalars.
+    ``-a[d][i] - a[i][d]`` its i-th edge length.  The box is read off the
+    ground row and column: ``a[i][d] + a[d][j]`` off the diagonal, zero on
+    it.  The perturbation is then ``box - a`` and its sign and zero pattern
+    are validated rather than repaired.  All of it runs on the integer grid
+    that the NI test reads (``a._grid``), and ``tropical._unscaled`` turns
+    the result back into scalars.
     """
     ni = _ni_grid(a)
     if ni is None:
         raise ValueError("decomposition requires a normal idempotent matrix")
     grid, den = ni
-    *rows, last = grid
-    lengths = [-last[i] - row[-1] for i, row in enumerate(rows)]
-    if any(v <= 0 for v in lengths):
+    last = grid[-1]
+    if any(last[i] + row[-1] >= 0 for i, row in enumerate(grid[:-1])):
         raise ValueError("degenerate bounding box: non-positive edge length")
-    # Conjugating by the shifts ``-last`` adds ``last[j] - last[i]`` to entry (i, j).
-    box = [[v - s + t for v, t in zip(row, last)] for row, s in zip(_visualized(lengths, 0), last)]
+    box = [[0 if i == j else row[-1] + t for j, t in enumerate(last)] for i, row in enumerate(grid)]
     pert = [list(map(sub, brow, arow)) for brow, arow in zip(box, grid)]
     rows = _unscaled(box + pert, den)
     return Decomposition(TropMatrix(rows[:a.n]), PerturbationMatrix(rows[a.n:]))

@@ -25,8 +25,8 @@ unique-vertex check in ``geometry`` scales its matrix once and compares
 
 Exact numbers cross one boundary, kept here: ``_exact_rows`` is the gate into
 every record of number rows, ``_scaled`` clears a grid's denominators once per
-call (a ``TropMatrix`` keeps its own scaled grid, ``_grid``, built on first
-read), and ``_unscaled`` is the only step from an integer grid back to scalars.
+call (a ``TropMatrix`` keeps its own, ``_grid``, which permanents, minors and
+Laplace terms read), and ``_unscaled`` is the only way back to scalars.
 """
 
 from __future__ import annotations
@@ -299,11 +299,10 @@ def _assignments(
     return best, count
 
 
-def _grid_permanent(grid: Sequence[Sequence[TropScalar]]) -> MinorEvaluation:
-    """Tropical permanent of a square grid with multiplicity."""
+def _grid_permanent(grid: Sequence[Sequence[int | None]], den: int) -> MinorEvaluation:
+    """Tropical permanent with multiplicity of a square integer grid over ``den``."""
     k = len(grid)
-    scaled, den = _scaled(grid)
-    best, count = _assignments(scaled, range(k), _layers(k, k))
+    best, count = _assignments(grid, range(k), _layers(k, k))
     [[value]] = _unscaled([best[-1]], den)
     # When every permutation hits -inf, all of them attain the maximum.  An
     # empty grid is the empty product: the multiplicative identity, once.
@@ -334,14 +333,14 @@ def trop_permanent(a: TropMatrix) -> MinorEvaluation:
     """Tropical permanent of the whole matrix, with its attainment multiplicity."""
     if a.n > PERMANENT_SIZE_LIMIT:
         raise ValueError(f"matrix size {a.n} exceeds permanent limit {PERMANENT_SIZE_LIMIT}")
-    return _grid_permanent(a.entries)
+    return _grid_permanent(*a._grid)
 
 
 def trop_minor(a: TropMatrix, rows: Iterable[int], cols: Iterable[int]) -> MinorEvaluation:
     """Tropical permanent of the square submatrix on ``rows`` x ``cols`` (1-based)."""
     row_idx, col_idx = _check_selection(a.n, rows, cols)
-    grid = [[a.entries[i - 1][j - 1] for j in col_idx] for i in row_idx]
-    return _grid_permanent(grid)
+    grid, den = a._grid
+    return _grid_permanent([[grid[i - 1][j - 1] for j in col_idx] for i in row_idx], den)
 
 
 def _laplace_terms(
@@ -381,9 +380,8 @@ def laplace_terms(
     row_idx, col_idx = _check_selection(a.n, rows, cols)
     if expansion_col not in col_idx:
         raise ValueError(f"expansion column {expansion_col} not in selection")
-    grid, den = _scaled([[a.entries[i - 1][j - 1] for j in col_idx] for i in row_idx])
-    k = len(col_idx)
-    [terms] = _laplace_terms(grid, range(k), col_idx.index(expansion_col))
+    grid, den = a._grid
+    [terms] = _laplace_terms([grid[i - 1] for i in row_idx], [j - 1 for j in col_idx], expansion_col - 1)
     return list(_unscaled([terms], den)[0])
 
 

@@ -272,6 +272,30 @@ def zonotope_by_vertices(spec):
     return extremal == oracle_points
 
 
+def constraint_rank_by_union_find(d, edges):
+    """Rank of single/difference normals given as constraint-graph edges, by union-find.
+
+    The library's former ``geometry._constraint_rank``, kept as the reference
+    for its component bitmasks: each edge joining two components adds one
+    to the rank.
+    """
+    parent = list(range(d + 1))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    rank = 0
+    for i, j in edges:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+            rank += 1
+    return rank
+
+
 def maximal_polytrope(rng, d):
     """A generic NI matrix of size ``d + 1``: zero diagonal, off-diagonal ``-1 - eps_ij``.
 

@@ -229,6 +229,35 @@ def test_vertices_oracle_mode_unlabeled_for_box(tmp_path, capsys):
     assert len(payload["vertices"]) == 4
 
 
+def test_vertices_oracle_mode_labels_only_the_two_placements(tmp_path, capsys):
+    # The last row names the only placement a decomposed isocanted matrix can
+    # be; a translate that is neither placement gets no labels, in either format.
+    from isocant.tropical import conjugate_diag
+
+    spec = IsocantedSpec(3, F(5, 2), F(3, 4))
+    vni = matrices.isocanted_vni(spec)
+    cases = {
+        "vni": vni,
+        "sni": isocanted_sni(spec),
+        "shifted": conjugate_diag(vni, [F(1, 3), F(1), F(1, 2), F(0)]),
+        "half-sni": conjugate_diag(vni, [F(5, 4), F(5, 4), F(1, 2), F(0)]),
+    }
+    for name, a in cases.items():
+        assert matrices.is_isocanted(a) == spec.cant and set(matrices.decompose(a).edge_lengths) == {F(5, 2)}
+        path = tmp_path / f"{name}.json"
+        write_matrix(path, a)
+        code, out, _ = run_cli(capsys, "vertices", str(path))
+        assert code == 0
+        labels = [v["label"] for v in json.loads(out)["vertices"]]
+        assert len(labels) == 14
+        if name in ("vni", "sni"):
+            assert None not in labels and len({tuple(w) for w in labels}) == 14, name
+        else:
+            assert labels == [None] * 14, name
+            code, out, _ = run_cli(capsys, "vertices", str(path), "--format", "table")
+            assert code == 0 and all(line.startswith("-\t") for line in out.splitlines()), name
+
+
 def test_classify_degenerate_ni_matrix(tmp_path, capsys):
     # The all-zeros matrix is NI but its polytope is the single point at the
     # origin: flags are reported, the decomposition slot stays null.

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import tracemalloc
 from fractions import Fraction as F
 from math import comb
@@ -10,6 +11,7 @@ import pytest
 
 from isocant.geometry import (
     ORACLE_DIM_LIMIT,
+    _constraint_rank,
     _has_closed_table,
     _lone_vertex,
     HRep,
@@ -140,6 +142,21 @@ def test_polytope_extremes_of_symmetric_box():
     mn, mx = polytope_extremes(box_sni([F(2), F(2)]))
     assert mn == (F(-1), F(-1))
     assert mx == (F(1), F(1))
+
+
+def test_extremes_are_the_auxiliary_matrix_last_column_and_diagonal():
+    # polytope_extremes reads the matrix directly; the auxiliary matrix is
+    # the definition, on seeded finite matrices that are not normal.
+    rng = random.Random(191)
+    pool = [F(-3), F(-1, 2), F(0), F(2, 3), F(5, 2), F(-7, 4)]
+    for n in range(2, 7):
+        for _ in range(6):
+            a = TropMatrix.from_rows([[rng.choice(pool) for _ in range(n)] for _ in range(n)])
+            aux = auxiliary_matrix(a).entries
+            assert polytope_extremes(a) == (tuple(row[-1] for row in aux[:-1]),
+                                            tuple(aux[i][i] for i in range(n - 1))), a
+    with pytest.raises(ValueError, match="^matrix must have finite entries$"):
+        polytope_extremes(TropMatrix.from_rows([[0, NEG_INF], [0, 0]]))
 
 
 def test_extremes_agree_with_oracle():
@@ -565,9 +582,10 @@ def test_up_set_walk_matches_cut_scan():
         if isinstance(got, str):
             seen["empty"] += 1
             continue
-        (points, _), bounds = got[1], h._grid[0]
+        (points, _), (_, den) = got[1], h._grid
         seen["point"] += len(points) == 1
-        # Bounds and points share the closure's denominator.
+        # The points are over the closure's denominator, the one of h._grid.
+        bounds = [(i, j, lo * den, hi * den) for i, j, lo, hi in h._bounds()]
         seen["non-simple"] += any(
             sum(x[i] - x[j] in (lo, hi) for i, j, lo, hi in bounds) > h.d for x in points
         )
@@ -575,12 +593,127 @@ def test_up_set_walk_matches_cut_scan():
 
 
 def test_walk_of_negated_bounds_is_the_negated_vertex_set():
-    # Metamorphic, d = 7: x is a vertex of P exactly when -x is one of -P.
-    h = hrep_from_matrix(reference.maximal_polytrope(random.Random(7), 7))
-    negated = HRep(7, tuple((-hi, -lo) for lo, hi in h.single),
-                   tuple((i, j, -hi, -lo) for i, j, lo, hi in h.diff))
-    points = enumerate_vertices_oracle(h).points
-    assert enumerate_vertices_oracle(negated).points == tuple(sorted(tuple(-v for v in p) for p in points))
+    # Metamorphic, d = 7 and 8: x is a vertex of P exactly when -x is one of
+    # -P.  A maximal polytrope, then seeded non-maximal and flat systems.
+    rng = random.Random(78)
+    systems = [hrep_from_matrix(reference.maximal_polytrope(random.Random(7), 7))]
+    systems += [_table_hrep(_nonempty_table(rng, d, flats)) for d in (7, 8) for flats in (0, 1, 2)]
+    for h in systems:
+        negated = HRep(h.d, tuple((-hi, -lo) for lo, hi in h.single),
+                       tuple((i, j, -hi, -lo) for i, j, lo, hi in h.diff))
+        points = enumerate_vertices_oracle(h).points
+        assert enumerate_vertices_oracle(negated).points == tuple(sorted(tuple(-v for v in p) for p in points))
+    assert sum(lo == hi for h in systems for lo, hi in h.single) + sum(
+        lo == hi for h in systems for *_, lo, hi in h.diff) >= 4
+
+
+def _seeded_table(rng, d, flats):
+    """Seeded upper bounds ``t[i][j]`` on ``x_i - x_j`` over the nodes ``0..d``.
+
+    Each entry is a half in ``0..3`` plus ``s_i - s_j`` for a seeded point
+    ``s`` (``s_0 = 0``), so the table is rarely closed; then ``flats`` pairs
+    are forced flat (``t[j][i] = -t[i][j]``), which can empty the system.
+    """
+    nodes = range(d + 1)
+    s = [F(0)] + [F(rng.randint(-4, 4), 3) for _ in range(d)]
+    t = [[F(0) if i == j else F(rng.randint(0, 6), 2) + s[i] - s[j] for j in nodes] for i in nodes]
+    for _ in range(flats):
+        i, j = rng.sample(nodes, 2)
+        t[j][i] = -t[i][j]
+    return t
+
+
+def _nonempty_table(rng, d, flats):
+    """The first :func:`_seeded_table` whose system has a vertex."""
+    while True:
+        t = _seeded_table(rng, d, flats)
+        if not isinstance(_vertices_or_error(enumerate_vertices_oracle, _table_hrep(t)), str):
+            return t
+
+
+def _table_hrep(t):
+    """The system ``x_i - x_j <= t[i][j]`` on the nodes ``0..d``, as single and difference bounds."""
+    d = len(t) - 1
+    return HRep(d, tuple((-t[0][i], t[i][0]) for i in range(1, d + 1)),
+                tuple((i, j, -t[j][i], t[i][j]) for i, j in itertools.combinations(range(1, d + 1), 2)))
+
+
+def _euler_holds(counts):
+    """Euler's relation on the proper faces of a polytope of dimension ``k``, read off the counts."""
+    k = max(i for i, f in enumerate(counts) if f) + 1
+    return sum((-1) ** i * f for i, f in enumerate(counts[:k])) == 1 - (-1) ** k
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_walk_and_faces_commute_with_node_relabelling(d):
+    # Metamorphic, no reference: relabelling the nodes 0..d by sigma, ground
+    # included, maps each grounded vertex x to y_k = x_sigma(k) - x_sigma(0).
+    # It moves the walk's start and its whole order, so the walk and face
+    # recovery are checked against themselves where no sweep runs.  The moved
+    # system also states one pair twice, looser first.  Every face count
+    # satisfies Euler's relation.
+    rng = random.Random(2600 + d)
+    seen = {"empty": 0, "point": 0, "flat": 0, "full": 0}
+    for k in range(12):
+        t = _seeded_table(rng, d, (0, 1, 0, 2)[k % 4])
+        sigma = rng.sample(range(d + 1), d + 1)
+        h, moved = _table_hrep(t), _table_hrep([[t[p][q] for q in sigma] for p in sigma])
+        i, j, lo, hi = rng.choice(moved.diff)
+        moved = HRep(d, moved.single, ((i, j, lo - 1, hi + 1), *moved.diff))
+        vset, got = (_vertices_or_error(enumerate_vertices_oracle, g) for g in (h, moved))
+        if isinstance(vset, str):
+            assert got == vset == "empty polytope: no feasible vertex found"
+            seen["empty"] += 1
+            continue
+        grounded = [(0, *p) for p in vset.points]
+        assert got.points == tuple(sorted({tuple(x[q] - x[sigma[0]] for q in sigma[1:]) for x in grounded}))
+        counts = oracle_face_counts(h, vset)
+        assert oracle_face_counts(moved, got) == counts
+        if not any(counts):
+            seen["point"] += 1
+            continue
+        assert _euler_holds(counts), counts
+        seen["flat" if counts[-1] == 0 else "full"] += 1
+    assert seen["full"] >= 1 and seen["flat"] >= 1, seen
+
+
+def test_constraint_rank_matches_union_find():
+    # Component bitmasks against the union-find they replaced, on seeded
+    # edge lists over the nodes 0..d, loops and repeats included.
+    rng = random.Random(121)
+    ranks = set()
+    for d in range(13):
+        for _ in range(30):
+            edges = [(rng.randint(0, d), rng.randint(0, d)) for _ in range(rng.randint(0, 2 * d + 2))]
+            rank = _constraint_rank(d, edges)
+            assert rank == reference.constraint_rank_by_union_find(d, edges), (d, edges)
+            ranks.add((d, rank))
+    assert {(d, 0) for d in range(13)} | {(d, d) for d in range(1, 13)} <= ranks
+
+
+@pytest.mark.parametrize("node", [2.0, True, F(1), "1", None])
+def test_hrep_refuses_node_indices_that_are_not_ints(node):
+    # A float node once built a system whose contains() raised on a tuple
+    # index, and a bool node was read as node 1.
+    for bound in ((node, 2, -1, F(1, 2)), (2, node, -1, F(1, 2))):
+        with pytest.raises(TypeError, match=f"^node indices must be ints, got {re.escape(repr(node))}$"):
+            HRep(2, ((0, 1), (0, 1)), (bound,))
+    h = HRep(2, ((0, 1), (0, 1)), ((2, 1, -1, F(1, 2)),))
+    assert h.contains((F(1, 2), F(1, 2))) and len(enumerate_vertices_oracle(h)) == 5
+
+
+def test_vertex_set_label_points_pass_the_exact_gate():
+    # Label points are gated and length-checked as the points are: exact
+    # tuples pass as they are, ints and lists become Fractions and tuples.
+    with pytest.raises(ValueError, match="^point dimension 1 != 2$"):
+        VertexSet(2, ((F(0), F(0)),), ((frozenset({1}), (F(0),)),))
+    loose = VertexSet(1, ((F(0),),), ((frozenset({1}), [0]), (frozenset({2}), (F(-1),))))
+    assert loose.labels == ((frozenset({1}), (F(0),)), (frozenset({2}), (F(-1),)))
+    assert type(loose.labels[0][1]) is tuple and type(loose.labels[0][1][0]) is F
+    assert hash(loose) == hash(VertexSet(1, ((F(0),),), loose.labels))
+    labeled = label_vertices(HEXAGON, enumerate_vertices_oracle(hrep_from_matrix(isocanted_vni(HEXAGON))))
+    again = VertexSet(labeled.d, labeled.points, labeled.labels)
+    assert again == labeled and all(p is q for (_, p), (_, q) in zip(again.labels, labeled.labels))
 
 
 def _seeded_cases(rng, d, pool):

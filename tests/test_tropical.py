@@ -372,6 +372,35 @@ def test_laplace_max_equals_minor():
             assert terms == expected
 
 
+def test_minor_and_laplace_terms_read_the_whole_matrix_grid():
+    # Minors and Laplace terms select from the matrix's own integer grid,
+    # whose denominator also clears entries outside the selection: here a
+    # 7 that occurs only there.  Values are the brute-force Fraction ones.
+    rng = random.Random(17)
+    pool = [NEG_INF, F(-2), F(-1, 2), F(0), F(3, 4), F(1)]
+    for n in (3, 4, 5, 6):
+        for _ in range(12):
+            rows = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+            k = rng.randint(1, n - 1)
+            sel_rows = sorted(rng.sample(range(1, n + 1), k))
+            sel_cols = sorted(rng.sample(range(1, n + 1), k))
+            outside = [(i, j) for i in range(n) for j in range(n) if i + 1 not in sel_rows]
+            i, j = rng.choice(outside)
+            rows[i][j] = F(-1, 7)
+            m = TropMatrix.from_rows(rows)
+            assert m._grid[1] % 7 == 0
+            sub = [[m.entry(r, c) for c in sel_cols] for r in sel_rows]
+            ev = trop_minor(m, sel_rows, sel_cols)
+            assert (ev.value, ev.multiplicity) == _brute_force_permanent(sub)
+            exp = rng.choice(sel_cols)
+            others = [c for c in sel_cols if c != exp]
+            assert laplace_terms(m, sel_rows, sel_cols, exp) == [
+                trop_mul(m.entry(r, exp), _brute_force_permanent(
+                    [[m.entry(q, c) for c in others] for q in sel_rows if q != r])[0])
+                for r in sel_rows
+            ]
+
+
 def test_laplace_requires_expansion_column_in_selection():
     a = TropMatrix.from_rows([[0, 0], [0, 0]])
     with pytest.raises(ValueError):
