@@ -67,8 +67,16 @@ class HRep(Record):
 
     def __post_init__(self) -> None:
         d = self.d
+        if isinstance(d, bool) or not isinstance(d, int):
+            raise TypeError(f"dimension must be an int, got {d!r}")
         if len(self.single) != d:
             raise ValueError(f"dimension {d} needs {d} single bounds, got {len(self.single)}")
+        for i, b in enumerate(self.single, 1):
+            if not isinstance(b, (tuple, list)) or len(b) != 2:
+                raise ValueError(f"single bound on x_{i} must be a (lo, hi) pair, got {b!r}")
+        for b in self.diff:
+            if not isinstance(b, (tuple, list)) or len(b) != 4:
+                raise ValueError(f"difference bound must be (i, j, lo, hi), got {b!r}")
         # Every bound passes the exact-number gate at once; node indices stay ints.
         exact = _exact_rows((*self.single, *(b[2:] for b in self.diff)), {Fraction}, as_rational)
         object.__setattr__(self, "single", exact[:d])
@@ -216,7 +224,7 @@ class VertexSet(Record):
         object.__setattr__(self, "points", _exact_rows(self.points, {Fraction}, as_rational))
         keys, pts = zip(*self.labels) if self.labels else ((), ())
         pts = _exact_rows(pts, {Fraction}, as_rational)
-        object.__setattr__(self, "labels", tuple(zip(keys, pts)))
+        object.__setattr__(self, "labels", tuple(zip(map(frozenset, keys), pts)))
         bad = next((p for p in itertools.chain(self.points, pts) if len(p) != d), None)
         if bad is not None:
             raise ValueError(f"point dimension {len(bad)} != {d}")
@@ -295,8 +303,9 @@ def enumerate_vertices_oracle(h: HRep) -> VertexSet:
     its complement (:func:`_connected`, on a neighbour table built once some
     up-set is not a reverse cut).  The step length is the least slack of the
     bounds leaving ``S``, computed once per stepped cut over its crossing
-    pairs (a table filled per walk).  Each edge is stepped once: the vertex it reaches
-    skips the reverse cut (the complement of ``S``).  A new vertex takes
+    pairs (a table filled per walk).  Each edge is stepped once: the vertex it
+    reaches skips the reverse cut (the complement of ``S``), marked in the one
+    entry it keeps beside ``ups`` and ``downs``.  A new vertex takes
     ``ups`` and ``downs`` from the edge that found it: pairs on one side of
     the cut keep their state, and a crossing pair whose slack is the step
     becomes tight, so only the start vertex compares all ``(d+1)^2`` pairs,
@@ -310,18 +319,17 @@ def enumerate_vertices_oracle(h: HRep) -> VertexSet:
     nodes = range(h.d + 1)
     full = (1 << (h.d + 1)) - 1
     start = tuple(bound[k][0] for k in nodes)
-    # ups[i]: the nodes j with x_i - x_j at its bound, so that i cannot rise without j;
-    # downs[j]: the nodes i with j in ups[i].
+    # order[x] = [ups, downs, skip]: ups[i] holds the nodes j with x_i - x_j at its bound,
+    # so i cannot rise without j; downs[j] the nodes i with j in ups[i]; skip has bit c
+    # set when cut c leads back along an edge already stepped into x.
     ups = [sum(1 << j for j in nodes if start[i] - start[j] == bound[i][j]) for i in nodes]
-    order = {start: (ups, [sum(1 << i for i in nodes if ups[i] >> j & 1) for j in nodes])}
-    # back[x]: bit c set when cut c leads back along an edge already stepped into x.
-    back = {start: 0}
+    order = {start: [ups, [sum(1 << i for i in nodes if ups[i] >> j & 1) for j in nodes], 0]}
     # pairs[cut]: the pairs (i, j) with i in the cut and j outside it, filled on first use.
     pairs: list[list[tuple[int, int]] | None] = [None] * full
     work = [start]
     while work:
         x = work.pop()
-        (ups, downs), skip = order[x], back[x]
+        ups, downs, skip = order[x]
         # A cut that no tight bound blocks is closed under ups: a union of some of them.
         cuts = {0}
         for u in ups:
@@ -354,10 +362,9 @@ def enumerate_vertices_oracle(h: HRep) -> VertexSet:
                     if s == step:
                         up[i] |= 1 << j
                         down[j] |= 1 << i
-                order[y] = up, down
-                back[y] = 0
+                order[y] = [up, down, 0]
                 work.append(y)
-            back[y] |= 1 << rest
+            order[y][2] |= 1 << rest
     grid = tuple(sorted(order))
     vset = VertexSet(h.d, tuple(p[1:] for p in _unscaled(grid, den)))
     vars(vset)["_grid"] = grid, den

@@ -14,10 +14,11 @@ codimension-2 face beveled by the same amount.
 
 Every box and isocanted matrix comes from one entry table, the visualized
 box canted by ``cant`` (zero for a plain box); other placements are that
-table translated by ``tropical.conjugate_diag``.  The NI test and the
-decomposition, which reads the box off the ground row and column, run on
-the matrix's integer grid, which ``tropical._scaled`` builds once per matrix
-and the matrix keeps; ``tropical._unscaled`` turns the results back.
+table translated by ``tropical.conjugate_diag``.  ``is_ni`` is the one NI
+test, and the decomposition asks it first.  Both run on the matrix's integer
+grid (``a._grid``), which ``tropical._scaled`` builds once per matrix and the
+matrix keeps; the decomposition reads the box off that grid's ground row and
+column, and ``tropical._unscaled`` turns the results back.
 """
 
 from __future__ import annotations
@@ -45,24 +46,19 @@ def is_normal(a: TropMatrix) -> bool:
     return all(not row[i] for i, row in enumerate(grid)) and max(map(max, grid)) <= 0
 
 
-def _ni_grid(a: TropMatrix) -> tuple[tuple[tuple[int, ...], ...], int] | None:
-    """The matrix's own integer grid (``a._grid``) when ``a`` is NI, else ``None``.
+def is_ni(a: TropMatrix) -> bool:
+    """Normal and tropically idempotent: ``a (*) a == a``.
 
     A normal matrix has zero diagonal, so ``a (*) a >= a`` entrywise, and it
     is idempotent exactly when every triangle ``a[i,k] + a[k,j] <= a[i,j]``
-    holds (the Kleene-star condition).  That is checked on the integer grid,
-    row ``i`` against row ``k`` as ``min_j (a[i,j] - a[k,j]) >= a[i,k]``.
+    holds (the Kleene-star condition).  That is checked on the matrix's own
+    integer grid (``a._grid``), row ``i`` against row ``k`` as
+    ``min_j (a[i,j] - a[k,j]) >= a[i,k]``.
     """
-    if is_normal(a):
-        grid, den = a._grid
-        if all(min(map(sub, row, rk)) >= x for row in grid for x, rk in zip(row, grid)):
-            return grid, den
-    return None
-
-
-def is_ni(a: TropMatrix) -> bool:
-    """Normal and tropically idempotent: ``a (*) a == a`` (see :func:`_ni_grid`)."""
-    return _ni_grid(a) is not None
+    if not is_normal(a):
+        return False
+    grid, _ = a._grid
+    return all(min(map(sub, row, rk)) >= x for row in grid for x, rk in zip(row, grid))
 
 
 def is_vni(a: TropMatrix) -> bool:
@@ -213,14 +209,13 @@ def decompose(a: TropMatrix) -> Decomposition:
     ``-a[d][i] - a[i][d]`` its i-th edge length.  The box is read off the
     ground row and column: ``a[i][d] + a[d][j]`` off the diagonal, zero on
     it.  The perturbation is then ``box - a`` and its sign and zero pattern
-    are validated rather than repaired.  All of it runs on the integer grid
-    that the NI test reads (``a._grid``), and ``tropical._unscaled`` turns
-    the result back into scalars.
+    are validated rather than repaired.  Once :func:`is_ni` holds, all of it
+    runs on the integer grid that test read (``a._grid``), and
+    ``tropical._unscaled`` turns the result back into scalars.
     """
-    ni = _ni_grid(a)
-    if ni is None:
+    if not is_ni(a):
         raise ValueError("decomposition requires a normal idempotent matrix")
-    grid, den = ni
+    grid, den = a._grid
     last = grid[-1]
     if any(last[i] + row[-1] >= 0 for i, row in enumerate(grid[:-1])):
         raise ValueError("degenerate bounding box: non-positive edge length")

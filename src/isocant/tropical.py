@@ -17,11 +17,11 @@ in order, and each subset of rows keeps the best partial sum and the number of
 partial assignments attaining it, which costs ``O(2^k * k)`` steps.  The
 subsets are visited by size, one layer per column, from a table of masks kept
 for the process, so a program over many rows that stops at a small size
-touches only the small subsets.  The integer body of ``laplace_terms`` is one
-private helper on an already scaled grid: one program over all rows of a grid
-gives the Laplace terms of every row subset of a given size, so the
-unique-vertex check in ``geometry`` scales its matrix once and compares
-``int`` terms.
+touches only the small subsets; it keeps one layer and returns the top one.
+The integer body of ``laplace_terms`` is one private helper on an already
+scaled grid: one program over all rows of a grid gives the Laplace terms of
+every row subset of a given size, so the unique-vertex check in ``geometry``
+scales its matrix once and compares ``int`` terms.
 
 Exact numbers cross one boundary, kept here: ``_exact_rows`` is the gate into
 every record of number rows, ``_scaled`` clears a grid's denominators once per
@@ -260,25 +260,24 @@ def _layers(n: int, top: int) -> list[_Layer]:
 
 def _assignments(
     grid: Sequence[Sequence[int | None]], cols: Sequence[int], layers: list[_Layer]
-) -> tuple[list[list[int | None]], list[list[int]]]:
-    """Optimal assignments of ``cols`` to subsets of the rows of ``grid``.
+) -> tuple[list[int | None], list[int]]:
+    """Optimal assignments of ``cols`` to the subsets of ``len(cols)`` rows of ``grid``.
 
     The program visits the row masks layer by layer (``_layers``): layer
     ``m`` assigns ``cols[m - 1]`` to one row of each mask of ``m`` rows, on
     top of the best assignment of the rest in layer ``m - 1``, and reads that
-    column once.  For the ``p``-th mask of layer ``m <= len(cols)``,
-    ``best[m][p]`` is the largest sum over bijections from its rows to
-    ``cols[:m]`` (``None`` when every one meets ``-inf``) and ``count[m][p]``
-    is how many bijections attain it.  That is ``O(C(n, m) * m)`` steps per
+    column once.  It keeps one layer and returns the top one: for its
+    ``p``-th mask, ``best[p]`` is the largest sum over bijections from its
+    rows to ``cols`` (``None`` when every one meets ``-inf``) and
+    ``count[p]`` how many attain it.  That is ``O(C(n, m) * m)`` steps per
     layer, ``O(2^k * k)`` in all for a ``k x k`` permanent.
     """
-    best: list[list[int | None]] = [[0]]
-    count = [[1]]
+    best: list[int | None] = [0]
+    count = [1]
     for col, layer in zip(cols, layers[1:]):
         column = [row[col] for row in grid]
-        below, ways_below = best[-1], count[-1]
-        tops: list[int | None] = []
-        counts = []
+        below, ways_below = best, count
+        best, count = [], []
         for _, subs in layer:
             top = None
             ways = 0
@@ -292,10 +291,8 @@ def _assignments(
                     top, ways = total, ways_below[p]
                 elif total == top:
                     ways += ways_below[p]
-            tops.append(top)
-            counts.append(ways)
-        best.append(tops)
-        count.append(counts)
+            best.append(top)
+            count.append(ways)
     return best, count
 
 
@@ -303,10 +300,10 @@ def _grid_permanent(grid: Sequence[Sequence[int | None]], den: int) -> MinorEval
     """Tropical permanent with multiplicity of a square integer grid over ``den``."""
     k = len(grid)
     best, count = _assignments(grid, range(k), _layers(k, k))
-    [[value]] = _unscaled([best[-1]], den)
+    [[value]] = _unscaled([best], den)
     # When every permutation hits -inf, all of them attain the maximum.  An
     # empty grid is the empty product: the multiplicative identity, once.
-    return MinorEvaluation(value, math.factorial(k) if value is NEG_INF else count[-1][0])
+    return MinorEvaluation(value, math.factorial(k) if value is NEG_INF else count[0])
 
 
 def _check_selection(
@@ -356,8 +353,7 @@ def _laplace_terms(
     (``None`` for ``-inf``), in ascending row order.
     """
     layers = _layers(len(grid), len(cols))
-    best, _ = _assignments(grid, [c for c in cols if c != e], layers)
-    minors = best[-1]
+    minors, _ = _assignments(grid, [c for c in cols if c != e], layers)
     column = [row[e] for row in grid]
     for _, subs in layers[len(cols)]:
         yield [

@@ -362,6 +362,20 @@ def test_verify_bad_range_usage(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("bounds, text", [
+    ("a:3", "range bounds must be integers"),
+    ("2:3.5", "range bounds must be integers"),
+    ("5:3", "range must satisfy LO <= HI"),
+])
+def test_verify_range_refuses_bad_bounds_while_parsing(capsys, bounds, text):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "all", "--range", bounds])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.endswith(f"error: argument --range: {text}\n")
+    assert captured.out == ""
+
+
 def test_export_off_and_obj(tmp_path, capsys):
     off_path = tmp_path / "shape.off"
     code, _, _ = run_cli(

@@ -70,6 +70,11 @@ def test_fvector_recursion():
         assert fvector_recursion_holds(d)
 
 
+def test_fvector_tables_refuse_a_negative_dimension():
+    with pytest.raises(ValueError, match="^dmax must be non-negative$"):
+        fvector_tables(-1)
+
+
 def test_fvector_tables_identity():
     tables = fvector_tables(12)
     for d in range(13):

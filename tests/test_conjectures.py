@@ -109,6 +109,15 @@ def test_3d_sweep_and_values():
     assert by_d[4]["total"] == 181 == 243 - 64 + 2
 
 
+def test_stirling_and_short_h_refuse_bad_arguments():
+    for n, k in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="^indices must be non-negative$"):
+            stirling2(n, k)
+    for f in ((1, 2), (1, 2, 3, 4)):
+        with pytest.raises(ValueError, match=r"^need face counts f_0 \.\. f_\{d-1\}$"):
+            short_cubical_h(f, 3)
+
+
 def test_stirling_values():
     assert stirling2(0, 0) == 1
     assert stirling2(3, 0) == 0

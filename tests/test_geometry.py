@@ -702,6 +702,38 @@ def test_hrep_refuses_node_indices_that_are_not_ints(node):
     assert h.contains((F(1, 2), F(1, 2))) and len(enumerate_vertices_oracle(h)) == 5
 
 
+@pytest.mark.parametrize("args, error, text", [
+    ((True, ((0, 1),), ()), TypeError, "dimension must be an int, got True"),
+    ((1.0, ((0, 1),), ()), TypeError, "dimension must be an int, got 1.0"),
+    (("1", ((0, 1),), ()), TypeError, "dimension must be an int, got '1'"),
+    ((1, ((0, 1, 2),), ()), ValueError, "single bound on x_1 must be a (lo, hi) pair, got (0, 1, 2)"),
+    ((1, ((0,),), ()), ValueError, "single bound on x_1 must be a (lo, hi) pair, got (0,)"),
+    ((2, ((0, 1), 1), ()), ValueError, "single bound on x_2 must be a (lo, hi) pair, got 1"),
+    ((2, ((0, 1), (0, 1)), ((1, 2, 0),)), ValueError, "difference bound must be (i, j, lo, hi), got (1, 2, 0)"),
+    ((2, ((0, 1), (0, 1)), ((1, 2, 0, 1, 2),)), ValueError,
+     "difference bound must be (i, j, lo, hi), got (1, 2, 0, 1, 2)"),
+    # The count of single bounds is still checked before their shape.
+    ((2, ((0, 1, 2),), ()), ValueError, "dimension 2 needs 2 single bounds, got 1"),
+])
+def test_hrep_refuses_malformed_dimension_and_bounds_when_built(args, error, text):
+    # Each of these once built a system whose walk failed on unpacking or
+    # slicing, or built one with d=True.
+    with pytest.raises(error, match=f"^{re.escape(text)}$"):
+        HRep(*args)
+
+
+def test_vertex_set_label_keys_become_frozensets():
+    # A list key once built a set whose hash() raised on an unhashable list.
+    listed = VertexSet(1, ((F(0),),), (([1], (F(0),)), ((2,), (F(-1),))))
+    assert listed.labels == ((frozenset({1}), (F(0),)), (frozenset({2}), (F(-1),)))
+    assert hash(listed) == hash(VertexSet(1, ((F(0),),), listed.labels))
+    assert listed.label_map[frozenset({2})] == (F(-1),)
+    key = frozenset({1})
+    assert VertexSet(1, ((F(0),),), ((key, (F(0),)),)).labels[0][0] is key
+    with pytest.raises(TypeError):
+        VertexSet(1, ((F(0),),), ((1, (F(0),)),))
+
+
 def test_vertex_set_label_points_pass_the_exact_gate():
     # Label points are gated and length-checked as the points are: exact
     # tuples pass as they are, ints and lists become Fractions and tuples.

@@ -213,6 +213,11 @@ def test_above_boundary_cant_not_normal():
 
 
 def test_perturbation_validation():
+    for rows in ([[0]], [[0, 0], [0]], [[0, 0, 0], [0, 0, 0]]):
+        with pytest.raises(ValueError, match="^perturbation matrix must be square, size >= 2$"):
+            PerturbationMatrix.from_rows(rows)
+    with pytest.raises(ValueError, match="^cant must be non-negative$"):
+        PerturbationMatrix.constant(3, -1)
     with pytest.raises(ValueError):
         PerturbationMatrix.from_rows([[0, -1], [0, 0]])  # nonzero last column
     with pytest.raises(ValueError):

@@ -260,8 +260,9 @@ def test_permanent_size_limit():
 def test_assignments_match_permutation_reference():
     # The layered program against every bijection, on int grids with None for
     # -inf: k = 1..8 rows, as many columns as rows or fewer, taken in a
-    # shuffled order from a grid wider than k.  Each layer lists every mask of
-    # its size once, and best and count agree on every one.
+    # shuffled order from a grid wider than k.  A program over the first
+    # ``size`` columns returns one entry per mask of ``size`` rows, each mask
+    # listed once, and best and count agree on every one.
     rng = random.Random(2201)
     pools = [(-2, -1, 0, 1, None), (0, 1), (None, None, None, 3, -5), (7, -3, 2, 11)]
     cases = 0
@@ -270,13 +271,14 @@ def test_assignments_match_permutation_reference():
             for pool in pools if k < 7 else pools[:2]:
                 grid = [[rng.choice(pool) for _ in range(k + 2)] for _ in range(k)]
                 cols = rng.sample(range(k + 2), m)
-                best, count = _assignments(grid, cols, _layers(len(grid), len(cols)))
-                layers = _layers(k, m)
                 got = {}
                 for size in range(m + 1):
+                    layers = _layers(k, size)
+                    best, count = _assignments(grid, cols[:size], layers)
                     masks = [mask for mask, _ in layers[size]]
                     assert sorted(masks) == [x for x in range(1 << k) if x.bit_count() == size]
-                    got.update((mask, (best[size][p], count[size][p])) for p, mask in enumerate(masks))
+                    assert len(best) == len(count) == len(masks)
+                    got.update((mask, (best[p], count[p])) for p, mask in enumerate(masks))
                 assert got == reference.assignments_by_permutations(grid, cols), (grid, cols)
                 cases += 1
     assert cases > 60
@@ -299,6 +301,28 @@ def test_minor_ragged_selection():
         trop_minor(a, [1, 2], [1])
     with pytest.raises(ValueError):
         trop_minor(a, [1], [3])
+    with pytest.raises(ValueError, match="^empty selection$"):
+        trop_minor(a, [], [])
+
+
+def test_neg_inf_prints_and_refuses_negation():
+    assert repr(NEG_INF) == "-inf"
+    with pytest.raises(ArithmeticError, match="^negation of -inf is undefined here$"):
+        -NEG_INF
+
+
+def test_rows_columns_and_column_replacement_check_their_index_and_length():
+    a = TropMatrix.from_rows([[0, F(1, 2)], [NEG_INF, -3]])
+    assert a.row(2) == (NEG_INF, F(-3))
+    assert a.column(2) == (F(1, 2), F(-3))
+    for i in (0, 3):
+        with pytest.raises(IndexError, match=f"^row {i} out of range for size 2$"):
+            a.row(i)
+        with pytest.raises(IndexError, match=f"^column {i} out of range for size 2$"):
+            a.column(i)
+    for values in ([1], [1, 2, 3]):
+        with pytest.raises(ValueError, match="^replacement column has wrong length$"):
+            a.replace_column(1, values)
 
 
 def _isocanted_case1_value(r, w, ell, a):
