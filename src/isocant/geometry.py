@@ -11,23 +11,26 @@ set ``S``, and ``S`` is an up-set of the vertex's tight order (the tight part
 of the closed table), so the vertex enumerator walks the edge graph from the
 maximum point without any linear programming, trying at each vertex only the
 unions of its up-sets and stepping each edge once; each vertex carries its
-tight order in both directions from the edge that found it.  Each closed
+tight order in both directions from the edge that found it.  The walk also
+counts the faces: each has one highest vertex under ``x_1 + ... + x_d``,
+which no edge leaves level, and is counted there from that vertex's edges
+(the h-vector at simple vertices).  Each closed
 bound is the attained maximum of ``x_i - x_j``, so the closed table alone
 fixes the polytope, and central symmetry and the zonotope
-identity are read from it without enumerating vertices.  Face recovery reads
-only the vertex set: each facet is a class of vertices where some ``x_i - x_j``
-is extreme, and each face's dimension comes from the per-pair class table.
+identity are read from it without enumerating vertices; a hand-built vertex
+set gets its face counts by walking the table of its own extremes.
 Each isocanted vertex's closed form, fixed by its label, is written once
-(``_vertex_values``); the poles are two of them.  The walk, the closed-table
-checks, face recovery, the unique-vertex check and the vertex-set match of
-``label_vertices`` are exact, on integers after
+(``_vertex_values``); the poles are two of them.  The walk and its face
+counts, the closed-table checks, the unique-vertex check and the vertex-set
+match of ``label_vertices`` are exact, on integers after
 ``tropical._scaled`` clears denominators; the walk's points come back
 through ``tropical._unscaled``.  ``TropMatrix``, ``HRep`` and
 ``VertexSet`` each keep that integer grid (``_grid``), scaled once on first
 read or filled by the function that makes the record from ints it holds:
 ``hrep_from_matrix`` relabels the matrix's grid, the walk keeps its integer
-points.  So one matrix taken through halfspaces, walk, faces, NI test,
-decomposition and symmetry check is scaled once.
+points (and, beside them, its face counts).  So one matrix taken through
+halfspaces, walk, faces, NI test, decomposition and symmetry check is scaled
+once.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property
+from math import comb
 from typing import Iterable, Sequence
 
 from ._record import Record
@@ -69,6 +73,8 @@ class HRep(Record):
         d = self.d
         if isinstance(d, bool) or not isinstance(d, int):
             raise TypeError(f"dimension must be an int, got {d!r}")
+        if d < 0:
+            raise ValueError(f"dimension must be non-negative, got {d}")
         if len(self.single) != d:
             raise ValueError(f"dimension {d} needs {d} single bounds, got {len(self.single)}")
         for i, b in enumerate(self.single, 1):
@@ -245,6 +251,21 @@ class VertexSet(Record):
         """
         return _scaled([(0, *p) for p in self.points])
 
+    @cached_property
+    def _faces(self) -> tuple[int, ...]:
+        """Face counts by dimension ``0..d-1``, for a nonempty set.
+
+        The walk fills them; another set walks the table of its own extremes,
+        the maximum of each ``x_i - x_j`` over its points, and refuses when
+        the walk's vertices are not exactly its points.
+        """
+        xs, _ = self._grid
+        nodes = range(self.d + 1)
+        grid, faces = _walk([[max(x[i] - x[j] for x in xs) for j in nodes] for i in nodes])
+        if grid != tuple(sorted(xs)):
+            raise ValueError("points are not the vertices of an alcoved polytope")
+        return faces
+
 
 def _closed_bounds(h: HRep) -> tuple[list[list[int]], int]:
     """Tightest bounds ``x_i - x_j <= bound[i][j] / den`` on the nodes ``0..d`` (``x_0 = 0``).
@@ -285,6 +306,149 @@ def _connected(part: int, reach: Sequence[int]) -> bool:
         comp = grown
 
 
+def _cone_faces(edges: Sequence[int], ups: Sequence[int], counts: list[int]) -> None:
+    """Add to ``counts[k]`` the ``k``-faces of a vertex's cone whose rays all go down.
+
+    ``edges`` are the vertex's edge cuts, one ray each, and ``ups`` its
+    tight order.  Each tight pair keeps the rays whose cut does not separate
+    it, so the least face holding a set of rays drops exactly the rays of
+    each separating set (``side[i] ^ side[j]``) that misses the set.  Faces
+    grow from the vertex one downward ray at a time, in order of ray count,
+    and each keeps the length of its longest chain from the vertex: its
+    dimension.
+    """
+    side = [0] * len(ups)  # side[k]: the rays whose cut holds node k
+    down, up = [], 0
+    for r, cut in enumerate(edges):
+        if cut & 1:
+            down.append(r)
+        else:
+            up |= 1 << r
+        k = 0
+        while cut:
+            if cut & 1:
+                side[k] |= 1 << r
+            cut >>= 1
+            k += 1
+    seps = set()
+    for i, u in enumerate(ups):
+        j = 0
+        while u:
+            if u & 1:
+                seps.add(side[i] ^ side[j])
+            u >>= 1
+            j += 1
+    seps.discard(0)
+    rays = (1 << len(edges)) - 1
+    dims = {0: 0}
+    # A face only grows into larger ones, so its chain length is final when its size comes up.
+    by_size: list[list[int]] = [[0]] + [[] for _ in edges]
+    for faces in by_size:
+        for face in faces:
+            dim = dims[face] + 1
+            for r in down:
+                held = face | 1 << r
+                if held == face:
+                    continue
+                least = rays
+                for sep in seps:
+                    if not sep & held:
+                        least &= ~sep
+                if least & up:
+                    continue
+                known = dims.get(least)
+                if known is None:
+                    by_size[least.bit_count()].append(least)
+                    dims[least] = dim
+                elif known < dim:
+                    dims[least] = dim
+    for dim in dims.values():
+        counts[dim] += 1
+
+
+def _walk(bound: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The grounded integer vertices of a closed table, sorted, and its face counts by dimension.
+
+    See :func:`enumerate_vertices_oracle` for the walk.  Each non-empty face
+    has one highest vertex under ``c(x) = x_1 + ... + x_d``, its top, and is
+    counted there while the walk has the vertex's edges at hand: the cuts
+    it skips, already stepped into it, and the cuts that pass the
+    connectivity test.  An edge along ``+1_S`` goes down exactly when ``S``
+    holds the ground.  At a simple vertex, one with ``dim P`` edges, every
+    set of ``k`` downward edges spans a ``k``-face with that top, so the
+    vertex adds to the h-vector entry of its downward edge count and
+    ``f_k = sum_i C(i, k) h_i`` (Ziegler, *Lectures on Polytopes*, 8.3);
+    any other vertex counts its cone's downward faces (:func:`_cone_faces`).
+    ``dim P`` is the number of classes of nodes with a fixed difference,
+    minus one, and ``f_{dim P}``, the polytope itself, is dropped.
+    """
+    d = len(bound) - 1
+    nodes = range(d + 1)
+    full = (1 << (d + 1)) - 1
+    start = tuple(bound[k][0] for k in nodes)
+    # order[x] = [ups, downs, skip]: ups[i] holds the nodes j with x_i - x_j at its bound,
+    # so i cannot rise without j; downs[j] the nodes i with j in ups[i]; skip has bit c
+    # set when cut c leads back along an edge already stepped into x.
+    ups = [sum(1 << j for j in nodes if start[i] - start[j] == bound[i][j]) for i in nodes]
+    order = {start: [ups, [sum(1 << i for i in nodes if ups[i] >> j & 1) for j in nodes], 0]}
+    # pairs[cut]: the pairs (i, j) with i in the cut and j outside it, filled on first use.
+    pairs: list[list[tuple[int, int]] | None] = [None] * full
+    dim_p = d - _constraint_rank(d, [(i, j) for i in nodes for j in range(i) if bound[i][j] + bound[j][i] == 0])
+    hvec = [0] * (d + 1)
+    counts = [0] * (d + 1)
+    work = [start]
+    while work:
+        x = work.pop()
+        ups, downs, skip = order[x]
+        # A cut that no tight bound blocks is closed under ups: a union of some of them.
+        cuts = {0}
+        for u in ups:
+            cuts |= {c | u for c in cuts}
+        reach = None
+        edges = []
+        for cut in cuts - {0, full}:
+            if skip >> cut & 1:
+                edges.append(cut)
+                continue
+            if reach is None:
+                reach = _subset_unions([u | w for u, w in zip(ups, downs)])
+            rest = full ^ cut
+            if not _connected(cut, reach) or not _connected(rest, reach):
+                continue
+            edges.append(cut)
+            crossing = pairs[cut]
+            if crossing is None:
+                outs = [j for j in nodes if not cut >> j & 1]
+                crossing = pairs[cut] = [(i, j) for i in nodes if cut >> i & 1 for j in outs]
+            slacks = [bound[i][j] - x[i] + x[j] for i, j in crossing]
+            step = min(slacks)
+            # The cut rises by the step against the rest, and x_0 stays 0.
+            low = -step if cut & 1 else 0
+            high = low + step
+            y = tuple([v + high if cut >> k & 1 else v + low for k, v in enumerate(x)])
+            if y not in order:
+                # Pairs on one side keep their state; a pair leaving the cut is tight
+                # when its slack is the step, and one entering it cannot be (step > 0).
+                up = [u & cut if cut >> k & 1 else u & rest for k, u in enumerate(ups)]
+                down = [w & cut if cut >> k & 1 else w & rest for k, w in enumerate(downs)]
+                for (i, j), s in zip(crossing, slacks):
+                    if s == step:
+                        up[i] |= 1 << j
+                        down[j] |= 1 << i
+                order[y] = [up, down, 0]
+                work.append(y)
+            order[y][2] |= 1 << rest
+        if len(edges) == dim_p:
+            hvec[sum([cut & 1 for cut in edges])] += 1
+        else:
+            _cone_faces(edges, ups, counts)
+    for i, n in enumerate(hvec):
+        for k in range(i + 1):
+            counts[k] += comb(i, k) * n
+    counts[dim_p] = 0
+    return tuple(sorted(order)), tuple(counts[:d])
+
+
 def enumerate_vertices_oracle(h: HRep) -> VertexSet:
     """All vertices of the polytope, by walking its edge graph from the maximum point.
 
@@ -309,65 +473,19 @@ def enumerate_vertices_oracle(h: HRep) -> VertexSet:
     ``ups`` and ``downs`` from the edge that found it: pairs on one side of
     the cut keep their state, and a crossing pair whose slack is the step
     becomes tight, so only the start vertex compares all ``(d+1)^2`` pairs,
-    and no linear programming is needed.  Points are sorted as integer
+    and no linear programming is needed.  Each vertex also counts the faces
+    whose highest vertex it is (:func:`_walk`).  Points are sorted as integer
     tuples and turned back into scalars by ``tropical._unscaled``; the
     sorted tuples, grounded and over the bounds' denominator, fill the
-    result's ``_grid``.  The name keeps "oracle" from the exhaustive
-    hyperplane-subset sweep this replaced, for compatibility.
+    result's ``_grid``, and the face counts its ``_faces``.  The name keeps
+    "oracle" from the exhaustive hyperplane-subset sweep this replaced, for
+    compatibility.
     """
     bound, den = _closed_bounds(h)
-    nodes = range(h.d + 1)
-    full = (1 << (h.d + 1)) - 1
-    start = tuple(bound[k][0] for k in nodes)
-    # order[x] = [ups, downs, skip]: ups[i] holds the nodes j with x_i - x_j at its bound,
-    # so i cannot rise without j; downs[j] the nodes i with j in ups[i]; skip has bit c
-    # set when cut c leads back along an edge already stepped into x.
-    ups = [sum(1 << j for j in nodes if start[i] - start[j] == bound[i][j]) for i in nodes]
-    order = {start: [ups, [sum(1 << i for i in nodes if ups[i] >> j & 1) for j in nodes], 0]}
-    # pairs[cut]: the pairs (i, j) with i in the cut and j outside it, filled on first use.
-    pairs: list[list[tuple[int, int]] | None] = [None] * full
-    work = [start]
-    while work:
-        x = work.pop()
-        ups, downs, skip = order[x]
-        # A cut that no tight bound blocks is closed under ups: a union of some of them.
-        cuts = {0}
-        for u in ups:
-            cuts |= {c | u for c in cuts}
-        reach = None
-        for cut in cuts - {0, full}:
-            if skip >> cut & 1:
-                continue
-            if reach is None:
-                reach = _subset_unions([u | w for u, w in zip(ups, downs)])
-            rest = full ^ cut
-            if not _connected(cut, reach) or not _connected(rest, reach):
-                continue
-            crossing = pairs[cut]
-            if crossing is None:
-                outs = [j for j in nodes if not cut >> j & 1]
-                crossing = pairs[cut] = [(i, j) for i in nodes if cut >> i & 1 for j in outs]
-            slacks = [bound[i][j] - x[i] + x[j] for i, j in crossing]
-            step = min(slacks)
-            # The cut rises by the step against the rest, and x_0 stays 0.
-            low = -step if cut & 1 else 0
-            high = low + step
-            y = tuple([v + high if cut >> k & 1 else v + low for k, v in enumerate(x)])
-            if y not in order:
-                # Pairs on one side keep their state; a pair leaving the cut is tight
-                # when its slack is the step, and one entering it cannot be (step > 0).
-                up = [u & cut if cut >> k & 1 else u & rest for k, u in enumerate(ups)]
-                down = [w & cut if cut >> k & 1 else w & rest for k, w in enumerate(downs)]
-                for (i, j), s in zip(crossing, slacks):
-                    if s == step:
-                        up[i] |= 1 << j
-                        down[j] |= 1 << i
-                order[y] = [up, down, 0]
-                work.append(y)
-            order[y][2] |= 1 << rest
-    grid = tuple(sorted(order))
+    grid, faces = _walk(bound)
     vset = VertexSet(h.d, tuple(p[1:] for p in _unscaled(grid, den)))
     vars(vset)["_grid"] = grid, den
+    vars(vset)["_faces"] = faces
     return vset
 
 
@@ -416,18 +534,19 @@ def label_vertices(spec: IsocantedSpec, vset: VertexSet, placement: str = "vni")
     Every closed-form coordinate is one of four values, each a coordinate of
     some vertex, so when the sets agree ``vset._grid``'s denominator is a
     multiple of theirs.  The values are scaled once and brought onto that
-    grid, and each expected vertex is compared as a grounded integer tuple.
+    grid, each expected vertex is looked up once as a grounded integer
+    tuple, and each label takes the point of ``vset`` it found.
     """
-    values = _placed_values(spec, placement)
-    ints, vden = _scaled(values)
+    ints, vden = _scaled(_placed_values(spec, placement))
     xs, den = vset._grid
     k, off = divmod(den, vden)
     ints = [(x * k, y * k) for x, y in ints]
     labels = list(all_vertex_labels(spec.d))
-    if (off or len(vset) != len(labels)
-            or set(xs) != {(0, *_vertex(w, spec.d, ints)) for w in labels}):
+    index = {x: n for n, x in enumerate(xs)}
+    at = [index.get((0, *_vertex(w, spec.d, ints))) for w in labels]
+    if off or len(vset) != len(labels) or set(at) != set(range(len(xs))):
         raise ValueError("oracle vertices do not match the closed-form vertex map")
-    return VertexSet(vset.d, vset.points, tuple((w, _vertex(w, spec.d, values)) for w in labels))
+    return VertexSet(vset.d, vset.points, tuple((w, vset.points[n]) for w, n in zip(labels, at)))
 
 
 def _lone_vertex(grid: Sequence[Sequence[int | None]], label: Sequence[int], slot: int) -> bool:
@@ -540,68 +659,17 @@ def zonotope_check(spec: IsocantedSpec) -> bool:
 
 
 def oracle_face_counts(h: HRep, vset: VertexSet) -> tuple[int, ...]:
-    """Face counts by dimension, recovered from the vertex set alone.
+    """Face counts by dimension, ``0..d-1``, of the polytope whose vertices are ``vset``.
 
-    The grounded vertices are read on their integer grid (``vset._grid``);
-    ``h`` gives only the dimension.  For each node pair ``j < i`` the
-    vertices fall into classes by the value of ``x_i - x_j``, kept as int
-    bitmasks; ``same[i][j][k]`` is the class of vertex ``k``.  The classes
-    at the minimum and the maximum of ``x_i - x_j`` are faces, and every
-    facet is one of them, since every bound is on some ``x_i - x_j``.  Those
-    short of every vertex are intersected to closure: every proper face is
-    an intersection of facets, and a meet of faces is a face.
-    A face of ``n <= 3`` vertices is a vertex, an edge or a triangle, of
-    dimension ``n - 1``.  A larger face's affine hull is cut out by the
-    difference equations constant on it, so its dimension is the number of
-    classes of nodes with a constant difference over it, minus one; the
-    classes are counted at its lowest vertex from the table.  Every vertex
-    of a polytope with two or more is a face from the start, so a face of
-    one or two vertices is not met with the facets again: each meet is
-    itself, one of its vertices or empty.
+    ``h`` gives only the dimension.  The walk counts each face at its
+    highest vertex as it goes (:func:`_walk`) and keeps the counts with its
+    vertex set; a hand-built set walks the table of its own extremes and
+    must be exactly that walk's vertices (``VertexSet._faces``).  An empty
+    set has no faces.
     """
     xs, _ = vset._grid
-    if xs and vset.d != h.d:
+    if not xs:
+        return (0,) * h.d
+    if vset.d != h.d:
         raise ValueError(f"point dimension {vset.d} != {h.d}")
-    everything = (1 << len(xs)) - 1
-    facets, same = set(), []
-    for i in range(h.d + 1):
-        same.append([])
-        for j in range(i):
-            diffs = [x[i] - x[j] for x in xs]
-            masks = dict.fromkeys(diffs, 0)
-            for k, v in enumerate(diffs):
-                masks[v] |= 1 << k
-            same[i].append([masks[v] for v in diffs])
-            if masks:
-                facets.update((masks[min(masks)], masks[max(masks)]))
-    facets.discard(everything)
-
-    faces = set(facets)
-    if len(xs) > 1:
-        faces.update(1 << k for k in range(len(xs)))
-    work = [face for face in facets if face.bit_count() > 2]
-    while work:
-        face = work.pop()
-        for facet in facets:
-            meet = face & facet
-            if meet and meet not in faces:
-                faces.add(meet)
-                if meet.bit_count() > 2:
-                    work.append(meet)
-
-    counts = [0] * h.d
-    for face in faces:
-        n = face.bit_count()
-        if n <= 3:
-            counts[n - 1] += 1
-            continue
-        # Each node with a constant difference to an earlier node joins its class.
-        k = (face & -face).bit_length() - 1
-        dim = h.d
-        for row in same:
-            for at in row:
-                if face & at[k] == face:
-                    dim -= 1
-                    break
-        counts[dim] += 1
-    return tuple(counts)
+    return vset._faces

@@ -88,6 +88,77 @@ def face_counts(h, vset):
     return tuple(counts)
 
 
+def face_counts_by_facet_closure(h, vset):
+    """Face counts by dimension, recovered from the vertex set alone by facet meets.
+
+    The library's former face recovery, kept as the reference for the
+    counts the walk takes at each face's highest vertex.
+
+    The grounded vertices are read on their integer grid (``vset._grid``);
+    ``h`` gives only the dimension.  For each node pair ``j < i`` the
+    vertices fall into classes by the value of ``x_i - x_j``, kept as int
+    bitmasks; ``same[i][j][k]`` is the class of vertex ``k``.  The classes
+    at the minimum and the maximum of ``x_i - x_j`` are faces, and every
+    facet is one of them, since every bound is on some ``x_i - x_j``.  Those
+    short of every vertex are intersected to closure: every proper face is
+    an intersection of facets, and a meet of faces is a face.
+    A face of ``n <= 3`` vertices is a vertex, an edge or a triangle, of
+    dimension ``n - 1``.  A larger face's affine hull is cut out by the
+    difference equations constant on it, so its dimension is the number of
+    classes of nodes with a constant difference over it, minus one; the
+    classes are counted at its lowest vertex from the table.  Every vertex
+    of a polytope with two or more is a face from the start, so a face of
+    one or two vertices is not met with the facets again: each meet is
+    itself, one of its vertices or empty.
+    """
+    xs, _ = vset._grid
+    if xs and vset.d != h.d:
+        raise ValueError(f"point dimension {vset.d} != {h.d}")
+    everything = (1 << len(xs)) - 1
+    facets, same = set(), []
+    for i in range(h.d + 1):
+        same.append([])
+        for j in range(i):
+            diffs = [x[i] - x[j] for x in xs]
+            masks = dict.fromkeys(diffs, 0)
+            for k, v in enumerate(diffs):
+                masks[v] |= 1 << k
+            same[i].append([masks[v] for v in diffs])
+            if masks:
+                facets.update((masks[min(masks)], masks[max(masks)]))
+    facets.discard(everything)
+
+    faces = set(facets)
+    if len(xs) > 1:
+        faces.update(1 << k for k in range(len(xs)))
+    work = [face for face in facets if face.bit_count() > 2]
+    while work:
+        face = work.pop()
+        for facet in facets:
+            meet = face & facet
+            if meet and meet not in faces:
+                faces.add(meet)
+                if meet.bit_count() > 2:
+                    work.append(meet)
+
+    counts = [0] * h.d
+    for face in faces:
+        n = face.bit_count()
+        if n <= 3:
+            counts[n - 1] += 1
+            continue
+        # Each node with a constant difference to an earlier node joins its class.
+        k = (face & -face).bit_length() - 1
+        dim = h.d
+        for row in same:
+            for at in row:
+                if face & at[k] == face:
+                    dim -= 1
+                    break
+        counts[dim] += 1
+    return tuple(counts)
+
+
 def _find_with_offset(parent, offset, x):
     """Weighted union-find lookup: root of ``x`` and value(x) - value(root)."""
     root = x

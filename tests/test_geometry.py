@@ -328,10 +328,9 @@ def test_mixed_length_isocanted_same_combinatorics():
 
 def test_oracle_face_counts_match_closed_form():
     # Both placements and two seeded (edge, cant) pairs per dimension, up to
-    # d=7; d=8 (18,660 faces, about 0.3 s a case) stays out to keep the
-    # suite fast.
+    # d=8 (18,660 faces on 510 vertices, counted during the walk).
     rng = random.Random(18)
-    for d in range(2, 8):
+    for d in range(2, 9):
         for _ in range(2):
             ell = F(rng.randint(2, 12), rng.randint(1, 4))
             spec = IsocantedSpec(d, ell, ell * F(rng.randint(1, 9), 10))
@@ -714,6 +713,8 @@ def test_hrep_refuses_node_indices_that_are_not_ints(node):
      "difference bound must be (i, j, lo, hi), got (1, 2, 0, 1, 2)"),
     # The count of single bounds is still checked before their shape.
     ((2, ((0, 1, 2),), ()), ValueError, "dimension 2 needs 2 single bounds, got 1"),
+    # A negative dimension is named before the count of single bounds.
+    ((-1, (), ()), ValueError, "dimension must be non-negative, got -1"),
 ])
 def test_hrep_refuses_malformed_dimension_and_bounds_when_built(args, error, text):
     # Each of these once built a system whose walk failed on unpacking or
@@ -826,6 +827,83 @@ def test_missing_pairs_start_through_the_ground():
                 assert counts == reference.face_counts(h, vset), (kind, h)
                 assert (counts[-1] == 0) == (kind == "flat")
     assert min(checked.values()) >= 8, checked
+
+
+def _edge_counts(h, vset):
+    """Each vertex's number of edges, and of those going down under ``x_1 + ... + x_d``.
+
+    The edges are the two-vertex faces of the hyperplane-meet reference.
+    """
+    height = [sum(p) for p in vset.points]
+    edges, down = [0] * len(vset), [0] * len(vset)
+    for face in reference.face_vertex_sets(h, vset):
+        if len(face) == 2:
+            u, v = face
+            for a, b in ((u, v), (v, u)):
+                edges[a] += 1
+                down[a] += height[b] < height[a]
+    return edges, down
+
+
+def test_walk_face_counts_match_facet_closure_and_affine_rank():
+    # The counts the walk takes at each face's highest vertex against the
+    # facet-meet closure they replaced and, up to d=4, the affine-rank
+    # reference: seeded NI, non-NI and flat matrices, seeded bound tables
+    # (one with a flat pair), a point and both isocanted placements, d=2..7.
+    # Up to d=5 the reference's edges show that the sample holds non-simple
+    # vertices and, at each d, vertices with every number 0..d of edges
+    # going down.
+    rng = random.Random(28)
+    pool = [F(-1, 2), F(-1), F(-3, 2), F(-2), F(-3), F(-7, 3)]
+    non_simple = 0
+    for d in range(2, 8):
+        spec = IsocantedSpec(d, F(rng.randint(3, 9), 2), F(rng.randint(1, 5), 3))
+        systems = [hrep_from_matrix(a) for _, a in _seeded_cases(rng, d, pool)]
+        systems += [_table_hrep(_nonempty_table(rng, d, flats)) for flats in (0, 1)]
+        systems += [_point_hrep(tuple(F(rng.randint(-4, 4), 3) for _ in range(d)))]
+        systems += [hrep_from_matrix(build(spec)) for build in (isocanted_vni, isocanted_sni)]
+        downs = set()
+        for h in systems:
+            vset = enumerate_vertices_oracle(h)
+            counts = oracle_face_counts(h, vset)
+            assert counts == reference.face_counts_by_facet_closure(h, vset), h
+            if d <= 4:
+                assert counts == reference.face_counts(h, vset), h
+            if d <= 5:
+                dim = reference.affine_dim(vset.points)
+                edges, down = _edge_counts(h, vset)
+                non_simple += sum(n > dim for n in edges)
+                downs.update(down)
+        assert d > 5 or set(range(d + 1)) <= downs, (d, downs)
+    assert non_simple >= 30, non_simple
+
+
+def test_hand_built_vertex_sets_walk_their_own_extremes():
+    # A hand-built set walks the table of its own extremes: its points in any
+    # order give the walk's counts, and a set that is not exactly that walk's
+    # vertices is refused.
+    rng = random.Random(29)
+    text = "^points are not the vertices of an alcoved polytope$"
+    for d in (2, 3, 4):
+        spec = IsocantedSpec(d, F(5, 2), F(3, 4))
+        for h in [hrep_from_matrix(isocanted_sni(spec)), _table_hrep(_nonempty_table(rng, d, 1))]:
+            vset = enumerate_vertices_oracle(h)
+            points = list(vset.points)
+            rng.shuffle(points)
+            assert oracle_face_counts(h, VertexSet(d, tuple(points))) == oracle_face_counts(h, vset)
+            assert oracle_face_counts(h, VertexSet(d, ())) == (0,) * d
+            if len(points) < 2:
+                continue
+            middle = tuple((u + v) / 2 for u, v in zip(points[0], points[1]))
+            for bad in (points + [middle], points + points[:1]):
+                with pytest.raises(ValueError, match=text):
+                    oracle_face_counts(h, VertexSet(d, tuple(bad)))
+    # The unit square without a corner: its alcoved hull is the whole square.
+    square = HRep(2, SQUARE_BOUNDS, ())
+    corners = ((F(0), F(0)), (F(0), F(1)), (F(1), F(0)))
+    assert oracle_face_counts(square, VertexSet(2, corners + ((F(1), F(1)),))) == (4, 4)
+    with pytest.raises(ValueError, match=text):
+        oracle_face_counts(square, VertexSet(2, corners))
 
 
 def test_tight_rank_checks_the_point_length():
@@ -1264,15 +1342,15 @@ def test_central_symmetry_matches_vertex_negation_reference():
     assert len(symmetric_non_ni) >= 10
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
 def test_maximal_polytrope_counts(d):
     # Maximal polytropes: every vertex is simple, so each is reached with the
     # tight pairs it inherits from one edge.  Observed and pinned here on three
-    # seeds per dimension (two at d=6, to keep the suite fast), not cited as a
-    # theorem: C(2d, d) vertices, the most an alcoved d-polytope has, and
-    # f_k = C(d, k) C(2d - k, d).  Up to d=5 one seed's counts also match the
-    # affine-rank reference.
-    for seed in range(3 if d < 6 else 2):
+    # seeds per dimension (two at d=6 and one at d=7, to keep the suite fast),
+    # not cited as a theorem: C(2d, d) vertices, the most an alcoved
+    # d-polytope has, and f_k = C(d, k) C(2d - k, d).  Up to d=5 one seed's
+    # counts also match the affine-rank reference.
+    for seed in range({6: 2, 7: 1}.get(d, 3)):
         a = reference.maximal_polytrope(random.Random(seed), d)
         assert is_ni(a)
         h = hrep_from_matrix(a)
