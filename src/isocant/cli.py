@@ -168,7 +168,7 @@ def cmd_build(args: argparse.Namespace) -> tuple[int, str]:
 def cmd_vertices(args: argparse.Namespace) -> tuple[int, str]:
     # ``pairs`` holds (label or None, point) from either source.
     if args.input:
-        if (args.dim, args.ell, args.a) != (None, None, None):
+        if (args.dim, args.ell, args.a, args.placement) != (None, None, None, None):
             raise ValueError("vertices takes an input file or --dim/--ell/--a, not both")
         a = serialize.read_matrix(args.input)
         vset = geometry.enumerate_vertices_oracle(geometry.hrep_from_matrix(a))
@@ -179,9 +179,10 @@ def cmd_vertices(args: argparse.Namespace) -> tuple[int, str]:
         if args.dim is None or args.ell is None or args.a is None:
             raise ValueError("vertices needs either an input file or --dim/--ell/--a")
         spec = _spec_from_args(args)
-        pairs = geometry.closed_form_vertices(spec, args.placement).items()
+        placement = args.placement or "vni"
+        pairs = geometry.closed_form_vertices(spec, placement).items()
         ell, cant = scalar_to_json(spec.edge_length), scalar_to_json(spec.cant)
-        payload = {"d": spec.d, "ell": ell, "a": cant, "placement": args.placement}
+        payload = {"d": spec.d, "ell": ell, "a": cant, "placement": placement}
     if args.format == "table":
         return 0, _lines([
             f"{'-' if label is None else label_text(label)}\t"
@@ -263,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dim", type=dim_type, required=required, help="ambient dimension d")
         p.add_argument("--ell", type=_parse_fraction, required=required, help="box edge length")
         p.add_argument("--a", type=_parse_fraction, required=required, help="cant parameter")
-        p.add_argument("--placement", choices=list(matrices.PLACEMENTS), default="vni")
+        # Unset in vertices, so that an input file can refuse it; the closed form falls back to vni.
+        p.add_argument("--placement", choices=list(matrices.PLACEMENTS), default="vni" if required else None)
 
     with command("classify", cmd_classify, "matrix class flags and decomposition") as p:
         p.add_argument("input", help="matrix JSON file")

@@ -36,7 +36,8 @@ def _check_dim(d: int, minimum: int = 2) -> None:
 
 
 def check_label(w: Iterable[int], d: int) -> VertexLabel:
-    """Validate a vertex label: proper nonempty subset of ``1..d+1``."""
+    """Validate a vertex label: proper nonempty subset of ``1..d+1``, for ``d >= 2``."""
+    _check_dim(d)
     label = frozenset(w)
     if not label or not label < set(range(1, d + 2)):
         raise ValueError(f"label must be a proper nonempty subset of 1..{d + 1}")
@@ -155,6 +156,8 @@ class FVectorTables(Record):
 
 
 def fvector_tables(dmax: int) -> FVectorTables:
+    if isinstance(dmax, bool) or not isinstance(dmax, int):
+        raise TypeError(f"dmax must be an int, got {dmax!r}")
     if dmax < 0:
         raise ValueError("dmax must be non-negative")
     two_power = tuple(

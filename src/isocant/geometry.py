@@ -10,11 +10,10 @@ Every edge of such a polytope runs along a cut direction ``+1_S`` for a node
 set ``S``, and ``S`` is an up-set of the vertex's tight order (the tight part
 of the closed table), so the vertex enumerator walks the edge graph from the
 maximum point without any linear programming, trying at each vertex only the
-unions of its up-sets and stepping each edge once; each vertex carries its
-tight order in both directions from the edge that found it.  The walk also
-counts the faces: each has one highest vertex under ``x_1 + ... + x_d``,
-which no edge leaves level, and is counted there from that vertex's edges
-(the h-vector at simple vertices).  Each closed
+unions of its up-sets and stepping only its downward edges under
+``x_1 + ... + x_d``, which no edge leaves level.  The walk also counts the
+faces, each at its highest vertex, from that vertex's edges (the h-vector at
+simple vertices).  Each closed
 bound is the attained maximum of ``x_i - x_j``, so the closed table alone
 fixes the polytope, and central symmetry and the zonotope
 identity are read from it without enumerating vertices; a hand-built vertex
@@ -52,8 +51,7 @@ from .tropical import (
 
 Point = tuple[Fraction, ...]
 
-#: Cap on the vertex oracle's dimension; each vertex tries the unions of its
-#: up-sets and builds one 2^(d+1) neighbour table to test their connectivity.
+#: Cap on the vertex oracle's dimension; each vertex tries every union of its up-sets.
 ORACLE_DIM_LIMIT = 8
 
 
@@ -288,22 +286,16 @@ def _closed_bounds(h: HRep) -> tuple[list[list[int]], int]:
     return bound, den
 
 
-def _subset_unions(masks: Sequence[int]) -> list[int]:
-    """Table indexed by a node set ``s``: the union of ``masks[k]`` over ``k`` in ``s``."""
-    table = [0]
-    for mask in masks:
-        table += [m | mask for m in table]
-    return table
-
-
-def _connected(part: int, reach: Sequence[int]) -> bool:
-    """True when the node set ``part`` is connected in the graph whose neighbour table is ``reach``."""
-    comp = part & -part
-    while True:
-        grown = comp | reach[comp] & part
-        if grown == comp:
-            return comp == part
-        comp = grown
+def _connected(part: int, tight: Sequence[int]) -> bool:
+    """True when the node set ``part`` is connected by the pairs of ``tight[i]``, the nodes tight with ``i``."""
+    seen = todo = part & -part
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        new = tight[low.bit_length() - 1] & part & ~seen
+        seen |= new
+        todo |= new
+    return seen == part
 
 
 def _cone_faces(edges: Sequence[int], ups: Sequence[int], counts: list[int]) -> None:
@@ -371,14 +363,13 @@ def _walk(bound: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], 
 
     See :func:`enumerate_vertices_oracle` for the walk.  Each non-empty face
     has one highest vertex under ``c(x) = x_1 + ... + x_d``, its top, and is
-    counted there while the walk has the vertex's edges at hand: the cuts
-    it skips, already stepped into it, and the cuts that pass the
-    connectivity test.  An edge along ``+1_S`` goes down exactly when ``S``
-    holds the ground.  At a simple vertex, one with ``dim P`` edges, every
-    set of ``k`` downward edges spans a ``k``-face with that top, so the
-    vertex adds to the h-vector entry of its downward edge count and
-    ``f_k = sum_i C(i, k) h_i`` (Ziegler, *Lectures on Polytopes*, 8.3);
-    any other vertex counts its cone's downward faces (:func:`_cone_faces`).
+    counted there while the walk has the vertex's edges at hand.  An edge
+    along ``+1_S`` goes down exactly when ``S`` holds the ground.  At a
+    simple vertex, one with ``dim P`` edges, every set of ``k`` downward
+    edges spans a ``k``-face with that top, so the vertex adds to the
+    h-vector entry of its downward edge count and ``f_k = sum_i C(i, k) h_i``
+    (Ziegler, *Lectures on Polytopes*, 8.3); any other vertex counts its
+    cone's downward faces (:func:`_cone_faces`).
     ``dim P`` is the number of classes of nodes with a fixed difference,
     minus one, and ``f_{dim P}``, the polytope itself, is dropped.
     """
@@ -386,58 +377,51 @@ def _walk(bound: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], 
     nodes = range(d + 1)
     full = (1 << (d + 1)) - 1
     start = tuple(bound[k][0] for k in nodes)
-    # order[x] = [ups, downs, skip]: ups[i] holds the nodes j with x_i - x_j at its bound,
-    # so i cannot rise without j; downs[j] the nodes i with j in ups[i]; skip has bit c
-    # set when cut c leads back along an edge already stepped into x.
+    # order[x] = [ups, tight]: ups[i] holds the nodes j with x_i - x_j at its bound,
+    # so i cannot rise without j; tight[i] the nodes tight with i either way.
     ups = [sum(1 << j for j in nodes if start[i] - start[j] == bound[i][j]) for i in nodes]
-    order = {start: [ups, [sum(1 << i for i in nodes if ups[i] >> j & 1) for j in nodes], 0]}
+    order = {start: [ups, [u | sum(1 << j for j in nodes if ups[j] >> i & 1) for i, u in enumerate(ups)]]}
     # pairs[cut]: the pairs (i, j) with i in the cut and j outside it, filled on first use.
-    pairs: list[list[tuple[int, int]] | None] = [None] * full
+    pairs: dict[int, list[tuple[int, int]]] = {}
     dim_p = d - _constraint_rank(d, [(i, j) for i in nodes for j in range(i) if bound[i][j] + bound[j][i] == 0])
     hvec = [0] * (d + 1)
     counts = [0] * (d + 1)
     work = [start]
     while work:
         x = work.pop()
-        ups, downs, skip = order[x]
+        ups, tight = order[x]
         # A cut that no tight bound blocks is closed under ups: a union of some of them.
         cuts = {0}
         for u in ups:
             cuts |= {c | u for c in cuts}
-        reach = None
         edges = []
         for cut in cuts - {0, full}:
-            if skip >> cut & 1:
-                edges.append(cut)
-                continue
-            if reach is None:
-                reach = _subset_unions([u | w for u, w in zip(ups, downs)])
             rest = full ^ cut
-            if not _connected(cut, reach) or not _connected(rest, reach):
+            if not _connected(cut, tight) or not _connected(rest, tight):
                 continue
             edges.append(cut)
-            crossing = pairs[cut]
+            if not cut & 1:
+                continue
+            # A cut holding the ground goes down: the rest falls by the step, and x_0 stays 0.
+            crossing = pairs.get(cut)
             if crossing is None:
-                outs = [j for j in nodes if not cut >> j & 1]
+                outs = [j for j in nodes if rest >> j & 1]
                 crossing = pairs[cut] = [(i, j) for i in nodes if cut >> i & 1 for j in outs]
             slacks = [bound[i][j] - x[i] + x[j] for i, j in crossing]
             step = min(slacks)
-            # The cut rises by the step against the rest, and x_0 stays 0.
-            low = -step if cut & 1 else 0
-            high = low + step
-            y = tuple([v + high if cut >> k & 1 else v + low for k, v in enumerate(x)])
+            y = tuple([v if cut >> k & 1 else v - step for k, v in enumerate(x)])
             if y not in order:
                 # Pairs on one side keep their state; a pair leaving the cut is tight
                 # when its slack is the step, and one entering it cannot be (step > 0).
                 up = [u & cut if cut >> k & 1 else u & rest for k, u in enumerate(ups)]
-                down = [w & cut if cut >> k & 1 else w & rest for k, w in enumerate(downs)]
+                both = [t & cut if cut >> k & 1 else t & rest for k, t in enumerate(tight)]
                 for (i, j), s in zip(crossing, slacks):
                     if s == step:
                         up[i] |= 1 << j
-                        down[j] |= 1 << i
-                order[y] = [up, down, 0]
+                        both[i] |= 1 << j
+                        both[j] |= 1 << i
+                order[y] = [up, both]
                 work.append(y)
-            order[y][2] |= 1 << rest
         if len(edges) == dim_p:
             hvec[sum([cut & 1 for cut in edges])] += 1
         else:
@@ -457,23 +441,22 @@ def enumerate_vertices_oracle(h: HRep) -> VertexSet:
     the vertex where every ``x_i`` sits at its closed upper bound.  Every edge
     of an alcoved polytope runs along a cut direction ``+1_S`` for a proper
     nonempty node set ``S`` (ground included, points re-grounded to
-    ``x_0 = 0``).  Each vertex keeps its tight order both ways: ``ups[i]``
-    holds the nodes ``j`` with ``x_i - x_j`` at its bound, which ``i`` cannot
-    rise without, and ``downs[j]`` the nodes ``i`` with ``j`` in ``ups[i]``.
-    A cut that no tight bound blocks is closed under ``ups``, so it is a
-    union of some of them: the walk tries only the distinct proper nonempty
-    unions, built as a set, and such an up-set ``S`` is an edge when the
-    tight bounds not crossing it leave exactly the two components ``S`` and
-    its complement (:func:`_connected`, on a neighbour table built once some
-    up-set is not a reverse cut).  The step length is the least slack of the
-    bounds leaving ``S``, computed once per stepped cut over its crossing
-    pairs (a table filled per walk).  Each edge is stepped once: the vertex it
-    reaches skips the reverse cut (the complement of ``S``), marked in the one
-    entry it keeps beside ``ups`` and ``downs``.  A new vertex takes
-    ``ups`` and ``downs`` from the edge that found it: pairs on one side of
-    the cut keep their state, and a crossing pair whose slack is the step
-    becomes tight, so only the start vertex compares all ``(d+1)^2`` pairs,
-    and no linear programming is needed.  Each vertex also counts the faces
+    ``x_0 = 0``).  Each vertex keeps ``ups[i]``, the nodes ``j`` with
+    ``x_i - x_j`` at its bound, which ``i`` cannot rise without, and
+    ``tight[i]``, the nodes tight with ``i`` either way.  A cut that no tight
+    bound blocks is closed under ``ups``, so it is a union of some of them:
+    the walk tries only the distinct proper nonempty unions, built as a set,
+    and such an up-set ``S`` is an edge when the tight bounds not crossing it
+    leave exactly the two components ``S`` and its complement
+    (:func:`_connected`).  Every edge changes ``x_1 + ... + x_d``, so the
+    start is the one top and every other vertex has an edge going up: the
+    walk steps only the edges going down, those whose ``S`` holds the ground,
+    and so steps each edge once.  The step length is the least slack of the
+    bounds leaving ``S``, over its crossing pairs (kept per cut for the walk).
+    A new vertex takes ``ups`` and ``tight`` from the edge that found it:
+    pairs on one side of the cut keep their state, and a crossing pair whose
+    slack is the step becomes tight, so only the start vertex compares all
+    ``(d+1)^2`` pairs, and no linear programming is needed.  Each vertex also counts the faces
     whose highest vertex it is (:func:`_walk`).  Points are sorted as integer
     tuples and turned back into scalars by ``tropical._unscaled``; the
     sorted tuples, grounded and over the bounds' denominator, fill the

@@ -22,8 +22,7 @@ from isocant.conjectures import (
     stirling2,
 )
 from isocant.geometry import (
-    VertexSet, _closed_bounds, _connected, _subset_unions, enumerate_vertices_oracle, hrep_from_matrix,
-    polytope_extremes,
+    VertexSet, _closed_bounds, enumerate_vertices_oracle, hrep_from_matrix, polytope_extremes,
 )
 from isocant.matrices import PLACEMENTS, Decomposition, PerturbationMatrix, isocanted_vni
 from isocant.tropical import (
@@ -239,6 +238,24 @@ def sweep_vertices(h):
         raise ValueError("empty polytope: no feasible vertex found")
     points = tuple(sorted(tuple(Fraction(v, scale) for v in p) for p in feasible))
     return VertexSet(d, points)
+
+
+def _subset_unions(masks: Sequence[int]) -> list[int]:
+    """Table indexed by a node set ``s``: the union of ``masks[k]`` over ``k`` in ``s``."""
+    table = [0]
+    for mask in masks:
+        table += [m | mask for m in table]
+    return table
+
+
+def _connected(part: int, reach: Sequence[int]) -> bool:
+    """True when the node set ``part`` is connected in the graph whose neighbour table is ``reach``."""
+    comp = part & -part
+    while True:
+        grown = comp | reach[comp] & part
+        if grown == comp:
+            return comp == part
+        comp = grown
 
 
 def walk_by_cut_scan(h):

@@ -303,7 +303,9 @@ def test_vertices_requires_spec_or_input(capsys):
     assert "error:" in err
 
 
-@pytest.mark.parametrize("option", [["--dim", "2"], ["--ell", "5"], ["--a", "1"]])
+@pytest.mark.parametrize(
+    "option", [["--dim", "2"], ["--ell", "5"], ["--a", "1"], ["--placement", "sni"]]
+)
 def test_vertices_refuses_input_file_with_spec(tmp_path, capsys, option):
     path = tmp_path / "m3.json"
     write_matrix(path, isocanted_sni(IsocantedSpec(3, F(2), F(1))))

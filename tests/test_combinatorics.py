@@ -75,6 +75,28 @@ def test_fvector_tables_refuse_a_negative_dimension():
         fvector_tables(-1)
 
 
+LABEL_DIM_TEXT = "^dimension must be an integer >= 2$"
+
+
+@pytest.mark.parametrize("call, error, text", [
+    (lambda: valence({1}, 1), ValueError, LABEL_DIM_TEXT),
+    (lambda: valence({1}, True), ValueError, LABEL_DIM_TEXT),
+    (lambda: distance({1}, {2}, 2.5), ValueError, LABEL_DIM_TEXT),
+    (lambda: antipode({1}, 2.5), ValueError, LABEL_DIM_TEXT),
+    (lambda: check_label({1}, 2.5), ValueError, LABEL_DIM_TEXT),
+    (lambda: check_label({1}, 0), ValueError, LABEL_DIM_TEXT),
+    (lambda: fvector_tables(True), TypeError, "^dmax must be an int, got True$"),
+    (lambda: fvector_tables(2.0), TypeError, "^dmax must be an int, got 2.0$"),
+    (lambda: fvector_tables("3"), TypeError, "^dmax must be an int, got '3'$"),
+], ids=[
+    "valence-d1", "valence-bool", "distance-float", "antipode-float", "check_label-float",
+    "check_label-d0", "tables-bool", "tables-float", "tables-str",
+])
+def test_label_functions_and_tables_refuse_a_bad_dimension(call, error, text):
+    with pytest.raises(error, match=text):
+        call()
+
+
 def test_fvector_tables_identity():
     tables = fvector_tables(12)
     for d in range(13):

@@ -906,6 +906,22 @@ def test_hand_built_vertex_sets_walk_their_own_extremes():
         oracle_face_counts(square, VertexSet(2, corners))
 
 
+def test_hand_built_segment_walks_in_memory_that_does_not_grow_with_two_to_the_d():
+    # Hand-built sets are not capped at ORACLE_DIM_LIMIT, so nothing the walk
+    # keeps may be sized 2^(d+1): a diagonal segment at d=20 walks two vertices.
+    d = 20
+    h = HRep(d, ((0, 1),) * d, ())
+    vset = VertexSet(d, ((0,) * d, (1,) * d))
+    tracemalloc.start()
+    try:
+        counts = oracle_face_counts(h, vset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == (2,) + (0,) * (d - 1)
+    assert peak < 1 << 20, peak
+
+
 def test_tight_rank_checks_the_point_length():
     h = hrep_from_matrix(cube_vni(3, 2))
     for point in ((F(0), F(0)), (F(0), F(0), F(0), F(5))):
