@@ -39,6 +39,9 @@ def check_label(w: Iterable[int], d: int) -> VertexLabel:
     """Validate a vertex label: proper nonempty subset of ``1..d+1``, for ``d >= 2``."""
     _check_dim(d)
     label = frozenset(w)
+    bad = next((v for v in label if isinstance(v, bool) or not isinstance(v, int)), None)
+    if bad is not None:
+        raise TypeError(f"label elements must be ints, got {bad!r}")
     if not label or not label < set(range(1, d + 2)):
         raise ValueError(f"label must be a proper nonempty subset of 1..{d + 1}")
     return label
@@ -366,8 +369,7 @@ def antipode(w: Iterable[int], d: int) -> VertexLabel:
 
 def antipode_interval(face: FaceInterval, d: int) -> FaceInterval:
     """Induced involution on faces: complement and swap the endpoints."""
-    universe = frozenset(range(1, d + 2))
-    return FaceInterval(universe - face.top, universe - face.bottom)
+    return FaceInterval(antipode(face.top, d), antipode(face.bottom, d))
 
 
 def count_flags(d: int) -> int:
@@ -423,12 +425,11 @@ def fatness_f03(d: int = 4) -> tuple[Fraction, int]:
     """The two 4-polytope invariants: fatness and vertex-facet incidence count.
 
     Fatness is ``(f1 + f2 - 20) / (f0 + f3 - 10)``; the incidence count is
-    recomputed from the lattice as the total number of vertices over facets.
+    recomputed from the facets as the total number of vertices over facets.
     """
     if d != 4:
         raise ValueError("fatness and f03 are defined here for dimension 4 only")
     f = isocanted_fvector(4)
     fatness = Fraction(f[1] + f[2] - 20, f[0] + f[3] - 10)
-    lattice = build_face_lattice(4)
-    f03 = sum(2 ** face.dim for face in lattice[3])
+    f03 = sum(2 ** face.dim for face in facet_intervals(4))
     return fatness, f03

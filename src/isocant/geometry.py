@@ -117,10 +117,10 @@ class HRep(Record):
         ]), den
 
     def _grounded(self, point: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """``(0, *point)``: the point on the nodes ``0..d``, after checking its length."""
+        """``(0, *point)`` on the nodes ``0..d``, after the length check and the exact-number gate."""
         if len(point) != self.d:
             raise ValueError(f"point dimension {len(point)} != {self.d}")
-        return (0, *point)
+        return (0, *map(as_rational, point))
 
     def contains(self, point: Sequence[Fraction]) -> bool:
         x = self._grounded(point)
@@ -377,19 +377,18 @@ def _walk(bound: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], 
     nodes = range(d + 1)
     full = (1 << (d + 1)) - 1
     start = tuple(bound[k][0] for k in nodes)
-    # order[x] = [ups, tight]: ups[i] holds the nodes j with x_i - x_j at its bound,
-    # so i cannot rise without j; tight[i] the nodes tight with i either way.
+    # A work entry (x, ups, tight) is a vertex still to expand: ups[i] holds the nodes j with
+    # x_i - x_j at its bound, so i cannot rise without j; tight[i] the nodes tight with i either way.
     ups = [sum(1 << j for j in nodes if start[i] - start[j] == bound[i][j]) for i in nodes]
-    order = {start: [ups, [u | sum(1 << j for j in nodes if ups[j] >> i & 1) for i, u in enumerate(ups)]]}
+    seen = {start}
     # pairs[cut]: the pairs (i, j) with i in the cut and j outside it, filled on first use.
     pairs: dict[int, list[tuple[int, int]]] = {}
     dim_p = d - _constraint_rank(d, [(i, j) for i in nodes for j in range(i) if bound[i][j] + bound[j][i] == 0])
     hvec = [0] * (d + 1)
     counts = [0] * (d + 1)
-    work = [start]
+    work = [(start, ups, [u | sum(1 << j for j in nodes if ups[j] >> i & 1) for i, u in enumerate(ups)])]
     while work:
-        x = work.pop()
-        ups, tight = order[x]
+        x, ups, tight = work.pop()
         # A cut that no tight bound blocks is closed under ups: a union of some of them.
         cuts = {0}
         for u in ups:
@@ -410,7 +409,7 @@ def _walk(bound: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], 
             slacks = [bound[i][j] - x[i] + x[j] for i, j in crossing]
             step = min(slacks)
             y = tuple([v if cut >> k & 1 else v - step for k, v in enumerate(x)])
-            if y not in order:
+            if y not in seen:
                 # Pairs on one side keep their state; a pair leaving the cut is tight
                 # when its slack is the step, and one entering it cannot be (step > 0).
                 up = [u & cut if cut >> k & 1 else u & rest for k, u in enumerate(ups)]
@@ -420,8 +419,8 @@ def _walk(bound: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], 
                         up[i] |= 1 << j
                         both[i] |= 1 << j
                         both[j] |= 1 << i
-                order[y] = [up, both]
-                work.append(y)
+                seen.add(y)
+                work.append((y, up, both))
         if len(edges) == dim_p:
             hvec[sum([cut & 1 for cut in edges])] += 1
         else:
@@ -430,7 +429,7 @@ def _walk(bound: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], 
         for k in range(i + 1):
             counts[k] += comb(i, k) * n
     counts[dim_p] = 0
-    return tuple(sorted(order)), tuple(counts[:d])
+    return tuple(sorted(seen)), tuple(counts[:d])
 
 
 def enumerate_vertices_oracle(h: HRep) -> VertexSet:
@@ -441,11 +440,11 @@ def enumerate_vertices_oracle(h: HRep) -> VertexSet:
     the vertex where every ``x_i`` sits at its closed upper bound.  Every edge
     of an alcoved polytope runs along a cut direction ``+1_S`` for a proper
     nonempty node set ``S`` (ground included, points re-grounded to
-    ``x_0 = 0``).  Each vertex keeps ``ups[i]``, the nodes ``j`` with
-    ``x_i - x_j`` at its bound, which ``i`` cannot rise without, and
-    ``tight[i]``, the nodes tight with ``i`` either way.  A cut that no tight
-    bound blocks is closed under ``ups``, so it is a union of some of them:
-    the walk tries only the distinct proper nonempty unions, built as a set,
+    ``x_0 = 0``).  Each vertex carries, until it is expanded, ``ups[i]``,
+    the nodes ``j`` with ``x_i - x_j`` at its bound, which ``i`` cannot rise
+    without, and ``tight[i]``, the nodes tight with ``i`` either way.  A cut
+    that no tight bound blocks is closed under ``ups``, so it is a union of
+    some of them: the walk tries only the distinct proper nonempty unions, built as a set,
     and such an up-set ``S`` is an edge when the tight bounds not crossing it
     leave exactly the two components ``S`` and its complement
     (:func:`_connected`).  Every edge changes ``x_1 + ... + x_d``, so the

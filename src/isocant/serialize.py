@@ -13,10 +13,11 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 from ._record import Record
-from .combinatorics import build_face_lattice, label_text
+from .combinatorics import facet_intervals, label_text
 from .geometry import Point, closed_form_vertices
 from .matrices import IsocantedSpec
 from .tropical import NEG_INF, TropMatrix, TropScalar, _NegInf
@@ -153,47 +154,32 @@ class MeshExport(Record):
         check_precision(self.precision)
 
 
-def _cross(u: tuple[Fraction, ...], v: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
 def build_mesh(
     spec: IsocantedSpec, placement: str = "vni", precision: int = DEFAULT_PRECISION
 ) -> MeshExport:
-    """Mesh of the three-dimensional isocanted polytope: 14 vertices, 12 quads."""
+    """Mesh of the three-dimensional isocanted polytope: 14 vertices, 12 quads.
+
+    The facet ``[{i}, {1..4} - {m}]`` with free labels ``j < k`` is the cycle
+    ``{i}, {i, j}, {i, j, k}, {i, k}``, reversed when ``(i, j, k, m)`` is an
+    odd permutation.  No facet degenerates for ``0 < cant < edge_length``, a
+    connected range, and ``sni`` is ``vni`` translated, so no orientation can
+    flip as the spec moves; one spec fixes all 12, and the parity rule
+    matches them there.
+    """
     if spec.d != 3:
         raise ValueError("mesh export is defined for dimension 3")
     vertex_map = closed_form_vertices(spec, placement)
     labels = tuple(vertex_map)
-    index = {lab: k for k, lab in enumerate(labels)}
-    vertices = tuple(vertex_map[lab] for lab in labels)
-    centroid = tuple(
-        sum(v[k] for v in vertices) / len(vertices) for k in range(3)
-    )
+    vertices = tuple(vertex_map.values())
 
     faces = []
-    for face in build_face_lattice(3)[2]:
-        low, high = sorted(face.top - face.bottom)
-        cycle = [
-            face.bottom,
-            face.bottom | {low},
-            face.top,
-            face.bottom | {high},
-        ]
-        pts = [vertex_map[lab] for lab in cycle]
-        normal = _cross(
-            tuple(pts[1][k] - pts[0][k] for k in range(3)),
-            tuple(pts[2][k] - pts[0][k] for k in range(3)),
-        )
-        face_centroid = tuple(sum(p[k] for p in pts) / 4 for k in range(3))
-        outward = sum(normal[k] * (face_centroid[k] - centroid[k]) for k in range(3))
-        if outward < 0:
+    for face in facet_intervals(3):
+        (i,), (m,) = face.bottom, {1, 2, 3, 4} - face.top
+        j, k = sorted(face.top - face.bottom)
+        cycle = [face.bottom, face.bottom | {j}, face.top, face.bottom | {k}]
+        if sum(p > q for p, q in combinations((i, j, k, m), 2)) % 2:
             cycle.reverse()
-        faces.append(tuple(index[lab] for lab in cycle))
+        faces.append(tuple(map(labels.index, cycle)))
 
     colors = tuple(COLOR_BY_LENGTH[len(lab)] for lab in labels)
     return MeshExport(vertices, labels, tuple(sorted(faces)), colors, precision)

@@ -26,9 +26,12 @@ from isocant.combinatorics import (
     fvector_recursion_holds,
     fvector_tables,
     isocanted_fvector,
+    label_text,
     skeleton,
     valence,
 )
+from isocant.geometry import verify_unique_vertex
+from isocant.matrices import IsocantedSpec
 
 import reference
 
@@ -88,9 +91,25 @@ LABEL_DIM_TEXT = "^dimension must be an integer >= 2$"
     (lambda: fvector_tables(True), TypeError, "^dmax must be an int, got True$"),
     (lambda: fvector_tables(2.0), TypeError, "^dmax must be an int, got 2.0$"),
     (lambda: fvector_tables("3"), TypeError, "^dmax must be an int, got '3'$"),
+    (lambda: label_text(check_label([1.0, 2], 3)), TypeError, r"^label elements must be ints, got 1\.0$"),
+    (lambda: valence([True], 3), TypeError, "^label elements must be ints, got True$"),
+    (lambda: distance({1}, {"2"}, 3), TypeError, "^label elements must be ints, got '2'$"),
+    (lambda: verify_unique_vertex(IsocantedSpec(3, 2, 1), [True]), TypeError,
+     "^label elements must be ints, got True$"),
+    (lambda: antipode_interval(FaceInterval(frozenset({1}), frozenset({1, 2, 3})), 1), ValueError,
+     LABEL_DIM_TEXT),
+    (lambda: antipode_interval(FaceInterval(frozenset({1}), frozenset({1, 2, 3})), 1.5), ValueError,
+     LABEL_DIM_TEXT),
+    (lambda: antipode_interval(FaceInterval(frozenset(), frozenset({1})), 3), ValueError,
+     r"^label must be a proper nonempty subset of 1\.\.4$"),
+    (lambda: antipode_interval(FaceInterval(frozenset({1}), frozenset({1, 2, 3, 4})), 3), ValueError,
+     r"^label must be a proper nonempty subset of 1\.\.4$"),
 ], ids=[
     "valence-d1", "valence-bool", "distance-float", "antipode-float", "check_label-float",
-    "check_label-d0", "tables-bool", "tables-float", "tables-str",
+    "check_label-d0", "tables-bool", "tables-float", "tables-str", "label-float-element",
+    "valence-bool-element", "distance-str-element", "unique_vertex-bool-element",
+    "antipode_interval-d1", "antipode_interval-float", "antipode_interval-empty-bottom",
+    "antipode_interval-full-top",
 ])
 def test_label_functions_and_tables_refuse_a_bad_dimension(call, error, text):
     with pytest.raises(error, match=text):

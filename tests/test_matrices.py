@@ -130,6 +130,10 @@ INEXACT_CALLS = [
     ("hrep_single", lambda v: HRep(2, ((v, F(1)), (F(0), F(1))), ()), 0.0, True),
     ("hrep_diff", lambda v: HRep(2, ((F(0), F(1)),) * 2, ((1, 2, v, F(1)),)), 0.5, True),
     ("vertex_set", lambda v: VertexSet(2, ((F(0), F(1)), (v, F(1)))), 0.5, True),
+    # A float or bool point coordinate was once compared as it stood:
+    # contains((0.5, 0)) returned True.
+    ("hrep_contains", lambda v: HRep(2, ((0, 1), (0, 1)), ()).contains((v, 0)), 0.5, True),
+    ("hrep_tight_rank", lambda v: HRep(2, ((0, 1), (0, 1)), ()).tight_rank((v, 0)), 0.5, True),
     # A float or bool label point once built, and hash() then failed on a list point.
     ("vertex_set_label", lambda v: VertexSet(1, ((F(0),),), ((frozenset({1}), [v]),)), 0.5, True),
 ]

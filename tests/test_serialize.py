@@ -184,8 +184,13 @@ def test_mesh_quads_match_lattice_two_faces():
     assert label_sets == expected
 
 
-def test_mesh_faces_oriented_outward():
-    mesh = build_mesh(_spec3())
+@pytest.mark.parametrize("placement", ["vni", "sni"])
+@pytest.mark.parametrize("ell, cant", [("2", "1"), ("5/2", "1/3"), ("3", "299/100"), ("7", "1/100")],
+                         ids=["share-half", "share-small", "share-near-one", "share-near-zero"])
+def test_mesh_faces_oriented_outward(ell, cant, placement):
+    # The mesh orients each facet by the parity of its labels; this checks
+    # that rule against the geometry near both ends of the cant range.
+    mesh = build_mesh(IsocantedSpec(3, ell, cant), placement)
     center = tuple(
         sum(v[k] for v in mesh.vertices) / len(mesh.vertices) for k in range(3)
     )
