@@ -35,13 +35,17 @@ def _check_dim(d: int, minimum: int = 2) -> None:
         raise ValueError(f"dimension must be an integer >= {minimum}")
 
 
+def _check_elements(label: VertexLabel) -> None:
+    bad = next((v for v in label if isinstance(v, bool) or not isinstance(v, int)), None)
+    if bad is not None:
+        raise TypeError(f"label elements must be ints, got {bad!r}")
+
+
 def check_label(w: Iterable[int], d: int) -> VertexLabel:
     """Validate a vertex label: proper nonempty subset of ``1..d+1``, for ``d >= 2``."""
     _check_dim(d)
     label = frozenset(w)
-    bad = next((v for v in label if isinstance(v, bool) or not isinstance(v, int)), None)
-    if bad is not None:
-        raise TypeError(f"label elements must be ints, got {bad!r}")
+    _check_elements(label)
     if not label or not label < set(range(1, d + 2)):
         raise ValueError(f"label must be a proper nonempty subset of 1..{d + 1}")
     return label
@@ -180,13 +184,27 @@ def fvector_tables(dmax: int) -> FVectorTables:
 
 
 class FaceInterval(Record):
-    """A face, encoded as the interval ``[bottom, top]`` of its vertex labels."""
+    """A face, encoded as the interval ``[bottom, top]`` of its vertex labels.
+
+    Both ends are stored as frozensets of ints of at least 1, with a nonempty
+    bottom contained in the top.
+    """
 
     bottom: VertexLabel
     top: VertexLabel
 
     def __post_init__(self) -> None:
-        if not self.bottom <= self.top:
+        bottom, top = frozenset(self.bottom), frozenset(self.top)
+        object.__setattr__(self, "bottom", bottom)
+        object.__setattr__(self, "top", top)
+        elements = bottom | top
+        _check_elements(elements)
+        low = min(elements, default=1)
+        if low < 1:
+            raise ValueError(f"label elements must be at least 1, got {low}")
+        if not bottom:
+            raise ValueError("bottom must be nonempty")
+        if not bottom <= top:
             raise ValueError("bottom must be contained in top")
 
     @property
@@ -402,23 +420,21 @@ class CaskBeltPartition(Record):
 
     North-cask faces use only labels omitting ``d+1``; south-cask faces only
     labels containing it; belt faces mix both kinds, which happens exactly
-    when ``d+1`` separates top from bottom.
+    when ``d+1`` separates top from bottom.  Each part holds its faces by
+    dimension ``0..d-1``; the belt's dimension 0 is empty.
     """
 
     d: int
-    north: dict[int, tuple[FaceInterval, ...]]
-    south: dict[int, tuple[FaceInterval, ...]]
-    belt: dict[int, tuple[FaceInterval, ...]]
+    north: tuple[tuple[FaceInterval, ...], ...]
+    south: tuple[tuple[FaceInterval, ...], ...]
+    belt: tuple[tuple[FaceInterval, ...], ...]
 
     def counts(self, part: str) -> tuple[int, ...]:
-        groups = getattr(self, part)
-        top = max(groups) if groups else -1
-        return tuple(len(groups.get(k, ())) for k in range(top + 1))
+        return tuple(map(len, getattr(self, part)))
 
 
 def casks_and_belt(d: int) -> CaskBeltPartition:
-    groups = ({k: tuple(v) for k, v in enumerate(part) if v} for part in _face_groups(d, split=True))
-    return CaskBeltPartition(d, *groups)
+    return CaskBeltPartition(d, *(tuple(map(tuple, part)) for part in _face_groups(d, split=True)))
 
 
 def fatness_f03(d: int = 4) -> tuple[Fraction, int]:

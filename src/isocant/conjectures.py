@@ -248,22 +248,6 @@ def _cubical_g2(d: int, row: FVector, binomials: list[int]) -> tuple[bool, dict]
     return g2 >= 0, {"d": d, "g2": g2}
 
 
-_BELOW_2 = "dimension range must start at 2 or above"
-
-#: name -> (lowest first dimension, error below it, whether it reads the row,
-#: predicate for a sweep from a given first dimension).
-_PREDICATES: dict[str, tuple[int, str, bool, Callable[[int], Predicate]]] = {
-    "extremes": (0, "dimension must be non-negative", False, lambda lo: _extremes),
-    "log_concave": (2, _BELOW_2, True, _log_concave),
-    "unimodal": (2, _BELOW_2, True, lambda lo: _unimodal),
-    "argmax": (2, _BELOW_2, True, lambda lo: _argmax),
-    "barany": (2, _BELOW_2, True, lambda lo: _barany),
-    "3d": (2, _BELOW_2, True, _three_d),
-    "flag": (2, _BELOW_2, False, lambda lo: _flag),
-    "cubical_g2": (4, _G2_FLOOR, True, lambda lo: _cubical_g2),
-}
-
-
 def _require_int_bounds(d_min: int, d_max: int) -> None:
     for v in (d_min, d_max):
         if isinstance(v, bool) or not isinstance(v, int):
@@ -272,7 +256,7 @@ def _require_int_bounds(d_min: int, d_max: int) -> None:
 
 def _validate(name: str, d_min: int, d_max: int) -> None:
     _require_int_bounds(d_min, d_max)
-    floor, below = _PREDICATES[name][:2]
+    floor, below = _PREDICATES[name][1:3]
     if d_min < floor:
         raise ValueError(below)
     if d_min > d_max:
@@ -289,8 +273,8 @@ def _sweep_once(sweeps: list[tuple[str, int]], d_max: int) -> list[ConjectureRep
     before built no row.
     """
     firsts = [lo for _, lo in sweeps]
-    reads_row = [_PREDICATES[name][2] for name, _ in sweeps]
-    predicates = [_PREDICATES[name][3](lo) for name, lo in sweeps]
+    reads_row = [_PREDICATES[name][3] for name, _ in sweeps]
+    predicates = [_PREDICATES[name][4](lo) for name, lo in sweeps]
     witnesses: list[list[dict]] = [[] for _ in sweeps]
     failures: list[dict | None] = [None] * len(sweeps)
     still_open = list(range(len(sweeps)))
@@ -392,16 +376,22 @@ def cubical_g2(d_min: int = 4, d_max: int = DEFAULT_D_MAX) -> ConjectureReport:
     return _sweep_one("cubical_g2", d_min, d_max)
 
 
-CHECKS: dict[str, Callable[..., ConjectureReport]] = {
-    "extremes": check_extremes,
-    "log_concave": check_log_concave,
-    "unimodal": check_unimodal,
-    "argmax": check_argmax,
-    "barany": check_barany,
-    "3d": check_3d,
-    "flag": check_flag,
-    "cubical_g2": cubical_g2,
+_BELOW_2 = "dimension range must start at 2 or above"
+
+#: name -> (public check, lowest first dimension, error below it, whether it
+#: reads the row, predicate for a sweep from a given first dimension).
+_PREDICATES: dict[str, tuple[Callable[..., ConjectureReport], int, str, bool, Callable[[int], Predicate]]] = {
+    "extremes": (check_extremes, 0, "dimension must be non-negative", False, lambda lo: _extremes),
+    "log_concave": (check_log_concave, 2, _BELOW_2, True, _log_concave),
+    "unimodal": (check_unimodal, 2, _BELOW_2, True, lambda lo: _unimodal),
+    "argmax": (check_argmax, 2, _BELOW_2, True, lambda lo: _argmax),
+    "barany": (check_barany, 2, _BELOW_2, True, lambda lo: _barany),
+    "3d": (check_3d, 2, _BELOW_2, True, _three_d),
+    "flag": (check_flag, 2, _BELOW_2, False, lambda lo: _flag),
+    "cubical_g2": (cubical_g2, 4, _G2_FLOOR, True, lambda lo: _cubical_g2),
 }
+
+CHECKS: dict[str, Callable[..., ConjectureReport]] = {name: row[0] for name, row in _PREDICATES.items()}
 
 
 def run_all(
@@ -424,7 +414,7 @@ def run_all(
     for name in list(CHECKS) if names is None else names:
         if name not in CHECKS:
             raise ValueError(f"unknown check: {name!r}")
-        floor, below = _PREDICATES[name][:2]
+        floor, below = _PREDICATES[name][1:3]
         lo = max(floor, d_min) if name == "cubical_g2" else d_min
         if d_min <= d_max < lo:
             if names is None:

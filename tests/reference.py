@@ -546,13 +546,14 @@ def skeleton_per_edge(d: int) -> SkeletonGraph:
 
 def casks_and_belt_per_face(d: int) -> CaskBeltPartition:
     pole = d + 1
-    parts: dict[str, dict[int, list[FaceInterval]]] = {"north": {}, "south": {}, "belt": {}}
+    parts: dict[str, list[list[FaceInterval]]] = {
+        name: [[] for _ in range(d)] for name in ("north", "south", "belt")
+    }
     for k, faces in build_face_lattice_per_face(d).items():
         for face in faces:
             part = "north" if pole not in face.top else "south" if pole in face.bottom else "belt"
-            parts[part].setdefault(k, []).append(face)
-    groups = ({k: tuple(v) for k, v in part.items()} for part in parts.values())
-    return CaskBeltPartition(d, *groups)
+            parts[part][k].append(face)
+    return CaskBeltPartition(d, *(tuple(map(tuple, part)) for part in parts.values()))
 
 
 def bfs_diameter(d: int) -> int:

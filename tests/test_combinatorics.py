@@ -101,15 +101,32 @@ LABEL_DIM_TEXT = "^dimension must be an integer >= 2$"
     (lambda: antipode_interval(FaceInterval(frozenset({1}), frozenset({1, 2, 3})), 1.5), ValueError,
      LABEL_DIM_TEXT),
     (lambda: antipode_interval(FaceInterval(frozenset(), frozenset({1})), 3), ValueError,
-     r"^label must be a proper nonempty subset of 1\.\.4$"),
+     "^bottom must be nonempty$"),
     (lambda: antipode_interval(FaceInterval(frozenset({1}), frozenset({1, 2, 3, 4})), 3), ValueError,
      r"^label must be a proper nonempty subset of 1\.\.4$"),
+    # FaceInterval's own refusals, in the order it makes them: element type,
+    # element range, empty bottom, containment.
+    (lambda: FaceInterval(frozenset({1.5}), frozenset({1.5, 2})), TypeError,
+     r"^label elements must be ints, got 1\.5$"),
+    (lambda: FaceInterval(frozenset({True}), frozenset({True, 2})), TypeError,
+     "^label elements must be ints, got True$"),
+    (lambda: FaceInterval(frozenset(), frozenset({"2"})), TypeError,
+     "^label elements must be ints, got '2'$"),
+    (lambda: FaceInterval(frozenset({0}), frozenset()), ValueError,
+     "^label elements must be at least 1, got 0$"),
+    (lambda: FaceInterval(frozenset(), frozenset({-1, 2})), ValueError,
+     "^label elements must be at least 1, got -1$"),
+    (lambda: FaceInterval(frozenset(), frozenset()), ValueError, "^bottom must be nonempty$"),
+    (lambda: FaceInterval(frozenset({1, 2}), frozenset({1, 3})), ValueError,
+     "^bottom must be contained in top$"),
 ], ids=[
     "valence-d1", "valence-bool", "distance-float", "antipode-float", "check_label-float",
     "check_label-d0", "tables-bool", "tables-float", "tables-str", "label-float-element",
     "valence-bool-element", "distance-str-element", "unique_vertex-bool-element",
     "antipode_interval-d1", "antipode_interval-float", "antipode_interval-empty-bottom",
-    "antipode_interval-full-top",
+    "antipode_interval-full-top", "face-float-element", "face-bool-element",
+    "face-str-before-empty-bottom", "face-zero-before-containment", "face-negative-before-empty-bottom",
+    "face-empty", "face-not-contained",
 ])
 def test_label_functions_and_tables_refuse_a_bad_dimension(call, error, text):
     with pytest.raises(error, match=text):
@@ -271,13 +288,7 @@ def test_label_builders_match_per_face_reference():
         for source in (graph.nodes[0], graph.nodes[n // 3], graph.nodes[-1]):
             dist = bfs_distances(graph, source)
             assert list(dist.items()) == list(bfs_distances(old, source).items())
-        # Dict equality ignores key order, so each group's items are compared
-        # as lists.
-        part = casks_and_belt(d)
-        old_part = reference.casks_and_belt_per_face(d)
-        assert part == old_part
-        for name in ("north", "south", "belt"):
-            assert list(getattr(part, name).items()) == list(getattr(old_part, name).items()), (d, name)
+        assert casks_and_belt(d) == reference.casks_and_belt_per_face(d)
 
 
 def test_label_builders_share_one_object_per_label():
@@ -403,12 +414,48 @@ def test_poles_belong_to_their_casks_only():
     north_pole = FaceInterval(frozenset(range(1, d + 1)), frozenset(range(1, d + 1)))
     south_pole = FaceInterval(frozenset({d + 1}), frozenset({d + 1}))
     assert north_pole in part.north[0] and south_pole in part.south[0]
-    assert north_pole not in part.belt.get(0, ()) and south_pole not in part.belt.get(0, ())
+    assert north_pole not in part.belt[0] and south_pole not in part.belt[0]
     # No belt face contains either pole.
-    for faces in part.belt.values():
+    for faces in part.belt:
         for face in faces:
             assert not (face.bottom <= north_pole.bottom <= face.top)
             assert not (face.bottom <= south_pole.bottom <= face.top)
+
+
+#: d -> (north and south counts, belt counts), written out by hand so that a
+#: change to how the parts are held cannot move them.
+CASK_COUNTS = {
+    2: ((3, 2), (0, 2)),
+    3: ((7, 9, 3), (0, 6, 6)),
+    4: ((15, 28, 18, 4), (0, 14, 24, 12)),
+    5: ((31, 75, 70, 30, 5), (0, 30, 70, 60, 20)),
+    6: ((63, 186, 225, 140, 45, 6), (0, 62, 180, 210, 120, 30)),
+    7: ((127, 441, 651, 525, 245, 63, 7), (0, 126, 434, 630, 490, 210, 42)),
+    8: ((255, 1016, 1764, 1736, 1050, 392, 84, 8), (0, 254, 1008, 1736, 1680, 980, 336, 56)),
+}
+
+
+@pytest.mark.parametrize("d", sorted(CASK_COUNTS))
+def test_cask_parts_hash_and_keep_their_counts(d):
+    part = casks_and_belt(d)
+    twin = casks_and_belt(d)
+    assert part == twin and part is not twin
+    assert hash(part) == hash(twin)
+    assert {part, twin} == {part}
+    cask, belt = CASK_COUNTS[d]
+    assert (part.counts("north"), part.counts("south"), part.counts("belt")) == (cask, cask, belt)
+    for name in ("north", "south", "belt"):
+        groups = getattr(part, name)
+        assert type(groups) is tuple and len(groups) == d
+        assert all(type(faces) is tuple for faces in groups)
+        assert all(face.dim == k for k, faces in enumerate(groups) for face in faces)
+
+
+def test_face_interval_stores_frozensets():
+    face = FaceInterval([2, 1], (1, 2, 3))
+    assert type(face.bottom) is frozenset and type(face.top) is frozenset
+    assert face == FaceInterval(frozenset({1, 2}), frozenset({1, 2, 3}))
+    assert hash(face) == hash(FaceInterval(frozenset({1, 2}), frozenset({1, 2, 3})))
 
 
 def test_belt_count_equals_lower_dimensional_fvector():
@@ -441,8 +488,8 @@ def test_check_label_validation():
 def test_unchecked_faces_equal_validated_faces():
     for d in range(2, 9):
         part = casks_and_belt(d)
-        groups = [build_face_lattice(d), part.north, part.south, part.belt]
-        for faces in (f for group in groups for f in group.values()):
+        groups = [build_face_lattice(d).values(), part.north, part.south, part.belt]
+        for faces in (f for group in groups for f in group):
             for face in faces:
                 assert type(face) is FaceInterval
                 assert face == FaceInterval(face.bottom, face.top)

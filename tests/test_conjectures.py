@@ -1,5 +1,6 @@
 """The exact verification sweeps, including the two known-false stated claims."""
 
+import inspect
 import math
 import random
 from fractions import Fraction as F
@@ -343,11 +344,25 @@ def test_sequence_predicates_match_loop_references():
     assert not is_log_concave([1, 0, 1]) and is_log_concave([-1, 1, -1])
 
 
+def test_each_check_is_declared_by_one_row():
+    # CHECKS is read off the rows, and each check's default first dimension
+    # is its row's floor.
+    floors = {name: row[1] for name, row in conjectures._PREDICATES.items()}
+    assert floors == {
+        "extremes": 0, "log_concave": 2, "unimodal": 2, "argmax": 2,
+        "barany": 2, "3d": 2, "flag": 2, "cubical_g2": 4,
+    }
+    assert CHECKS == {name: row[0] for name, row in conjectures._PREDICATES.items()}
+    for name, check in CHECKS.items():
+        assert inspect.signature(check).parameters["d_min"].default == floors[name], name
+        assert check(d_max=floors[name] + 3).d_min == floors[name], name
+
+
 def _spy_on_rows(monkeypatch, name):
     # Wrap one check so the sweep's rows and binomials at each dimension are
     # recorded as handed out.
     seen = []
-    floor, below, reads, make = conjectures._PREDICATES[name]
+    check, floor, below, reads, make = conjectures._PREDICATES[name]
 
     def make_spy(lo):
         inner = make(lo)
@@ -358,7 +373,7 @@ def _spy_on_rows(monkeypatch, name):
 
         return per_d
 
-    monkeypatch.setitem(conjectures._PREDICATES, name, (floor, below, reads, make_spy))
+    monkeypatch.setitem(conjectures._PREDICATES, name, (check, floor, below, reads, make_spy))
     return seen
 
 
@@ -399,7 +414,7 @@ def test_bench_shaped_sweeps_match_reference():
 def test_log_concave_check_reads_the_binomials_it_is_handed():
     # Binomial rows are always log-concave, so only a forged row shows that
     # the check tests the one the sweep hands out.
-    per_d = conjectures._PREDICATES["log_concave"][3](5)
+    per_d = conjectures._PREDICATES["log_concave"][4](5)
     row = isocanted_fvector(5)
     binomials = [math.comb(6, j) for j in range(7)]
     assert per_d(5, row, binomials)[0]
