@@ -286,7 +286,7 @@ def facet_intervals(d: int) -> tuple[FaceInterval, ...]:
     _check_dim(d)
     labels = range(1, d + 2)
     universe = frozenset(labels)
-    return tuple(FaceInterval(frozenset({i}), universe - {j}) for i in labels for j in labels if i != j)
+    return tuple(_face(frozenset({i}), universe - {j}) for i in labels for j in labels if i != j)
 
 
 class SkeletonGraph(Record):

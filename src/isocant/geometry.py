@@ -9,13 +9,14 @@ one table that every reader goes through; closing its dense integer form
 Every edge of such a polytope runs along a cut direction ``+1_S`` for a node
 set ``S``, and ``S`` is an up-set of the vertex's tight order (the tight part
 of the closed table), so the vertex enumerator walks the edge graph from the
-maximum point without any linear programming, trying at each vertex only the
-unions of its up-sets and stepping only its downward edges under
-``x_1 + ... + x_d``, which no edge leaves level.  The walk also counts the
-faces, each at its highest vertex, from that vertex's edges (the h-vector at
-simple vertices).  Each closed
-bound is the attained maximum of ``x_i - x_j``, so the closed table alone
-fixes the polytope, and central symmetry and the zonotope
+maximum point without any linear programming.  A vertex with exactly ``d``
+tight bounds is simple and reads its ``d`` edges off the spanning tree they
+form; any other vertex tries only the unions of its up-sets.  The walk steps
+only the downward edges under ``x_1 + ... + x_d``, which no edge leaves
+level, and counts the faces, each at its highest vertex, from that vertex's
+edges (the h-vector at simple vertices).  Each closed bound is the attained
+maximum of ``x_i - x_j``, so the closed table alone fixes the polytope, and
+central symmetry and the zonotope
 identity are read from it without enumerating vertices; a hand-built vertex
 set gets its face counts by walking the table of its own extremes.
 Each isocanted vertex's closed form, fixed by its label, is written once
@@ -51,7 +52,7 @@ from .tropical import (
 
 Point = tuple[Fraction, ...]
 
-#: Cap on the vertex oracle's dimension; each vertex tries every union of its up-sets.
+#: Cap on the vertex oracle's dimension; each non-simple vertex tries every union of its up-sets.
 ORACLE_DIM_LIMIT = 8
 
 
@@ -358,10 +359,52 @@ def _cone_faces(edges: Sequence[int], ups: Sequence[int], counts: list[int]) -> 
         counts[dim] += 1
 
 
+def _edge_cuts(ups: Sequence[int], tight: Sequence[int]) -> list[int]:
+    """A vertex's edges, each as the cut ``S`` of its direction ``+1_S``, from its tight order.
+
+    ``ups[i]`` holds ``i`` and the nodes ``j`` with ``x_i - x_j`` at its
+    bound; ``tight[i]`` the nodes tight with ``i`` either way.  A vertex needs
+    tight arcs of rank ``d``, and a pair tight both ways spends two arcs on
+    one unit of it, so a vertex with exactly ``d`` arcs is simple and its
+    arcs form a spanning tree.  Each arc ``(i, j)``, ``j`` in ``ups[i]``,
+    gives one edge, the side of ``j`` once the arc is dropped: an extreme ray
+    of the vertex's order cone (Stanley, "Two poset polytopes", 1986).  With
+    the tree rooted at the ground, that side is the subtree ``below[k]`` under
+    the arc from ``k`` to its parent ``p`` when ``k`` is in ``ups[p]``, else
+    its complement.  Any other vertex tries the distinct proper nonempty
+    unions of its up-sets, the cuts no tight bound blocks, and keeps those
+    whose two sides the tight pairs not crossing the cut leave connected
+    (:func:`_connected`).
+    """
+    d = len(ups) - 1
+    full = (1 << (d + 1)) - 1
+    if sum(u.bit_count() for u in ups) == 2 * d + 1:  # d tight arcs, since ups[i] holds i
+        # (node, parent) pairs in visiting order from the ground; the list grows as it is read.
+        tree, reached = [(0, 0)], 1
+        for k, _ in tree:
+            new = tight[k] & ~reached
+            reached |= new
+            while new:
+                low = new & -new
+                new ^= low
+                tree.append((low.bit_length() - 1, k))
+        below = [1 << k for k in range(d + 1)]
+        edges = []
+        for k, p in reversed(tree[1:]):
+            below[p] |= below[k]
+            edges.append(below[k] if ups[p] >> k & 1 else full ^ below[k])
+        return edges
+    cuts = {0}
+    for u in ups:
+        cuts |= {c | u for c in cuts}
+    return [cut for cut in cuts - {0, full} if _connected(cut, tight) and _connected(full ^ cut, tight)]
+
+
 def _walk(bound: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """The grounded integer vertices of a closed table, sorted, and its face counts by dimension.
 
-    See :func:`enumerate_vertices_oracle` for the walk.  Each non-empty face
+    See :func:`enumerate_vertices_oracle` for the walk and :func:`_edge_cuts`
+    for each vertex's edges.  Each non-empty face
     has one highest vertex under ``c(x) = x_1 + ... + x_d``, its top, and is
     counted there while the walk has the vertex's edges at hand.  An edge
     along ``+1_S`` goes down exactly when ``S`` holds the ground.  At a
@@ -389,18 +432,11 @@ def _walk(bound: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], 
     work = [(start, ups, [u | sum(1 << j for j in nodes if ups[j] >> i & 1) for i, u in enumerate(ups)])]
     while work:
         x, ups, tight = work.pop()
-        # A cut that no tight bound blocks is closed under ups: a union of some of them.
-        cuts = {0}
-        for u in ups:
-            cuts |= {c | u for c in cuts}
-        edges = []
-        for cut in cuts - {0, full}:
-            rest = full ^ cut
-            if not _connected(cut, tight) or not _connected(rest, tight):
-                continue
-            edges.append(cut)
+        edges = _edge_cuts(ups, tight)
+        for cut in edges:
             if not cut & 1:
                 continue
+            rest = full ^ cut
             # A cut holding the ground goes down: the rest falls by the step, and x_0 stays 0.
             crossing = pairs.get(cut)
             if crossing is None:
@@ -444,10 +480,12 @@ def enumerate_vertices_oracle(h: HRep) -> VertexSet:
     the nodes ``j`` with ``x_i - x_j`` at its bound, which ``i`` cannot rise
     without, and ``tight[i]``, the nodes tight with ``i`` either way.  A cut
     that no tight bound blocks is closed under ``ups``, so it is a union of
-    some of them: the walk tries only the distinct proper nonempty unions, built as a set,
-    and such an up-set ``S`` is an edge when the tight bounds not crossing it
-    leave exactly the two components ``S`` and its complement
-    (:func:`_connected`).  Every edge changes ``x_1 + ... + x_d``, so the
+    some of them, and it is an edge when the tight bounds not crossing it
+    leave exactly the two components ``S`` and its complement.  At a vertex
+    with exactly ``d`` tight bounds they form a spanning tree, and each tree
+    arc gives one edge with no union built; any other vertex tries the distinct
+    proper nonempty unions, built as a set, and checks both components
+    (:func:`_edge_cuts`).  Every edge changes ``x_1 + ... + x_d``, so the
     start is the one top and every other vertex has an edge going up: the
     walk steps only the edges going down, those whose ``S`` holds the ground,
     and so steps each edge once.  The step length is the least slack of the

@@ -258,6 +258,32 @@ def _connected(part: int, reach: Sequence[int]) -> bool:
         comp = grown
 
 
+def tight_order(bound, x):
+    """``ups`` and ``tight`` of the grounded vertex ``x`` of the closed table ``bound``, from scratch.
+
+    ``ups[i]`` holds the nodes ``j`` with ``x_i - x_j`` at its bound (``i``
+    among them), ``tight[i]`` the nodes tight with ``i`` either way.
+    """
+    nodes = range(len(x))
+    ups = [sum(1 << j for j in nodes if x[i] - x[j] == bound[i][j]) for i in nodes]
+    return ups, [ups[i] | sum(1 << j for j in nodes if ups[j] >> i & 1) for i in nodes]
+
+
+def edge_cuts_by_up_set_unions(ups, tight):
+    """A vertex's edge cuts by the filter the walk ran at every vertex before it read simple ones off their tight tree.
+
+    Every distinct proper nonempty union of the up-sets is a cut that no
+    tight bound blocks; it is an edge when the tight pairs not crossing it
+    leave each of its two sides connected.
+    """
+    full = (1 << len(ups)) - 1
+    cuts = {0}
+    for u in ups:
+        cuts |= {c | u for c in cuts}
+    reach = _subset_unions(tight)
+    return {cut for cut in cuts - {0, full} if _connected(cut, reach) and _connected(full ^ cut, reach)}
+
+
 def walk_by_cut_scan(h):
     """All vertices by the edge walk that tries every cut at every vertex.
 

@@ -172,6 +172,22 @@ def test_facets_are_singleton_cosingleton_intervals():
         assert len(facets) == (d + 1) * d
 
 
+def test_unchecked_facets_equal_the_checked_intervals():
+    # facet_intervals builds each [{i}, {1..d+1} - {j}] without FaceInterval's
+    # element checks, as the lattice builders do: each facet still equals the
+    # checked interval, in the same order, and d=1 is still refused.
+    with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
+        facet_intervals(1)
+    for d in range(2, 9):
+        labels = range(1, d + 2)
+        checked = tuple(FaceInterval({i}, set(labels) - {j}) for i in labels for j in labels if i != j)
+        facets = facet_intervals(d)
+        assert facets == checked
+        assert all(type(face.bottom) is type(face.top) is frozenset for face in facets)
+        if d == 4:
+            assert fatness_f03() == (F(11, 4), sum(2 ** face.dim for face in checked))
+
+
 def test_two_faces_are_labeled_quadruples():
     # Every 2-face consists of the four labels jW, jkW, jrW, jkrW.
     lattice = build_face_lattice(4)

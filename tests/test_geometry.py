@@ -1,5 +1,6 @@
 """Halfspace systems, the exact vertex oracle, vertex maps, symmetry, zonotopes."""
 
+import functools
 import itertools
 import random
 import re
@@ -13,6 +14,7 @@ from isocant.geometry import (
     ORACLE_DIM_LIMIT,
     _closed_bounds,
     _constraint_rank,
+    _edge_cuts,
     _has_closed_table,
     _lone_vertex,
     _walk,
@@ -591,6 +593,51 @@ def test_up_set_walk_matches_cut_scan():
             sum(x[i] - x[j] in (lo, hi) for i, j, lo, hi in bounds) > h.d for x in points
         )
     assert seen["empty"] == 14 and seen["point"] >= 4 and seen["non-simple"] >= 30, seen
+
+
+def test_edge_cuts_match_the_up_set_union_filter_at_every_vertex(monkeypatch):
+    # At every vertex, the edge cuts against the filter of every union of the
+    # up-sets by connectivity: the same cuts, each once.  A vertex with exactly
+    # d tight arcs reads its edges off its tight tree and checks no
+    # connectivity; any other vertex runs the filter.  Every vertex of a
+    # maximal polytrope has a tight tree, none of a flat system has one, and
+    # the seeded and isocanted systems have both kinds.
+    import isocant.geometry as geometry
+
+    connected, checks = geometry._connected, []
+
+    def counted(part, tight):
+        checks.append(part)
+        return connected(part, tight)
+
+    def walked(kind, a):
+        h = hrep_from_matrix(a)
+        return kind, h, enumerate_vertices_oracle(h)
+
+    rng = random.Random(32)
+    pool = [F(-1, 2), F(-1), F(-3, 2), F(-2), F(-3), F(-7, 3)]
+    cases = [("maximal", *_maximal(d, 0)[1:]) for d in range(2, 9)]
+    for d in range(2, 6):
+        cases += [walked(kind, a) for kind, a in _seeded_cases(rng, d, pool)]
+    for d in range(2, 9):
+        spec = IsocantedSpec(d, F(rng.randint(3, 9), 2), F(rng.randint(1, 5), 3))
+        cases += [walked("isocanted", isocanted_vni(spec)), walked("isocanted", isocanted_sni(spec))]
+    monkeypatch.setattr(geometry, "_connected", counted)
+    seen = {}
+    for kind, h, vset in cases:
+        bound, _ = _closed_bounds(h)
+        grid, _ = vset._grid
+        for x in grid:
+            ups, tight = reference.tight_order(bound, x)
+            checks.clear()
+            edges = _edge_cuts(ups, tight)
+            assert len(set(edges)) == len(edges)
+            assert set(edges) == reference.edge_cuts_by_up_set_unions(ups, tight), (h, x)
+            tree = sum(u.bit_count() for u in ups) - (h.d + 1) == h.d
+            assert bool(checks) != tree
+            seen.setdefault(kind, set()).add(tree)
+    assert seen == {"maximal": {True}, "flat": {False}, "ni": {False, True}, "nonni": {False, True},
+                    "isocanted": {False, True}}, seen
 
 
 def test_walk_of_negated_bounds_is_the_negated_vertex_set():
@@ -1376,19 +1423,25 @@ def test_central_symmetry_matches_vertex_negation_reference():
     assert len(symmetric_non_ni) >= 10
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+@functools.lru_cache(maxsize=None)
+def _maximal(d, seed):
+    """A seeded maximal polytrope's matrix, halfspaces and walked vertex set, built once for the tests."""
+    a = reference.maximal_polytrope(random.Random(seed), d)
+    h = hrep_from_matrix(a)
+    return a, h, enumerate_vertices_oracle(h)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
 def test_maximal_polytrope_counts(d):
     # Maximal polytropes: every vertex is simple, so each is reached with the
     # tight pairs it inherits from one edge.  Observed and pinned here on three
-    # seeds per dimension (two at d=6 and one at d=7, to keep the suite fast),
-    # not cited as a theorem: C(2d, d) vertices, the most an alcoved
-    # d-polytope has, and f_k = C(d, k) C(2d - k, d).  Up to d=5 one seed's
-    # counts also match the affine-rank reference.
-    for seed in range({6: 2, 7: 1}.get(d, 3)):
-        a = reference.maximal_polytrope(random.Random(seed), d)
+    # seeds per dimension (one at d=8, to keep the suite fast), not cited as a
+    # theorem: C(2d, d) vertices, the most an alcoved d-polytope has, and
+    # f_k = C(d, k) C(2d - k, d).  Up to d=5 one seed's counts also match the
+    # affine-rank reference.
+    for seed in range(1 if d == 8 else 3):
+        a, h, vset = _maximal(d, seed)
         assert is_ni(a)
-        h = hrep_from_matrix(a)
-        vset = enumerate_vertices_oracle(h)
         assert len(vset) == comb(2 * d, d)
         counts = oracle_face_counts(h, vset)
         assert counts == tuple(comb(d, k) * comb(2 * d - k, d) for k in range(d))
