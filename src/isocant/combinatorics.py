@@ -7,10 +7,10 @@ lattice.  Counting intervals by dimension reproduces the closed-form face
 counts, and the antipodal map (complementation) realizes central symmetry at
 the lattice level.
 
-The face-count sequence in dimension ``d`` is
-``(2**(d+1-j) - 2) * C(d+1, j)`` for ``j < d``; boxes and polar casks carry
-their own closed forms, tied together by the recursion
-``iso(d, j) = 2 * cask(d, j) + iso(d-1, j-1)``.
+Each face-count closed form has one row builder on ``_binomial_row``:
+``_isocanted_row`` writes ``(2**(d+1-j) - 2) * C(d+1, j)`` for ``j < d``,
+``_box_row`` and ``_cask_row`` the box and polar-cask forms; the recursion
+``iso(d, j) = 2 * cask(d, j) + iso(d-1, j-1)`` ties the last two rows together.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from typing import Iterable, Iterator
 
 from ._record import Record
@@ -109,6 +109,16 @@ def _isocanted_row(d: int, binomials: list[int]) -> FVector:
     return tuple([((1 << (d + 1 - j)) - 2) * c for j, c in zip(range(d), binomials)])
 
 
+def _box_row(d: int, length: int) -> FVector:
+    """``2**(d-j) * C(d, j)`` for ``j < length``: the one place the box form is written."""
+    return tuple([c << (d - j) for j, c in enumerate(_binomial_row(d, length))])
+
+
+def _cask_row(d: int, length: int) -> FVector:
+    """``(2**(d-j) - 1) * C(d, j)`` for ``j < length``: the one place the polar-cask form is written."""
+    return tuple([((1 << (d - j)) - 1) * c for j, c in enumerate(_binomial_row(d, length))])
+
+
 def isocanted_fvector(d: int, extended: bool = False) -> FVector:
     """Face counts ``f_0 .. f_{d-1}``, optionally extended with ``f_d = 1``."""
     _check_dim(d)
@@ -117,34 +127,25 @@ def isocanted_fvector(d: int, extended: bool = False) -> FVector:
 
 
 def box_fvector(d: int, extended: bool = False) -> FVector:
-    """Face counts of the d-box: ``2**(d-j) * C(d, j)``."""
+    """Face counts of the d-box, ``2**(d-j) * C(d, j)`` by ``_box_row``, extended by the ``j = d`` term."""
     _check_dim(d, 1)
-    counts = tuple(2 ** (d - j) * comb(d, j) for j in range(d))
-    return counts + (1,) if extended else counts
+    return _box_row(d, d + 1 if extended else d)
 
 
 def cask_fvector(d: int) -> FVector:
-    """Face counts of a polar cask: ``(2**(d-j) - 1) * C(d, j)`` for ``j <= d-2``."""
+    """Face counts of a polar cask, ``(2**(d-j) - 1) * C(d, j)`` for ``j <= d-2``, by ``_cask_row``."""
     _check_dim(d)
-    return tuple((2 ** (d - j) - 1) * comb(d, j) for j in range(d - 1))
+    return _cask_row(d, d - 1)
 
 
 def fvector_recursion_holds(d: int) -> bool:
     """Exact check of ``iso(d, j) = 2 * cask(d, j) + iso(d-1, j-1)`` for ``j < d``.
 
-    The ``j = 0`` case uses the convention that the lower-dimensional count at
-    index -1 vanishes; the cask term at ``j = d-1`` evaluates the same closed
-    form one step past the cask range.
+    ``iso(d-1, -1)`` is 0, and ``cask(d, d-1)`` reads the cask row one step past its range.
     """
     _check_dim(d, 3)
-    iso_d = isocanted_fvector(d)
-    iso_prev = isocanted_fvector(d - 1)
-    for j in range(d):
-        cask_term = (2 ** (d - j) - 1) * comb(d, j)
-        prev = iso_prev[j - 1] if j >= 1 else 0
-        if iso_d[j] != 2 * cask_term + prev:
-            return False
-    return True
+    prev = (0, *isocanted_fvector(d - 1))
+    return isocanted_fvector(d) == tuple([2 * c + p for c, p in zip(_cask_row(d, d), prev)])
 
 
 class FVectorTables(Record):
@@ -167,19 +168,12 @@ def fvector_tables(dmax: int) -> FVectorTables:
         raise TypeError(f"dmax must be an int, got {dmax!r}")
     if dmax < 0:
         raise ValueError("dmax must be non-negative")
-    two_power = tuple(
-        tuple(2 ** (d - k) for k in range(d + 1)) for d in range(dmax + 1)
-    )
-    pascal = tuple(
-        tuple(comb(d, k) for k in range(d + 1)) for d in range(dmax + 1)
-    )
-    box = tuple(
-        tuple(t * p for t, p in zip(two_power[d], pascal[d])) for d in range(dmax + 1)
-    )
-    half = tuple(
-        tuple(Fraction((2 ** (d - k) - 1) * comb(d + 1, k)) for k in range(d)) + (Fraction(1, 2),)
-        for d in range(dmax + 1)
-    )
+    rows = range(dmax + 1)
+    two_power = tuple(tuple([1 << k for k in range(d, -1, -1)]) for d in rows)
+    pascal = tuple(tuple(_binomial_row(d, d + 1)) for d in rows)
+    box = tuple(_box_row(d, d + 1) for d in rows)
+    halves = (_isocanted_row(d, _binomial_row(d + 1, d + 1)) for d in rows)
+    half = tuple(tuple([Fraction(f // 2) for f in row]) + (Fraction(1, 2),) for row in halves)
     return FVectorTables(two_power, pascal, box, half)
 
 
@@ -327,11 +321,7 @@ def skeleton(d: int) -> SkeletonGraph:
 
 def valence(w: Iterable[int], d: int) -> int:
     """Vertex degree: ``d`` for lengths 1 and ``d``, otherwise ``d + 1``."""
-    label = check_label(w, d)
-    size = len(label)
-    parents = size if size >= 2 else 0
-    children = (d + 1 - size) if size <= d - 1 else 0
-    return parents + children
+    return d if len(check_label(w, d)) in (1, d) else d + 1
 
 
 def distance(w1: Iterable[int], w2: Iterable[int], d: int) -> int:

@@ -38,11 +38,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property
-from math import comb
 from typing import Iterable, Sequence
 
 from ._record import Record
-from .combinatorics import all_vertex_labels, check_label
+from .combinatorics import _binomial_row, all_vertex_labels, check_label
 from .matrices import (
     IsocantedSpec, Rational, _require_finite, _visualized, decompose, isocanted_vni,
 )
@@ -54,6 +53,15 @@ Point = tuple[Fraction, ...]
 
 #: Cap on the vertex oracle's dimension; each non-simple vertex tries every union of its up-sets.
 ORACLE_DIM_LIMIT = 8
+
+
+def _ambient_dim(d: int) -> int:
+    """``d`` once it is a non-negative int, the one dimension check of ``HRep`` and ``VertexSet``."""
+    if isinstance(d, bool) or not isinstance(d, int):
+        raise TypeError(f"dimension must be an int, got {d!r}")
+    if d < 0:
+        raise ValueError(f"dimension must be non-negative, got {d}")
+    return d
 
 
 class HRep(Record):
@@ -69,11 +77,7 @@ class HRep(Record):
     diff: tuple[tuple[int, int, Fraction, Fraction], ...]
 
     def __post_init__(self) -> None:
-        d = self.d
-        if isinstance(d, bool) or not isinstance(d, int):
-            raise TypeError(f"dimension must be an int, got {d!r}")
-        if d < 0:
-            raise ValueError(f"dimension must be non-negative, got {d}")
+        d = _ambient_dim(self.d)
         if len(self.single) != d:
             raise ValueError(f"dimension {d} needs {d} single bounds, got {len(self.single)}")
         for i, b in enumerate(self.single, 1):
@@ -225,7 +229,7 @@ class VertexSet(Record):
     labels: tuple[tuple[frozenset[int], Point], ...] = ()
 
     def __post_init__(self) -> None:
-        d = self.d
+        d = _ambient_dim(self.d)
         object.__setattr__(self, "points", _exact_rows(self.points, {Fraction}, as_rational))
         keys, pts = zip(*self.labels) if self.labels else ((), ())
         pts = _exact_rows(pts, {Fraction}, as_rational)
@@ -444,6 +448,8 @@ def _walk(bound: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], 
                 crossing = pairs[cut] = [(i, j) for i in nodes if cut >> i & 1 for j in outs]
             slacks = [bound[i][j] - x[i] + x[j] for i, j in crossing]
             step = min(slacks)
+            if step <= 0:  # every slack crossing a true edge is positive
+                raise RuntimeError(f"cut {cut:#b} at {x} steps {step}: not an edge")
             y = tuple([v if cut >> k & 1 else v - step for k, v in enumerate(x)])
             if y not in seen:
                 # Pairs on one side keep their state; a pair leaving the cut is tight
@@ -462,8 +468,8 @@ def _walk(bound: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], 
         else:
             _cone_faces(edges, ups, counts)
     for i, n in enumerate(hvec):
-        for k in range(i + 1):
-            counts[k] += comb(i, k) * n
+        for k, c in enumerate(_binomial_row(i, i + 1)):
+            counts[k] += c * n
     counts[dim_p] = 0
     return tuple(sorted(seen)), tuple(counts[:d])
 

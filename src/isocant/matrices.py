@@ -28,6 +28,7 @@ from operator import sub
 from typing import Sequence
 
 from ._record import Record
+from .combinatorics import _check_dim
 from .tropical import TropMatrix, _Square, _exact_rows, _unscaled, as_rational, conjugate_diag
 
 Rational = int | Fraction
@@ -248,8 +249,7 @@ class IsocantedSpec(Record):
     def __post_init__(self) -> None:
         object.__setattr__(self, "edge_length", as_rational(self.edge_length))
         object.__setattr__(self, "cant", as_rational(self.cant))
-        if not isinstance(self.d, int) or self.d < 2:
-            raise ValueError("dimension must be an integer >= 2")
+        _check_dim(self.d)
         if not 0 < self.cant < self.edge_length:
             raise ValueError("cant must satisfy 0 < cant < edge_length")
 

@@ -265,8 +265,8 @@ def tight_order(bound, x):
     among them), ``tight[i]`` the nodes tight with ``i`` either way.
     """
     nodes = range(len(x))
-    ups = [sum(1 << j for j in nodes if x[i] - x[j] == bound[i][j]) for i in nodes]
-    return ups, [ups[i] | sum(1 << j for j in nodes if ups[j] >> i & 1) for i in nodes]
+    ups = [sum([1 << j for j in nodes if x[i] - x[j] == bound[i][j]]) for i in nodes]
+    return ups, [ups[i] | sum([1 << j for j in nodes if ups[j] >> i & 1]) for i in nodes]
 
 
 def edge_cuts_by_up_set_unions(ups, tight):
@@ -783,6 +783,44 @@ def decompose(a):
         [[b - v for b, v in zip(brow, arow)] for brow, arow in zip(box.entries, a.entries)]
     )
     return Decomposition(box, perturbation)
+
+
+# The box and polar-cask closed forms, the recursion check and the count
+# tables as the library wrote them before each face-count family had one row
+# builder: every entry on its own, each binomial by ``math.comb``.  The
+# isocanted form is ``fvector``, with the sweeps below.
+
+
+def box_fvector(d: int, extended: bool = False) -> tuple[int, ...]:
+    """``2**(d-j) * C(d, j)`` for ``j < d``, optionally extended with ``1``."""
+    row = tuple(2 ** (d - j) * comb(d, j) for j in range(d))
+    return row + (1,) if extended else row
+
+
+def cask_fvector(d: int) -> tuple[int, ...]:
+    """``(2**(d-j) - 1) * C(d, j)`` for ``j <= d-2``."""
+    return tuple((2 ** (d - j) - 1) * comb(d, j) for j in range(d - 1))
+
+
+def fvector_recursion_holds(d: int) -> bool:
+    """``iso(d, j) = 2 * cask(d, j) + iso(d-1, j-1)`` entry by entry, ``iso(d-1, -1) = 0``."""
+    iso_d, iso_prev = fvector(d), fvector(d - 1)
+    return all(
+        iso_d[j] == 2 * (2 ** (d - j) - 1) * comb(d, j) + (iso_prev[j - 1] if j else 0) for j in range(d)
+    )
+
+
+def fvector_tables(dmax: int) -> combinatorics.FVectorTables:
+    """Rows ``0..dmax`` of ``2**(d-k)``, ``C(d, k)``, their product and the halved isocanted counts."""
+    rows = range(dmax + 1)
+    two_power = tuple(tuple(2 ** (d - k) for k in range(d + 1)) for d in rows)
+    pascal = tuple(tuple(comb(d, k) for k in range(d + 1)) for d in rows)
+    box = tuple(tuple(t * p for t, p in zip(two_power[d], pascal[d])) for d in rows)
+    half = tuple(
+        tuple(Fraction((2 ** (d - k) - 1) * comb(d + 1, k)) for k in range(d)) + (Fraction(1, 2),)
+        for d in rows
+    )
+    return combinatorics.FVectorTables(two_power, pascal, box, half)
 
 
 # The conjecture sweeps as they were before the one-pass sweep: each check

@@ -73,9 +73,46 @@ def test_fvector_recursion():
         assert fvector_recursion_holds(d)
 
 
+def _same_row(got, want):
+    """Equal values of equal types, entry by entry."""
+    assert got == want
+    assert type(got) is type(want) and [type(v) for v in got] == [type(v) for v in want]
+
+
+def test_row_builders_match_the_per_entry_formulas():
+    # Each count against its closed form taken entry by entry through
+    # math.comb, for every accepted d up to 30 and every table up to 12.
+    for d in range(1, 31):
+        for extended in (False, True):
+            _same_row(box_fvector(d, extended), reference.box_fvector(d, extended))
+            if d >= 2:
+                _same_row(isocanted_fvector(d, extended), reference.fvector(d, extended))
+        if d >= 2:
+            _same_row(cask_fvector(d), reference.cask_fvector(d))
+        if d >= 3:
+            assert fvector_recursion_holds(d) is reference.fvector_recursion_holds(d) is True
+    for dmax in range(13):
+        got, want = fvector_tables(dmax), reference.fvector_tables(dmax)
+        assert got == want
+        for name in ("two_power", "pascal", "box", "half"):
+            _same_row(getattr(got, name), getattr(want, name))
+            for row, ref_row in zip(getattr(got, name), getattr(want, name)):
+                _same_row(row, ref_row)
+
+
+@pytest.mark.parametrize("count, floor", [
+    (box_fvector, 1), (isocanted_fvector, 2), (cask_fvector, 2), (fvector_recursion_holds, 3),
+], ids=["box", "isocanted", "cask", "recursion"])
+def test_row_builders_refuse_what_they_refused(count, floor):
+    for bad in (True, False, 2.0, float(floor), "3", None, floor - 1, -1):
+        with pytest.raises(ValueError, match=f"^dimension must be an integer >= {floor}$"):
+            count(bad)
+
+
 def test_fvector_tables_refuse_a_negative_dimension():
-    with pytest.raises(ValueError, match="^dmax must be non-negative$"):
-        fvector_tables(-1)
+    for dmax in (-1, -12):
+        with pytest.raises(ValueError, match="^dmax must be non-negative$"):
+            fvector_tables(dmax)
 
 
 LABEL_DIM_TEXT = "^dimension must be an integer >= 2$"
@@ -91,6 +128,7 @@ LABEL_DIM_TEXT = "^dimension must be an integer >= 2$"
     (lambda: fvector_tables(True), TypeError, "^dmax must be an int, got True$"),
     (lambda: fvector_tables(2.0), TypeError, "^dmax must be an int, got 2.0$"),
     (lambda: fvector_tables("3"), TypeError, "^dmax must be an int, got '3'$"),
+    (lambda: fvector_tables(None), TypeError, "^dmax must be an int, got None$"),
     (lambda: label_text(check_label([1.0, 2], 3)), TypeError, r"^label elements must be ints, got 1\.0$"),
     (lambda: valence([True], 3), TypeError, "^label elements must be ints, got True$"),
     (lambda: distance({1}, {"2"}, 3), TypeError, "^label elements must be ints, got '2'$"),
@@ -121,7 +159,7 @@ LABEL_DIM_TEXT = "^dimension must be an integer >= 2$"
      "^bottom must be contained in top$"),
 ], ids=[
     "valence-d1", "valence-bool", "distance-float", "antipode-float", "check_label-float",
-    "check_label-d0", "tables-bool", "tables-float", "tables-str", "label-float-element",
+    "check_label-d0", "tables-bool", "tables-float", "tables-str", "tables-none", "label-float-element",
     "valence-bool-element", "distance-str-element", "unique_vertex-bool-element",
     "antipode_interval-d1", "antipode_interval-float", "antipode_interval-empty-bottom",
     "antipode_interval-full-top", "face-float-element", "face-bool-element",

@@ -596,12 +596,15 @@ def test_up_set_walk_matches_cut_scan():
 
 
 def test_edge_cuts_match_the_up_set_union_filter_at_every_vertex(monkeypatch):
-    # At every vertex, the edge cuts against the filter of every union of the
-    # up-sets by connectivity: the same cuts, each once.  A vertex with exactly
-    # d tight arcs reads its edges off its tight tree and checks no
-    # connectivity; any other vertex runs the filter.  Every vertex of a
-    # maximal polytrope has a tight tree, none of a flat system has one, and
-    # the seeded and isocanted systems have both kinds.
+    # At every vertex, the edge cuts against the reference's test of an edge:
+    # a cut closed under the up-sets whose two sides the tight pairs not
+    # crossing it leave connected, each cut once.  A vertex with exactly d
+    # tight arcs is simple, so it has exactly d edges and d distinct cuts
+    # that pass the test are all of them; there the library checks no
+    # connectivity.  Any other vertex runs the library's filter, and its cuts
+    # are compared with the reference filter of every union of its up-sets.
+    # Every vertex of a maximal polytrope has a tight tree, none of a flat
+    # system has one, and the seeded and isocanted systems have both kinds.
     import isocant.geometry as geometry
 
     connected, checks = geometry._connected, []
@@ -627,13 +630,22 @@ def test_edge_cuts_match_the_up_set_union_filter_at_every_vertex(monkeypatch):
     for kind, h, vset in cases:
         bound, _ = _closed_bounds(h)
         grid, _ = vset._grid
+        full = (1 << (h.d + 1)) - 1
         for x in grid:
             ups, tight = reference.tight_order(bound, x)
             checks.clear()
             edges = _edge_cuts(ups, tight)
-            assert len(set(edges)) == len(edges)
-            assert set(edges) == reference.edge_cuts_by_up_set_unions(ups, tight), (h, x)
             tree = sum(u.bit_count() for u in ups) - (h.d + 1) == h.d
+            assert len(set(edges)) == len(edges)
+            if tree:
+                assert len(edges) == h.d, (h, x)
+                reach = reference._subset_unions(tight)
+                for cut in edges:
+                    assert all(ups[i] | cut == cut for i in range(h.d + 1) if cut >> i & 1), (h, x, cut)
+                    assert reference._connected(cut, reach), (h, x, cut)
+                    assert reference._connected(full ^ cut, reach), (h, x, cut)
+            else:
+                assert set(edges) == reference.edge_cuts_by_up_set_unions(ups, tight), (h, x)
             assert bool(checks) != tree
             seen.setdefault(kind, set()).add(tree)
     assert seen == {"maximal": {True}, "flat": {False}, "ni": {False, True}, "nonni": {False, True},
@@ -770,6 +782,19 @@ def test_hrep_refuses_malformed_dimension_and_bounds_when_built(args, error, tex
     # slicing, or built one with d=True.
     with pytest.raises(error, match=f"^{re.escape(text)}$"):
         HRep(*args)
+
+
+@pytest.mark.parametrize("d, points, error, text", [
+    (True, ((F(0),), (F(1),)), TypeError, "dimension must be an int, got True"),
+    # A float dimension once built a set whose face counts failed on range().
+    (1.0, ((F(0),), (F(1),)), TypeError, "dimension must be an int, got 1.0"),
+    # Points the length check or the exact gate would refuse: the dimension is named first.
+    ("2", ((F(0), F(0)),), TypeError, "dimension must be an int, got '2'"),
+    (-1, (("x",),), ValueError, "dimension must be non-negative, got -1"),
+])
+def test_vertex_set_refuses_a_malformed_dimension_before_its_points(d, points, error, text):
+    with pytest.raises(error, match=f"^{re.escape(text)}$"):
+        VertexSet(d, points)
 
 
 def test_vertex_set_label_keys_become_frozensets():
@@ -971,6 +996,21 @@ def test_hand_built_segment_walks_in_memory_that_does_not_grow_with_two_to_the_d
     assert peak < 1 << 20, peak
 
 
+def test_walk_names_a_cut_whose_step_is_not_positive(monkeypatch):
+    # Every slack crossing a true edge is positive.  A blocked cut among a
+    # vertex's edges steps 0 and goes nowhere, which once let a faulty edge
+    # rule send the d=20 segment's cone count through 2^20 faces; the walk
+    # now names the cut and stops.
+    import isocant.geometry as geometry
+
+    edge_cuts = geometry._edge_cuts
+    monkeypatch.setattr(geometry, "_edge_cuts", lambda ups, tight: [*edge_cuts(ups, tight), 0b011])
+    # x_1 = x_2 on the unit square: the tight x_1 - x_2 <= 0 blocks the cut {ground, x_1}.
+    h = HRep(2, ((0, 1), (0, 1)), ((1, 2, 0, 0),))
+    with pytest.raises(RuntimeError, match=r"^cut 0b11 at \(0, 1, 1\) steps 0: not an edge$"):
+        enumerate_vertices_oracle(h)
+
+
 def test_maximal_walk_holds_a_vertex_state_only_until_it_is_expanded():
     # The walk keeps a set of the points it has seen; each vertex's tight
     # order lives on the work stack until it is expanded.  Keeping every
@@ -1055,20 +1095,37 @@ def test_geometric_faces_equal_interval_faces():
         assert reference.face_vertex_sets(h, vset) == interval_faces
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("d", range(2, 9))
 def test_geometric_edges_are_the_skeleton(d):
-    # The two-vertex faces of the oracle's polytope, under the closed-form
-    # label map, are exactly the skeleton's edges: BFS distances and the
-    # diameter on labels are then distances on the polytope's own graph.
+    # The oracle polytope's edges, under the closed-form label map, are
+    # exactly the skeleton's edges: BFS distances and the diameter on labels
+    # are then distances on the polytope's own graph.  Up to d=5 the edges are
+    # the two-vertex faces of the facet-meet closure; past it, too slow there,
+    # each vertex's edge cuts are stepped to the neighbour at their far end.
     spec = IsocantedSpec(d, F(2), F(1))
     h = hrep_from_matrix(isocanted_vni(spec))
     vset = enumerate_vertices_oracle(h)
     label_of = {pt: lab for lab, pt in label_vertices(spec, vset).labels}
-    geometric = {
-        frozenset(label_of[vset.points[k]] for k in face)
-        for face in reference.face_vertex_sets(h, vset)
-        if len(face) == 2
-    }
+    if d <= 5:
+        geometric = {
+            frozenset(label_of[vset.points[k]] for k in face)
+            for face in reference.face_vertex_sets(h, vset)
+            if len(face) == 2
+        }
+    else:
+        bound, _ = _closed_bounds(h)
+        grid, _ = vset._grid
+        label_of = {x: label_of[p] for x, p in zip(grid, vset.points)}
+        nodes = range(d + 1)
+        geometric = set()
+        for x in grid:
+            for cut in _edge_cuts(*reference.tight_order(bound, x)):
+                # x + step * 1_cut, re-grounded; the step is the least slack leaving the cut.
+                outs = [j for j in nodes if not cut >> j & 1]
+                step = min(bound[i][j] - x[i] + x[j] for i in nodes if cut >> i & 1 for j in outs)
+                lift = [step if cut >> k & 1 else 0 for k in nodes]
+                y = tuple(x[k] + lift[k] - lift[0] for k in nodes)
+                geometric.add(frozenset({label_of[x], label_of[y]}))
     edges = skeleton(d).edges
     assert len(edges) == len(geometric)
     assert geometric == {frozenset(edge) for edge in edges}

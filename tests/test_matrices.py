@@ -92,8 +92,10 @@ def test_class_implication_chain():
 
 
 def test_isocanted_spec_validation():
-    with pytest.raises(ValueError):
-        IsocantedSpec(1, F(2), F(1))
+    # The dimension is checked by the label layer's rule, with its text.
+    for d in (1, True, False, 3.0, "3", None):
+        with pytest.raises(ValueError, match="^dimension must be an integer >= 2$"):
+            IsocantedSpec(d, F(2), F(1))
     with pytest.raises(ValueError):
         IsocantedSpec(3, F(2), F(2))
     with pytest.raises(ValueError):
