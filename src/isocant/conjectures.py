@@ -20,7 +20,7 @@ cubical g-entry.
 from __future__ import annotations
 
 from itertools import compress, count
-from math import comb, factorial
+from math import factorial
 from operator import add, ge, gt, mul
 from typing import Callable, Sequence
 
@@ -108,8 +108,9 @@ def short_cubical_h(f: Sequence[int], d: int) -> tuple[int, ...]:
     out = [0] * d
     for j, fj in enumerate(f):
         weight = fj * 2**j
-        for m in range(d - j):
-            out[j + m] += weight * comb(d - 1 - j, m) * (-1) ** m
+        # (1 - t)^(d-1-j): the row C(d-1-j, m), each term signed by the parity of m.
+        for m, c in enumerate(_binomial_row(d - 1 - j, d - j)):
+            out[j + m] += -weight * c if m & 1 else weight * c
     return tuple(out)
 
 

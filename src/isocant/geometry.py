@@ -9,12 +9,17 @@ one table that every reader goes through; closing its dense integer form
 Every edge of such a polytope runs along a cut direction ``+1_S`` for a node
 set ``S``, and ``S`` is an up-set of the vertex's tight order (the tight part
 of the closed table), so the vertex enumerator walks the edge graph from the
-maximum point without any linear programming.  A vertex with exactly ``d``
-tight bounds is simple and reads its ``d`` edges off the spanning tree they
-form; any other vertex tries only the unions of its up-sets.  The walk steps
-only the downward edges under ``x_1 + ... + x_d``, which no edge leaves
+maximum point without any linear programming.  Three rules read a vertex's
+edges off its tight order.  A vertex with exactly ``d`` tight bounds is
+simple and reads its ``d`` edges off the spanning tree they form.  A
+two-layer vertex, whose order is complete bipartite (every vertex of an
+isocanted polytope whose label has 2 to ``d - 1`` elements), has the free sum
+of two simplices as its vertex figure and reads its ``d + 1`` edges off the
+two layers.  Any other vertex tries only the unions of its up-sets.  The walk
+steps only the downward edges under ``x_1 + ... + x_d``, which no edge leaves
 level, and counts the faces, each at its highest vertex, from that vertex's
-edges (the h-vector at simple vertices).  Each closed bound is the attained
+edges: the h-vector at simple vertices, binomial rows at two-layer ones, and
+the cone's own faces elsewhere.  Each closed bound is the attained
 maximum of ``x_i - x_j``, so the closed table alone fixes the polytope, and
 central symmetry and the zonotope
 identity are read from it without enumerating vertices; a hand-built vertex
@@ -51,7 +56,8 @@ from .tropical import (
 
 Point = tuple[Fraction, ...]
 
-#: Cap on the vertex oracle's dimension; each non-simple vertex tries every union of its up-sets.
+#: Cap on the vertex oracle's dimension: a vertex that is neither simple nor two-layer
+#: tries every union of its up-sets.
 ORACLE_DIM_LIMIT = 8
 
 
@@ -363,26 +369,75 @@ def _cone_faces(edges: Sequence[int], ups: Sequence[int], counts: list[int]) -> 
         counts[dim] += 1
 
 
-def _edge_cuts(ups: Sequence[int], tight: Sequence[int]) -> list[int]:
+def _two_layer(ups: Sequence[int], arcs: int) -> int:
+    """The tops of a two-layer tight order with ``arcs`` tight arcs, or ``0`` for any other order.
+
+    The tops are the nodes whose up-set is only themselves.  The order is
+    two-layer when every other node, a bottom, has as its up-set itself and
+    every top, and there are at least two of each: the order is complete
+    bipartite, ``K_{a,b}`` with ``a`` bottoms, ``b`` tops and ``a·b`` arcs.
+    Since each bottom holds every top, the arc count rules out any further
+    arc, so a pair tight both ways never passes and a flat polytope has no
+    two-layer vertex.
+    """
+    n = len(ups)
+    tops = sum([u for u in ups if not u & u - 1])
+    b = tops.bit_count()
+    if b < 2 or n - b < 2 or arcs != b * (n - b) or any(u & tops not in (u, tops) for u in ups):
+        return 0
+    return tops
+
+
+def _two_layer_faces(a: int, ground_top: bool) -> list[int]:
+    """Downward face counts by dimension of the cone at a two-layer vertex with ``a`` bottoms.
+
+    The cone is the order cone of ``K_{a,b}``, and its vertex figure is the
+    free sum of two simplices, ``Δ_{a-1} ⊕ Δ_{b-1}``, one on the ``a``
+    bottom rays and one on the ``b`` top rays (Stanley, "Two poset
+    polytopes", 1986): a proper face takes a proper subset of each, and its
+    dimension is its ray count.  A top's ray ``+1_{t}`` holds the ground
+    only for the ground itself, and a bottom's ray, all nodes but that
+    bottom, holds it unless the bottom is the ground.  So with the ground a
+    top, the downward rays are the ``a`` bottom rays and the ground's, which
+    gives ``C(a, k)`` faces for ``k < a`` without the ground's ray plus
+    ``C(a, k-1)`` for ``1 <= k <= a`` with it; with the ground a bottom,
+    they are the other ``a - 1`` bottom rays, ``C(a-1, k)`` faces.
+    """
+    if not ground_top:
+        return _binomial_row(a - 1, a)
+    row = _binomial_row(a, a)
+    return [c + p for c, p in zip([*row, 0], [0, *row])]
+
+
+def _edge_cuts(ups: Sequence[int], tight: Sequence[int], arcs: int, tops: int) -> list[int]:
     """A vertex's edges, each as the cut ``S`` of its direction ``+1_S``, from its tight order.
 
     ``ups[i]`` holds ``i`` and the nodes ``j`` with ``x_i - x_j`` at its
-    bound; ``tight[i]`` the nodes tight with ``i`` either way.  A vertex needs
-    tight arcs of rank ``d``, and a pair tight both ways spends two arcs on
-    one unit of it, so a vertex with exactly ``d`` arcs is simple and its
-    arcs form a spanning tree.  Each arc ``(i, j)``, ``j`` in ``ups[i]``,
-    gives one edge, the side of ``j`` once the arc is dropped: an extreme ray
-    of the vertex's order cone (Stanley, "Two poset polytopes", 1986).  With
-    the tree rooted at the ground, that side is the subtree ``below[k]`` under
-    the arc from ``k`` to its parent ``p`` when ``k`` is in ``ups[p]``, else
-    its complement.  Any other vertex tries the distinct proper nonempty
-    unions of its up-sets, the cuts no tight bound blocks, and keeps those
-    whose two sides the tight pairs not crossing the cut leave connected
-    (:func:`_connected`).
+    bound; ``tight[i]`` the nodes tight with ``i`` either way; ``arcs`` is
+    the number of tight arcs, the pairs ``(i, j)`` with ``j != i`` in
+    ``ups[i]``; ``tops`` is :func:`_two_layer`'s answer for the order.
+    Each edge is an extreme ray of the vertex's order cone (Stanley, "Two
+    poset polytopes", 1986), and three rules read them:
+
+    - *Tree.*  A vertex needs tight arcs of rank ``d``, and a pair tight
+      both ways spends two arcs on one unit of it, so a vertex with exactly
+      ``d`` arcs is simple and its arcs form a spanning tree.  Each arc
+      ``(i, j)`` gives one edge, the side of ``j`` once the arc is dropped.
+      With the tree rooted at the ground, that side is the subtree
+      ``below[k]`` under the arc from ``k`` to its parent ``p`` when ``k``
+      is in ``ups[p]``, else its complement.
+    - *Two-layer.*  When the order is complete bipartite (``tops`` is not 0),
+      the cone's vertex figure is a free sum of two simplices and its
+      ``d + 1`` edges are ``{t}`` for each top ``t`` and all nodes but
+      ``l`` for each bottom ``l``, tops first.
+    - *General.*  Any other vertex tries the distinct proper nonempty
+      unions of its up-sets, the cuts no tight bound blocks, and keeps
+      those whose two sides the tight pairs not crossing the cut leave
+      connected (:func:`_connected`).
     """
     d = len(ups) - 1
     full = (1 << (d + 1)) - 1
-    if sum(u.bit_count() for u in ups) == 2 * d + 1:  # d tight arcs, since ups[i] holds i
+    if arcs == d:
         # (node, parent) pairs in visiting order from the ground; the list grows as it is read.
         tree, reached = [(0, 0)], 1
         for k, _ in tree:
@@ -398,6 +453,9 @@ def _edge_cuts(ups: Sequence[int], tight: Sequence[int]) -> list[int]:
             below[p] |= below[k]
             edges.append(below[k] if ups[p] >> k & 1 else full ^ below[k])
         return edges
+    if tops:
+        ones = [1 << k for k in range(d + 1)]
+        return [one for one in ones if one & tops] + [full ^ one for one in ones if not one & tops]
     cuts = {0}
     for u in ups:
         cuts |= {c | u for c in cuts}
@@ -408,17 +466,20 @@ def _walk(bound: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], 
     """The grounded integer vertices of a closed table, sorted, and its face counts by dimension.
 
     See :func:`enumerate_vertices_oracle` for the walk and :func:`_edge_cuts`
-    for each vertex's edges.  Each non-empty face
-    has one highest vertex under ``c(x) = x_1 + ... + x_d``, its top, and is
-    counted there while the walk has the vertex's edges at hand.  An edge
-    along ``+1_S`` goes down exactly when ``S`` holds the ground.  At a
-    simple vertex, one with ``dim P`` edges, every set of ``k`` downward
-    edges spans a ``k``-face with that top, so the vertex adds to the
-    h-vector entry of its downward edge count and ``f_k = sum_i C(i, k) h_i``
-    (Ziegler, *Lectures on Polytopes*, 8.3); any other vertex counts its
-    cone's downward faces (:func:`_cone_faces`).
-    ``dim P`` is the number of classes of nodes with a fixed difference,
-    minus one, and ``f_{dim P}``, the polytope itself, is dropped.
+    for each vertex's edges; the walk counts each vertex's tight arcs once
+    and passes the count on.  Each non-empty face has one highest vertex
+    under ``c(x) = x_1 + ... + x_d``, its top, and is counted there while
+    the walk has the vertex's edges at hand.  An edge along ``+1_S`` goes
+    down exactly when ``S`` holds the ground.  At a simple vertex, one with
+    ``dim P`` edges, every set of ``k`` downward edges spans a ``k``-face
+    with that top, so the vertex adds to the h-vector entry of its downward
+    edge count and ``f_k = sum_i C(i, k) h_i`` (Ziegler, *Lectures on
+    Polytopes*, 8.3).  A two-layer vertex adds the closed-form counts of its
+    free-sum cone (:func:`_two_layer_faces`), tallied by bottom count and
+    the ground's layer, and any other vertex counts its cone's downward
+    faces (:func:`_cone_faces`).  ``dim P`` is the number of classes of
+    nodes with a fixed difference, minus one, and ``f_{dim P}``, the
+    polytope itself, is dropped.
     """
     d = len(bound) - 1
     nodes = range(d + 1)
@@ -432,11 +493,17 @@ def _walk(bound: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], 
     pairs: dict[int, list[tuple[int, int]]] = {}
     dim_p = d - _constraint_rank(d, [(i, j) for i in nodes for j in range(i) if bound[i][j] + bound[j][i] == 0])
     hvec = [0] * (d + 1)
+    # layered[(a, ground_top)]: the two-layer vertices with a bottoms and the ground in that layer.
+    layered: dict[tuple[int, bool], int] = {}
+    # The arc counts a·b with a + b = d + 1 and a, b >= 2 lie in this range; a tree's d do not.
+    layer_arcs = range(max(2 * d - 2, d + 1), (d + 1) ** 2 // 4 + 1)
     counts = [0] * (d + 1)
     work = [(start, ups, [u | sum(1 << j for j in nodes if ups[j] >> i & 1) for i, u in enumerate(ups)])]
     while work:
         x, ups, tight = work.pop()
-        edges = _edge_cuts(ups, tight)
+        arcs = sum([u.bit_count() for u in ups]) - d - 1
+        tops = arcs in layer_arcs and _two_layer(ups, arcs)
+        edges = _edge_cuts(ups, tight, arcs, tops)
         for cut in edges:
             if not cut & 1:
                 continue
@@ -465,10 +532,16 @@ def _walk(bound: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], 
                 work.append((y, up, both))
         if len(edges) == dim_p:
             hvec[sum([cut & 1 for cut in edges])] += 1
+        elif tops:
+            key = d + 1 - tops.bit_count(), tops & 1 == 1
+            layered[key] = layered.get(key, 0) + 1
         else:
             _cone_faces(edges, ups, counts)
     for i, n in enumerate(hvec):
         for k, c in enumerate(_binomial_row(i, i + 1)):
+            counts[k] += c * n
+    for key, n in layered.items():
+        for k, c in enumerate(_two_layer_faces(*key)):
             counts[k] += c * n
     counts[dim_p] = 0
     return tuple(sorted(seen)), tuple(counts[:d])
@@ -487,14 +560,18 @@ def enumerate_vertices_oracle(h: HRep) -> VertexSet:
     without, and ``tight[i]``, the nodes tight with ``i`` either way.  A cut
     that no tight bound blocks is closed under ``ups``, so it is a union of
     some of them, and it is an edge when the tight bounds not crossing it
-    leave exactly the two components ``S`` and its complement.  At a vertex
-    with exactly ``d`` tight bounds they form a spanning tree, and each tree
-    arc gives one edge with no union built; any other vertex tries the distinct
-    proper nonempty unions, built as a set, and checks both components
-    (:func:`_edge_cuts`).  Every edge changes ``x_1 + ... + x_d``, so the
-    start is the one top and every other vertex has an edge going up: the
-    walk steps only the edges going down, those whose ``S`` holds the ground,
-    and so steps each edge once.  The step length is the least slack of the
+    leave exactly the two components ``S`` and its complement.  Three rules
+    read the edges (:func:`_edge_cuts`), with the tight arcs counted once per
+    vertex.  At a vertex with exactly ``d`` tight bounds they form a spanning
+    tree, and each tree arc gives one edge with no union built.  At a
+    two-layer vertex, whose tight order is complete bipartite, the vertex
+    figure is a free sum of two simplices and the ``d + 1`` edges are the
+    single tops and the complements of the single bottoms, again with no
+    union built.  Any other vertex tries the distinct proper nonempty unions,
+    built as a set, and checks both components.  Every edge changes
+    ``x_1 + ... + x_d``, so the start is the one top and every other vertex
+    has an edge going up: the walk steps only the edges going down, those
+    whose ``S`` holds the ground, and so steps each edge once.  The step length is the least slack of the
     bounds leaving ``S``, over its crossing pairs (kept per cut for the walk).
     A new vertex takes ``ups`` and ``tight`` from the edge that found it:
     pairs on one side of the cut keep their state, and a crossing pair whose

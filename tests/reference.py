@@ -284,6 +284,21 @@ def edge_cuts_by_up_set_unions(ups, tight):
     return {cut for cut in cuts - {0, full} if _connected(cut, reach) and _connected(full ^ cut, reach)}
 
 
+def two_layer_tops(ups):
+    """The tops of a complete bipartite tight order, read off its definition; 0 for any other order.
+
+    A top's up-set is only itself.  The order is two-layer when it has at
+    least two tops and two other nodes, and each other node's up-set is
+    exactly itself and every top; no arc is counted.
+    """
+    n = len(ups)
+    tops = [k for k in range(n) if ups[k] == 1 << k]
+    mask = sum(1 << k for k in tops)
+    if len(tops) < 2 or n - len(tops) < 2:
+        return 0
+    return mask if all(ups[k] == 1 << k | mask for k in range(n) if k not in tops) else 0
+
+
 def walk_by_cut_scan(h):
     """All vertices by the edge walk that tries every cut at every vertex.
 
@@ -849,6 +864,25 @@ def is_unimodal(seq: Sequence[int]) -> bool:
     while k + 1 < len(seq) and seq[k] >= seq[k + 1]:
         k += 1
     return k == len(seq) - 1
+
+
+def short_cubical_h(f: Sequence[int], d: int) -> tuple[int, ...]:
+    """The short cubical h-vector term by term: ``f_j 2^j C(d-1-j, m) (-1)^m`` into entry ``j + m``."""
+    if len(f) != d:
+        raise ValueError("need face counts f_0 .. f_{d-1}")
+    out = [0] * d
+    for j, fj in enumerate(f):
+        for m in range(d - j):
+            out[j + m] += fj * 2**j * comb(d - 1 - j, m) * (-1) ** m
+    return tuple(out)
+
+
+def long_cubical_h(f: Sequence[int], d: int) -> tuple[int, ...]:
+    """The cubical h-vector from :func:`short_cubical_h`: ``h[0] = 2^(d-1)``, ``h[i+1] = h_sc[i] - h[i]``."""
+    h = [2 ** (d - 1)]
+    for i, hsc in enumerate(short_cubical_h(f, d)):
+        h.append(hsc - h[i])
+    return tuple(h)
 
 
 def _sweep(

@@ -13,10 +13,13 @@ import pytest
 from isocant.geometry import (
     ORACLE_DIM_LIMIT,
     _closed_bounds,
+    _cone_faces,
     _constraint_rank,
     _edge_cuts,
     _has_closed_table,
     _lone_vertex,
+    _two_layer,
+    _two_layer_faces,
     _walk,
     HRep,
     VertexSet,
@@ -601,10 +604,14 @@ def test_edge_cuts_match_the_up_set_union_filter_at_every_vertex(monkeypatch):
     # crossing it leave connected, each cut once.  A vertex with exactly d
     # tight arcs is simple, so it has exactly d edges and d distinct cuts
     # that pass the test are all of them; there the library checks no
-    # connectivity.  Any other vertex runs the library's filter, and its cuts
-    # are compared with the reference filter of every union of its up-sets.
-    # Every vertex of a maximal polytrope has a tight tree, none of a flat
-    # system has one, and the seeded and isocanted systems have both kinds.
+    # connectivity.  A two-layer vertex reads its d + 1 edges off its order
+    # and checks none either.  Any other vertex runs the library's filter.
+    # The cuts of both non-tree kinds are compared with the reference filter
+    # of every union of its up-sets.  Every vertex of a maximal polytrope has
+    # a tight tree, none of a flat system has one or is two-layer, the seeded
+    # systems have trees and general vertices (the NI ones two-layer vertices
+    # too), and every isocanted vertex is a tree or two-layer vertex: the
+    # paper's polytopes never reach the filter.
     import isocant.geometry as geometry
 
     connected, checks = geometry._connected, []
@@ -634,8 +641,11 @@ def test_edge_cuts_match_the_up_set_union_filter_at_every_vertex(monkeypatch):
         for x in grid:
             ups, tight = reference.tight_order(bound, x)
             checks.clear()
-            edges = _edge_cuts(ups, tight)
-            tree = sum(u.bit_count() for u in ups) - (h.d + 1) == h.d
+            arcs = sum(u.bit_count() for u in ups) - (h.d + 1)
+            tops = _two_layer(ups, arcs)
+            edges = _edge_cuts(ups, tight, arcs, tops)
+            tree = arcs == h.d
+            rule = "tree" if tree else "two-layer" if tops else "general"
             assert len(set(edges)) == len(edges)
             if tree:
                 assert len(edges) == h.d, (h, x)
@@ -646,10 +656,125 @@ def test_edge_cuts_match_the_up_set_union_filter_at_every_vertex(monkeypatch):
                     assert reference._connected(full ^ cut, reach), (h, x, cut)
             else:
                 assert set(edges) == reference.edge_cuts_by_up_set_unions(ups, tight), (h, x)
-            assert bool(checks) != tree
-            seen.setdefault(kind, set()).add(tree)
-    assert seen == {"maximal": {True}, "flat": {False}, "ni": {False, True}, "nonni": {False, True},
-                    "isocanted": {False, True}}, seen
+            assert bool(checks) == (rule == "general")
+            seen.setdefault(kind, set()).add(rule)
+    assert seen == {"maximal": {"tree"}, "flat": {"general"}, "ni": {"tree", "two-layer", "general"},
+                    "nonni": {"tree", "general"}, "isocanted": {"tree", "two-layer"}}, seen
+
+
+def _closed_order(n, arcs):
+    """``ups``, ``tight`` and the arc count of the order on the nodes ``0..n-1`` that the arcs ``(i, j)`` generate."""
+    ups = [1 << k for k in range(n)]
+    for i, j in arcs:
+        ups[i] |= 1 << j
+    while True:  # transitive closure: ups[i] takes in the up-set of each node it holds
+        grown = [functools.reduce(int.__or__, (ups[j] for j in range(n) if u >> j & 1), u) for u in ups]
+        if grown == ups:
+            break
+        ups = grown
+    tight = [u | sum(1 << j for j in range(n) if ups[j] >> i & 1) for i, u in enumerate(ups)]
+    return ups, tight, sum(u.bit_count() for u in ups) - n
+
+
+def _check_two_layer(ups, tight, arcs):
+    """At a two-layer order: the closed-form cuts are the reference filter's and the closed-form counts ``_cone_faces``'."""
+    tops = _two_layer(ups, arcs)
+    assert tops == reference.two_layer_tops(ups), ups
+    if not tops:
+        return 0
+    n, full = len(ups), (1 << len(ups)) - 1
+    a = n - tops.bit_count()
+    edges = _edge_cuts(ups, tight, arcs, tops)
+    assert len(edges) == n and set(edges) == reference.edge_cuts_by_up_set_unions(ups, tight), ups
+    assert set(edges[:n - a]) == {1 << k for k in range(n) if tops >> k & 1}
+    assert set(edges[n - a:]) == {full ^ 1 << k for k in range(n) if not tops >> k & 1}
+    counts = [0] * (n + 1)
+    _cone_faces(edges, ups, counts)
+    closed = _two_layer_faces(a, tops & 1 == 1)
+    assert counts == closed + [0] * (n + 1 - len(closed)), (ups, counts, closed)
+    return tops
+
+
+def test_two_layer_rule_matches_the_union_filter_and_the_cone_count():
+    # Differential: wherever a tight order is complete bipartite, its edges
+    # read off the order must be the reference union filter's cuts, tops
+    # first, and its downward face counts, read off the free sum of two
+    # simplices, must be what _cone_faces counts on those cuts.  The library
+    # test must agree with the reference reading of the definition, which
+    # counts no arcs.  Hand-built orders with a, b = 2..4 put the ground on
+    # either side.  Then every vertex of seeded NI, non-NI and flat systems
+    # and of both isocanted placements is checked.  A flat system, with a
+    # pair tight both ways everywhere, never has a two-layer vertex.  Each
+    # isocanted vertex whose label w has 2 <= |w| <= d - 1 must be two-layer
+    # with its bottoms the nodes of w, d + 1 standing for the ground: a = |w|,
+    # and the ground is a top exactly when d + 1 is not in w.
+    rng = random.Random(34)
+    for a in range(2, 5):
+        for b in range(2, 5):
+            for ground_top in (True, False):
+                nodes = [0, *rng.sample(range(1, a + b), a + b - 1)]
+                if ground_top:
+                    nodes.reverse()
+                bottoms, tops = nodes[:a], nodes[a:]
+                got = _check_two_layer(*_closed_order(a + b, [(l, t) for l in bottoms for t in tops]))
+                assert got == sum(1 << t for t in tops)
+    seen = {}
+    pool = [F(-1, 2), F(-1), F(-3, 2), F(-2), F(-3), F(-7, 3)]
+    cases = [(kind, a, None, None) for d in range(2, 6) for kind, a in _seeded_cases(rng, d, pool)]
+    for d in range(2, 9):
+        spec = IsocantedSpec(d, F(rng.randint(3, 9), 2), F(rng.randint(1, 5), 3))
+        cases += [("isocanted", isocanted_vni(spec), spec, "vni"), ("isocanted", isocanted_sni(spec), spec, "sni")]
+    for kind, a, spec, placement in cases:
+        h = hrep_from_matrix(a)
+        vset = enumerate_vertices_oracle(h)
+        bound, _ = _closed_bounds(h)
+        grid, _ = vset._grid
+        full = (1 << (h.d + 1)) - 1
+        at = dict(zip(vset.points, grid))
+        label_of = {} if spec is None else {at[p]: w for w, p in label_vertices(spec, vset, placement).labels}
+        for x in grid:
+            ups, tight = reference.tight_order(bound, x)
+            got = _check_two_layer(ups, tight, sum(u.bit_count() for u in ups) - h.d - 1)
+            seen[kind] = seen.get(kind, 0) + bool(got)
+            if spec is not None:
+                w = label_of[x]
+                bottoms = sum(1 << (k if k <= h.d else 0) for k in w)
+                assert got == (full ^ bottoms if 2 <= len(w) <= h.d - 1 else 0), (placement, w, got)
+    assert seen["ni"] >= 1 and seen["flat"] == 0, seen
+    assert seen["isocanted"] == sum(2 * (2 ** (d + 1) - 2 - 2 * (d + 1)) for d in range(2, 9)), seen
+
+    # Refusals fall through to the tree rule (a star is a tree) or to the
+    # filter, and their cuts are still the reference's.
+    refused = {
+        "one bottom": [(0, 1), (0, 2), (0, 3)],
+        "one top": [(0, 3), (1, 3), (2, 3)],
+        "one missing arc": [(l, t) for l in (0, 1, 2) for t in (3, 4, 5) if (l, t) != (1, 4)],
+        "three-level chain": [(0, 2), (1, 2), (2, 3), (2, 4)],
+        "flat pair": [(0, 1), (1, 0), (0, 2), (0, 3)],
+        "an arc moved": [(0, 1), (1, 3), (1, 4), (2, 3)],
+    }
+    for name, arcs in refused.items():
+        ups, tight, count = _closed_order(max(map(max, arcs)) + 1, arcs)
+        assert _check_two_layer(ups, tight, count) == 0, name
+        assert set(_edge_cuts(ups, tight, count, 0)) == reference.edge_cuts_by_up_set_unions(ups, tight), name
+
+
+def test_walk_is_unchanged_with_the_two_layer_rule_off(monkeypatch):
+    # Metamorphic: with no order taken as two-layer, every non-tree vertex
+    # goes through the union filter and _cone_faces, so the walk's tally of
+    # two-layer vertices by bottom count and ground layer is checked against
+    # the general path, on seeded NI systems and both isocanted placements.
+    import isocant.geometry as geometry
+
+    rng = random.Random(3400)
+    pool = [F(-1, 2), F(-1), F(-3, 2), F(-2), F(-3), F(-7, 3)]
+    tables = [_closed_bounds(hrep_from_matrix(_kleene_star(_random_normal(rng, d, pool))))[0] for d in range(3, 6)]
+    for d in range(3, 9):
+        spec = IsocantedSpec(d, F(rng.randint(3, 9), 2), F(rng.randint(1, 5), 3))
+        tables += [_closed_bounds(hrep_from_matrix(a))[0] for a in (isocanted_vni(spec), isocanted_sni(spec))]
+    walks = [_walk(t) for t in tables]
+    monkeypatch.setattr(geometry, "_two_layer", lambda ups, arcs: 0)
+    assert [_walk(t) for t in tables] == walks
 
 
 def test_walk_of_negated_bounds_is_the_negated_vertex_set():
@@ -1004,7 +1129,7 @@ def test_walk_names_a_cut_whose_step_is_not_positive(monkeypatch):
     import isocant.geometry as geometry
 
     edge_cuts = geometry._edge_cuts
-    monkeypatch.setattr(geometry, "_edge_cuts", lambda ups, tight: [*edge_cuts(ups, tight), 0b011])
+    monkeypatch.setattr(geometry, "_edge_cuts", lambda *order: [*edge_cuts(*order), 0b011])
     # x_1 = x_2 on the unit square: the tight x_1 - x_2 <= 0 blocks the cut {ground, x_1}.
     h = HRep(2, ((0, 1), (0, 1)), ((1, 2, 0, 0),))
     with pytest.raises(RuntimeError, match=r"^cut 0b11 at \(0, 1, 1\) steps 0: not an edge$"):
@@ -1119,7 +1244,9 @@ def test_geometric_edges_are_the_skeleton(d):
         nodes = range(d + 1)
         geometric = set()
         for x in grid:
-            for cut in _edge_cuts(*reference.tight_order(bound, x)):
+            ups, tight = reference.tight_order(bound, x)
+            arcs = sum(u.bit_count() for u in ups) - d - 1
+            for cut in _edge_cuts(ups, tight, arcs, _two_layer(ups, arcs)):
                 # x + step * 1_cut, re-grounded; the step is the least slack leaving the cut.
                 outs = [j for j in nodes if not cut >> j & 1]
                 step = min(bound[i][j] - x[i] + x[j] for i in nodes if cut >> i & 1 for j in outs)
