@@ -28,6 +28,7 @@ from ._record import Record
 from .combinatorics import (
     FVector,
     _binomial_row,
+    _check_dim,
     _isocanted_row,
     count_flags,
     count_flags_by_chains,
@@ -101,8 +102,9 @@ def short_cubical_h(f: Sequence[int], d: int) -> tuple[int, ...]:
 
     Coefficients of ``sum_j f_j (2t)^j (1 - t)^(d-1-j)`` as a polynomial in
     ``t``; for the boundary of a cubical polytope this equals the sum of the
-    simplicial h-vectors of all vertex links.
+    simplicial h-vectors of all vertex links.  ``d`` is an int ``>= 1``.
     """
+    _check_dim(d, 1)
     if len(f) != d:
         raise ValueError("need face counts f_0 .. f_{d-1}")
     out = [0] * d

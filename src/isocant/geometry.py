@@ -18,12 +18,13 @@ of two simplices as its vertex figure and reads its ``d + 1`` edges off the
 two layers.  Any other vertex tries only the unions of its up-sets.  The walk
 steps only the downward edges under ``x_1 + ... + x_d``, which no edge leaves
 level, and counts the faces, each at its highest vertex, from that vertex's
-edges: the h-vector at simple vertices, binomial rows at two-layer ones, and
-the cone's own faces elsewhere.  Each closed bound is the attained
-maximum of ``x_i - x_j``, so the closed table alone fixes the polytope, and
-central symmetry and the zonotope
-identity are read from it without enumerating vertices; a hand-built vertex
-set gets its face counts by walking the table of its own extremes.
+edges: the h-vector at simple and two-layer vertices, less one face in each
+of dimensions ``a`` and ``a + 1`` at a two-layer vertex with ``a`` bottoms
+and the ground a top, and the cone's own faces elsewhere.  Each closed
+bound is the attained maximum of ``x_i - x_j``, so the closed table alone
+fixes the polytope, and central symmetry and the zonotope identity are
+read from it without enumerating vertices; a hand-built vertex set gets its
+face counts by walking the table of its own extremes.
 Each isocanted vertex's closed form, fixed by its label, is written once
 (``_vertex_values``); the poles are two of them.  The walk and its face
 counts, the closed-table checks, the unique-vertex check and the vertex-set
@@ -388,27 +389,6 @@ def _two_layer(ups: Sequence[int], arcs: int) -> int:
     return tops
 
 
-def _two_layer_faces(a: int, ground_top: bool) -> list[int]:
-    """Downward face counts by dimension of the cone at a two-layer vertex with ``a`` bottoms.
-
-    The cone is the order cone of ``K_{a,b}``, and its vertex figure is the
-    free sum of two simplices, ``Δ_{a-1} ⊕ Δ_{b-1}``, one on the ``a``
-    bottom rays and one on the ``b`` top rays (Stanley, "Two poset
-    polytopes", 1986): a proper face takes a proper subset of each, and its
-    dimension is its ray count.  A top's ray ``+1_{t}`` holds the ground
-    only for the ground itself, and a bottom's ray, all nodes but that
-    bottom, holds it unless the bottom is the ground.  So with the ground a
-    top, the downward rays are the ``a`` bottom rays and the ground's, which
-    gives ``C(a, k)`` faces for ``k < a`` without the ground's ray plus
-    ``C(a, k-1)`` for ``1 <= k <= a`` with it; with the ground a bottom,
-    they are the other ``a - 1`` bottom rays, ``C(a-1, k)`` faces.
-    """
-    if not ground_top:
-        return _binomial_row(a - 1, a)
-    row = _binomial_row(a, a)
-    return [c + p for c, p in zip([*row, 0], [0, *row])]
-
-
 def _edge_cuts(ups: Sequence[int], tight: Sequence[int], arcs: int, tops: int) -> list[int]:
     """A vertex's edges, each as the cut ``S`` of its direction ``+1_S``, from its tight order.
 
@@ -474,12 +454,21 @@ def _walk(bound: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], 
     ``dim P`` edges, every set of ``k`` downward edges spans a ``k``-face
     with that top, so the vertex adds to the h-vector entry of its downward
     edge count and ``f_k = sum_i C(i, k) h_i`` (Ziegler, *Lectures on
-    Polytopes*, 8.3).  A two-layer vertex adds the closed-form counts of its
-    free-sum cone (:func:`_two_layer_faces`), tallied by bottom count and
-    the ground's layer, and any other vertex counts its cone's downward
-    faces (:func:`_cone_faces`).  ``dim P`` is the number of classes of
-    nodes with a fixed difference, minus one, and ``f_{dim P}``, the
-    polytope itself, is dropped.
+    Polytopes*, 8.3).  At a two-layer vertex with ``a`` bottoms the vertex
+    figure is the free sum of two simplices, one on the bottom rays and one
+    on the top rays (Stanley, "Two poset polytopes", 1986), so a set of
+    rays spans a face, of dimension its size, unless it holds every ray of
+    one layer.  A top's ray ``+1_{t}`` goes down only when ``t`` is the
+    ground, and a bottom's ray unless the bottom is the ground.  With the
+    ground a bottom, the downward rays are the other ``a - 1`` bottom rays,
+    and every set of them spans a face, as at a simple vertex.  With the
+    ground a top, they are the ``a`` bottom rays and the ground's, and only
+    the two sets holding every bottom ray, of sizes ``a`` and ``a + 1``,
+    span no face, so the vertex adds to the h-vector too and takes one face
+    off each of those two dimensions.  Any other vertex counts its cone's
+    downward faces (:func:`_cone_faces`).  ``dim P`` is the number of
+    classes of nodes with a fixed difference, minus one, and ``f_{dim P}``,
+    the polytope itself, is dropped.
     """
     d = len(bound) - 1
     nodes = range(d + 1)
@@ -493,16 +482,12 @@ def _walk(bound: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], 
     pairs: dict[int, list[tuple[int, int]]] = {}
     dim_p = d - _constraint_rank(d, [(i, j) for i in nodes for j in range(i) if bound[i][j] + bound[j][i] == 0])
     hvec = [0] * (d + 1)
-    # layered[(a, ground_top)]: the two-layer vertices with a bottoms and the ground in that layer.
-    layered: dict[tuple[int, bool], int] = {}
-    # The arc counts a·b with a + b = d + 1 and a, b >= 2 lie in this range; a tree's d do not.
-    layer_arcs = range(max(2 * d - 2, d + 1), (d + 1) ** 2 // 4 + 1)
     counts = [0] * (d + 1)
     work = [(start, ups, [u | sum(1 << j for j in nodes if ups[j] >> i & 1) for i, u in enumerate(ups)])]
     while work:
         x, ups, tight = work.pop()
         arcs = sum([u.bit_count() for u in ups]) - d - 1
-        tops = arcs in layer_arcs and _two_layer(ups, arcs)
+        tops = arcs != d and _two_layer(ups, arcs)  # d arcs form a tree, never a·b
         edges = _edge_cuts(ups, tight, arcs, tops)
         for cut in edges:
             if not cut & 1:
@@ -530,18 +515,16 @@ def _walk(bound: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], 
                         both[j] |= 1 << i
                 seen.add(y)
                 work.append((y, up, both))
-        if len(edges) == dim_p:
-            hvec[sum([cut & 1 for cut in edges])] += 1
-        elif tops:
-            key = d + 1 - tops.bit_count(), tops & 1 == 1
-            layered[key] = layered.get(key, 0) + 1
+        if len(edges) == dim_p or tops:
+            down = sum([cut & 1 for cut in edges])
+            hvec[down] += 1
+            if tops & 1:  # the two sets holding every bottom ray span no face
+                counts[down - 1] -= 1
+                counts[down] -= 1
         else:
             _cone_faces(edges, ups, counts)
     for i, n in enumerate(hvec):
         for k, c in enumerate(_binomial_row(i, i + 1)):
-            counts[k] += c * n
-    for key, n in layered.items():
-        for k, c in enumerate(_two_layer_faces(*key)):
             counts[k] += c * n
     counts[dim_p] = 0
     return tuple(sorted(seen)), tuple(counts[:d])

@@ -309,6 +309,12 @@ def _grid_permanent(grid: Sequence[Sequence[int | None]], den: int) -> MinorEval
 def _check_selection(
     n: int, rows: Iterable[int], cols: Iterable[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    rows, cols = tuple(rows), tuple(cols)
+    # Before ``set`` merges ``True`` into ``1``.
+    for what, given in (("row", rows), ("column", cols)):
+        for v in given:
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise TypeError(f"{what} indices must be ints, got {v!r}")
     row_idx = tuple(sorted(set(rows)))
     col_idx = tuple(sorted(set(cols)))
     if len(row_idx) != len(col_idx):
@@ -374,6 +380,8 @@ def laplace_terms(
     of the full minor.
     """
     row_idx, col_idx = _check_selection(a.n, rows, cols)
+    if isinstance(expansion_col, bool) or not isinstance(expansion_col, int):
+        raise TypeError(f"expansion column must be an int, got {expansion_col!r}")
     if expansion_col not in col_idx:
         raise ValueError(f"expansion column {expansion_col} not in selection")
     grid, den = a._grid

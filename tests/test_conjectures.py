@@ -184,6 +184,15 @@ def test_cubical_h_vectors_match_the_term_by_term_reference():
                     fn(f, d)
 
 
+@pytest.mark.parametrize("d, f", [(0, ()), (-1, ()), (True, (4,)), (2.0, (1, 2))])
+def test_cubical_h_vectors_refuse_a_dimension_that_is_not_an_int_of_at_least_one(d, f):
+    # Each row has the length that the dimension's value would ask for, so
+    # only the dimension check refuses it: no float h[0] = 2 ** -1 at d = 0.
+    for fn in (short_cubical_h, long_cubical_h):
+        with pytest.raises(ValueError, match=r"^dimension must be an integer >= 1$"):
+            fn(f, d)
+
+
 def test_cubical_g2_printed_values():
     assert [cubical_g2_value(d) for d in range(4, 9)] == [6, 20, 50, 112, 238]
     for d in range(4, 30):

@@ -19,7 +19,6 @@ from isocant.geometry import (
     _has_closed_table,
     _lone_vertex,
     _two_layer,
-    _two_layer_faces,
     _walk,
     HRep,
     VertexSet,
@@ -345,6 +344,21 @@ def test_oracle_face_counts_match_closed_form():
                 h = hrep_from_matrix(build(spec))
                 vset = enumerate_vertices_oracle(h)
                 assert oracle_face_counts(h, vset) == isocanted_fvector(d), (spec, build)
+
+
+@pytest.mark.parametrize("d", [9, 10])
+def test_walk_of_isocanted_beyond_the_oracle_cap_gives_the_papers_counts(d):
+    # The paper's claim past ORACLE_DIM_LIMIT: 2^(d+1) - 2 vertices and the
+    # closed-form f-vector, for both placements.  An NI matrix's bound table
+    # is already closed, so its own table goes to the walk directly.
+    spec = IsocantedSpec(d, F(3), F(1))
+    for build in (isocanted_vni, isocanted_sni):
+        a = build(spec)
+        assert is_ni(a), build
+        table, _ = hrep_from_matrix(a)._grid
+        grid, counts = _walk(table)
+        assert len(grid) == 2 ** (d + 1) - 2, (build, len(grid))
+        assert counts == isocanted_fvector(d), (build, counts)
 
 
 def _point_hrep(point):
@@ -677,7 +691,7 @@ def _closed_order(n, arcs):
 
 
 def _check_two_layer(ups, tight, arcs):
-    """At a two-layer order: the closed-form cuts are the reference filter's and the closed-form counts ``_cone_faces``'."""
+    """At a two-layer order: the closed-form cuts are the reference filter's and the walk's folded counts ``_cone_faces``'."""
     tops = _two_layer(ups, arcs)
     assert tops == reference.two_layer_tops(ups), ups
     if not tops:
@@ -690,16 +704,20 @@ def _check_two_layer(ups, tight, arcs):
     assert set(edges[n - a:]) == {full ^ 1 << k for k in range(n) if not tops >> k & 1}
     counts = [0] * (n + 1)
     _cone_faces(edges, ups, counts)
-    closed = _two_layer_faces(a, tops & 1 == 1)
-    assert counts == closed + [0] * (n + 1 - len(closed)), (ups, counts, closed)
+    ground_top = tops & 1 == 1
+    down = a + 1 if ground_top else a - 1
+    # C(down, k), less the two sets holding every bottom ray when the ground is a top.
+    closed = [comb(down, k) - (ground_top and k in (down - 1, down)) for k in range(n + 1)]
+    assert counts == closed, (ups, counts, closed)
     return tops
 
 
 def test_two_layer_rule_matches_the_union_filter_and_the_cone_count():
     # Differential: wherever a tight order is complete bipartite, its edges
     # read off the order must be the reference union filter's cuts, tops
-    # first, and its downward face counts, read off the free sum of two
-    # simplices, must be what _cone_faces counts on those cuts.  The library
+    # first, and the walk's count of its downward faces, C(down, k) for its
+    # down downward rays less one at k = down - 1 and at k = down when the
+    # ground is a top, must be what _cone_faces counts on those cuts.  The library
     # test must agree with the reference reading of the definition, which
     # counts no arcs.  Hand-built orders with a, b = 2..4 put the ground on
     # either side.  Then every vertex of seeded NI, non-NI and flat systems
@@ -761,20 +779,28 @@ def test_two_layer_rule_matches_the_union_filter_and_the_cone_count():
 
 def test_walk_is_unchanged_with_the_two_layer_rule_off(monkeypatch):
     # Metamorphic: with no order taken as two-layer, every non-tree vertex
-    # goes through the union filter and _cone_faces, so the walk's tally of
-    # two-layer vertices by bottom count and ground layer is checked against
-    # the general path, on seeded NI systems and both isocanted placements.
+    # goes through the union filter and _cone_faces, so the walk's h-vector
+    # count of two-layer vertices, with its ground-top correction, is checked
+    # against the general path, on seeded NI systems and both isocanted
+    # placements.  With the rule on, every isocanted vertex is a tree or
+    # two-layer vertex, so the isocanted walks never reach _cone_faces, not
+    # even at d = 3, where a two-layer vertex has a·b = 4 = d + 1 arcs.
     import isocant.geometry as geometry
 
     rng = random.Random(3400)
     pool = [F(-1, 2), F(-1), F(-3, 2), F(-2), F(-3), F(-7, 3)]
-    tables = [_closed_bounds(hrep_from_matrix(_kleene_star(_random_normal(rng, d, pool))))[0] for d in range(3, 6)]
+    ni = [_closed_bounds(hrep_from_matrix(_kleene_star(_random_normal(rng, d, pool))))[0] for d in range(3, 6)]
+    isocanted = []
     for d in range(3, 9):
         spec = IsocantedSpec(d, F(rng.randint(3, 9), 2), F(rng.randint(1, 5), 3))
-        tables += [_closed_bounds(hrep_from_matrix(a))[0] for a in (isocanted_vni(spec), isocanted_sni(spec))]
-    walks = [_walk(t) for t in tables]
+        isocanted += [_closed_bounds(hrep_from_matrix(a))[0] for a in (isocanted_vni(spec), isocanted_sni(spec))]
+    cone, general = geometry._cone_faces, []
+    monkeypatch.setattr(geometry, "_cone_faces", lambda *args: general.append(args) or cone(*args))
+    walks = [_walk(t) for t in isocanted]
+    assert general == []
+    walks += [_walk(t) for t in ni]
     monkeypatch.setattr(geometry, "_two_layer", lambda ups, arcs: 0)
-    assert [_walk(t) for t in tables] == walks
+    assert [_walk(t) for t in isocanted + ni] == walks
 
 
 def test_walk_of_negated_bounds_is_the_negated_vertex_set():

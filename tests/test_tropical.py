@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -303,6 +304,28 @@ def test_minor_ragged_selection():
         trop_minor(a, [1], [3])
     with pytest.raises(ValueError, match="^empty selection$"):
         trop_minor(a, [], [])
+
+
+@pytest.mark.parametrize("fn, args, text", [
+    (trop_minor, ([True], [2]), "row indices must be ints, got True"),
+    (trop_minor, ([1.0], [2]), "row indices must be ints, got 1.0"),
+    (trop_minor, (["1"], [2]), "row indices must be ints, got '1'"),
+    (trop_minor, ([1], [True]), "column indices must be ints, got True"),
+    (trop_minor, ([1], [2.0]), "column indices must be ints, got 2.0"),
+    (trop_minor, ([1], ["2"]), "column indices must be ints, got '2'"),
+    (trop_minor, ([True], [2.0]), "row indices must be ints, got True"),
+    (laplace_terms, ([True], [1], 1), "row indices must be ints, got True"),
+    (laplace_terms, ([1], [True], True), "column indices must be ints, got True"),
+    (laplace_terms, ([1], [1], True), "expansion column must be an int, got True"),
+    (laplace_terms, ([1], [1], 1.0), "expansion column must be an int, got 1.0"),
+    (laplace_terms, ([1], [1], "1"), "expansion column must be an int, got '1'"),
+])
+def test_selections_refuse_indices_that_are_not_ints(fn, args, text):
+    # Checked before a set merges True into 1: rows, then columns, then the
+    # expansion column.
+    a = TropMatrix.from_rows([[0, 1], [2, 0]])
+    with pytest.raises(TypeError, match=f"^{re.escape(text)}$"):
+        fn(a, *args)
 
 
 def test_neg_inf_prints_and_refuses_negation():
