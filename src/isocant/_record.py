@@ -4,9 +4,26 @@
 class; on a command-line call that cost about twice the rest of the import.
 ``Record`` reads a subclass's fields from its own annotations when the class
 is created, and every record shares one implementation of each method.
+
+It also holds the package's one int-argument gate: ``_is_int`` is the only
+place an ``int`` that is not a ``bool`` is told apart, and ``_require_ints``
+raises the ``TypeError`` at the first value that fails it.
 """
 
 from operator import attrgetter
+from typing import Iterable
+
+
+def _is_int(v: object) -> bool:
+    """True for an ``int`` that is not a ``bool``."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _require_ints(values: Iterable[object], subject: str) -> None:
+    """Raise ``TypeError(f"{subject}, got {v!r}")`` at the first value that is not an int."""
+    for v in values:
+        if not _is_int(v):
+            raise TypeError(f"{subject}, got {v!r}")
 
 
 class Record:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable, Iterator
 
-from ._record import Record
+from ._record import Record, _is_int, _require_ints
 
 VertexLabel = frozenset[int]
 FVector = tuple[int, ...]
@@ -31,21 +31,15 @@ LATTICE_DIM_LIMIT = 8
 
 
 def _check_dim(d: int, minimum: int = 2) -> None:
-    if isinstance(d, bool) or not isinstance(d, int) or d < minimum:
+    if not _is_int(d) or d < minimum:
         raise ValueError(f"dimension must be an integer >= {minimum}")
-
-
-def _check_elements(label: VertexLabel) -> None:
-    bad = next((v for v in label if isinstance(v, bool) or not isinstance(v, int)), None)
-    if bad is not None:
-        raise TypeError(f"label elements must be ints, got {bad!r}")
 
 
 def check_label(w: Iterable[int], d: int) -> VertexLabel:
     """Validate a vertex label: proper nonempty subset of ``1..d+1``, for ``d >= 2``."""
     _check_dim(d)
     label = frozenset(w)
-    _check_elements(label)
+    _require_ints(label, "label elements must be ints")
     if not label or not label < set(range(1, d + 2)):
         raise ValueError(f"label must be a proper nonempty subset of 1..{d + 1}")
     return label
@@ -164,8 +158,7 @@ class FVectorTables(Record):
 
 
 def fvector_tables(dmax: int) -> FVectorTables:
-    if isinstance(dmax, bool) or not isinstance(dmax, int):
-        raise TypeError(f"dmax must be an int, got {dmax!r}")
+    _require_ints((dmax,), "dmax must be an int")
     if dmax < 0:
         raise ValueError("dmax must be non-negative")
     rows = range(dmax + 1)
@@ -192,7 +185,7 @@ class FaceInterval(Record):
         object.__setattr__(self, "bottom", bottom)
         object.__setattr__(self, "top", top)
         elements = bottom | top
-        _check_elements(elements)
+        _require_ints(elements, "label elements must be ints")
         low = min(elements, default=1)
         if low < 1:
             raise ValueError(f"label elements must be at least 1, got {low}")

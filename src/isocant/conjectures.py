@@ -24,7 +24,7 @@ from math import factorial
 from operator import add, ge, gt, mul
 from typing import Callable, Sequence
 
-from ._record import Record
+from ._record import Record, _require_ints
 from .combinatorics import (
     FVector,
     _binomial_row,
@@ -251,14 +251,8 @@ def _cubical_g2(d: int, row: FVector, binomials: list[int]) -> tuple[bool, dict]
     return g2 >= 0, {"d": d, "g2": g2}
 
 
-def _require_int_bounds(d_min: int, d_max: int) -> None:
-    for v in (d_min, d_max):
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise TypeError(f"dimension bounds must be ints, got {v!r}")
-
-
 def _validate(name: str, d_min: int, d_max: int) -> None:
-    _require_int_bounds(d_min, d_max)
+    _require_ints((d_min, d_max), "dimension bounds must be ints")
     floor, below = _PREDICATES[name][1:3]
     if d_min < floor:
         raise ValueError(below)
@@ -412,7 +406,7 @@ def run_all(
     names are checked in order, so the first bad name or range is the error
     raised.
     """
-    _require_int_bounds(d_min, d_max)
+    _require_ints((d_min, d_max), "dimension bounds must be ints")
     sweeps = []
     for name in list(CHECKS) if names is None else names:
         if name not in CHECKS:

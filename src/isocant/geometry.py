@@ -10,17 +10,11 @@ Every edge of such a polytope runs along a cut direction ``+1_S`` for a node
 set ``S``, and ``S`` is an up-set of the vertex's tight order (the tight part
 of the closed table), so the vertex enumerator walks the edge graph from the
 maximum point without any linear programming.  Three rules read a vertex's
-edges off its tight order.  A vertex with exactly ``d`` tight bounds is
-simple and reads its ``d`` edges off the spanning tree they form.  A
-two-layer vertex, whose order is complete bipartite (every vertex of an
-isocanted polytope whose label has 2 to ``d - 1`` elements), has the free sum
-of two simplices as its vertex figure and reads its ``d + 1`` edges off the
-two layers.  Any other vertex tries only the unions of its up-sets.  The walk
-steps only the downward edges under ``x_1 + ... + x_d``, which no edge leaves
-level, and counts the faces, each at its highest vertex, from that vertex's
-edges: the h-vector at simple and two-layer vertices, less one face in each
-of dimensions ``a`` and ``a + 1`` at a two-layer vertex with ``a`` bottoms
-and the ground a top, and the cone's own faces elsewhere.  Each closed
+edges off its tight order: a spanning tree, a complete bipartite order (every
+vertex of an isocanted polytope whose label has 2 to ``d - 1`` elements) and
+any other order (``_edge_cuts``).  The walk steps only the downward edges
+under ``x_1 + ... + x_d``, which no edge leaves level, and counts the faces,
+each at its highest vertex, from that vertex's edges (``_walk``).  Each closed
 bound is the attained maximum of ``x_i - x_j``, so the closed table alone
 fixes the polytope, and central symmetry and the zonotope identity are
 read from it without enumerating vertices; a hand-built vertex set gets its
@@ -46,7 +40,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from ._record import Record
+from ._record import Record, _require_ints
 from .combinatorics import _binomial_row, all_vertex_labels, check_label
 from .matrices import (
     IsocantedSpec, Rational, _require_finite, _visualized, decompose, isocanted_vni,
@@ -64,8 +58,7 @@ ORACLE_DIM_LIMIT = 8
 
 def _ambient_dim(d: int) -> int:
     """``d`` once it is a non-negative int, the one dimension check of ``HRep`` and ``VertexSet``."""
-    if isinstance(d, bool) or not isinstance(d, int):
-        raise TypeError(f"dimension must be an int, got {d!r}")
+    _require_ints((d,), "dimension must be an int")
     if d < 0:
         raise ValueError(f"dimension must be non-negative, got {d}")
     return d
@@ -99,9 +92,7 @@ class HRep(Record):
         diff = tuple((i, j, *b) for (i, j, _, _), b in zip(self.diff, exact[d:]))
         object.__setattr__(self, "diff", diff)
         for i, j, _, _ in diff:
-            for k in (i, j):
-                if isinstance(k, bool) or not isinstance(k, int):
-                    raise TypeError(f"node indices must be ints, got {k!r}")
+            _require_ints((i, j), "node indices must be ints")
             if i == j or not (0 < i <= d and 0 < j <= d):
                 raise ValueError(f"bound on x_{i} - x_{j} needs two distinct nodes in 1..{d}")
 
@@ -540,32 +531,22 @@ def enumerate_vertices_oracle(h: HRep) -> VertexSet:
     nonempty node set ``S`` (ground included, points re-grounded to
     ``x_0 = 0``).  Each vertex carries, until it is expanded, ``ups[i]``,
     the nodes ``j`` with ``x_i - x_j`` at its bound, which ``i`` cannot rise
-    without, and ``tight[i]``, the nodes tight with ``i`` either way.  A cut
-    that no tight bound blocks is closed under ``ups``, so it is a union of
-    some of them, and it is an edge when the tight bounds not crossing it
-    leave exactly the two components ``S`` and its complement.  Three rules
-    read the edges (:func:`_edge_cuts`), with the tight arcs counted once per
-    vertex.  At a vertex with exactly ``d`` tight bounds they form a spanning
-    tree, and each tree arc gives one edge with no union built.  At a
-    two-layer vertex, whose tight order is complete bipartite, the vertex
-    figure is a free sum of two simplices and the ``d + 1`` edges are the
-    single tops and the complements of the single bottoms, again with no
-    union built.  Any other vertex tries the distinct proper nonempty unions,
-    built as a set, and checks both components.  Every edge changes
+    without, and ``tight[i]``, the nodes tight with ``i`` either way, and
+    reads its edges off them (:func:`_edge_cuts`).  Every edge changes
     ``x_1 + ... + x_d``, so the start is the one top and every other vertex
     has an edge going up: the walk steps only the edges going down, those
-    whose ``S`` holds the ground, and so steps each edge once.  The step length is the least slack of the
-    bounds leaving ``S``, over its crossing pairs (kept per cut for the walk).
-    A new vertex takes ``ups`` and ``tight`` from the edge that found it:
-    pairs on one side of the cut keep their state, and a crossing pair whose
-    slack is the step becomes tight, so only the start vertex compares all
-    ``(d+1)^2`` pairs, and no linear programming is needed.  Each vertex also counts the faces
-    whose highest vertex it is (:func:`_walk`).  Points are sorted as integer
-    tuples and turned back into scalars by ``tropical._unscaled``; the
-    sorted tuples, grounded and over the bounds' denominator, fill the
-    result's ``_grid``, and the face counts its ``_faces``.  The name keeps
-    "oracle" from the exhaustive hyperplane-subset sweep this replaced, for
-    compatibility.
+    whose ``S`` holds the ground, and so steps each edge once.  The step
+    length is the least slack of the bounds leaving ``S``, over its crossing
+    pairs (kept per cut for the walk).  A new vertex takes ``ups`` and
+    ``tight`` from the edge that found it: pairs on one side of the cut keep
+    their state, and a crossing pair whose slack is the step becomes tight,
+    so only the start vertex compares all ``(d+1)^2`` pairs.  Each vertex
+    also counts the faces whose highest vertex it is (:func:`_walk`).
+    Points are sorted as integer tuples and turned back into scalars by
+    ``tropical._unscaled``; the sorted tuples, grounded and over the bounds'
+    denominator, fill the result's ``_grid``, and the face counts its
+    ``_faces``.  The name keeps "oracle" from the exhaustive
+    hyperplane-subset sweep this replaced, for compatibility.
     """
     bound, den = _closed_bounds(h)
     grid, faces = _walk(bound)

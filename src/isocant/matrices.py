@@ -27,7 +27,7 @@ from fractions import Fraction
 from operator import sub
 from typing import Sequence
 
-from ._record import Record
+from ._record import Record, _require_ints
 from .combinatorics import _check_dim
 from .tropical import TropMatrix, _Square, _exact_rows, _unscaled, as_rational, conjugate_diag
 
@@ -114,8 +114,7 @@ def box_sni(lengths: Sequence[Rational]) -> TropMatrix:
 
 
 def _cube_lengths(d: int, edge_length: Rational) -> list[Rational]:
-    if isinstance(d, bool) or not isinstance(d, int):
-        raise TypeError(f"cube dimension must be an int, got {d!r}")
+    _require_ints((d,), "cube dimension must be an int")
     return [edge_length] * d
 
 

@@ -16,13 +16,13 @@ from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
-from ._record import Record
+from ._record import Record, _is_int
 from .combinatorics import facet_intervals, label_text
 from .geometry import Point, closed_form_vertices
 from .matrices import IsocantedSpec
 from .tropical import NEG_INF, TropMatrix, TropScalar, _NegInf
 
-_FRACTION_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_FRACTION_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 #: Vertex color key by label length: generators blue, then yellow, magenta, green.
 COLOR_BY_LENGTH = {
@@ -50,10 +50,12 @@ def scalar_to_json(value: TropScalar | Fraction) -> int | str:
 
 def parse_fraction(text: str) -> Fraction:
     """An exact rational written ``n`` or ``n/q`` in ASCII digits, ``n`` optionally negative."""
-    if not _FRACTION_RE.fullmatch(text):
+    match = _FRACTION_RE.fullmatch(text)
+    if not match:
         raise MatrixParseError(f"malformed rational {text!r}")
+    numerator, denominator = match.groups("1")
     try:
-        return Fraction(text)
+        return Fraction(int(numerator), int(denominator))
     except ZeroDivisionError as exc:
         raise MatrixParseError(f"zero denominator in {text!r}") from exc
 
@@ -84,7 +86,7 @@ def matrix_from_json(obj: object) -> TropMatrix:
         raise MatrixParseError("matrix payload must be a JSON object")
     size = obj.get("size")
     entries = obj.get("entries")
-    if not isinstance(size, int) or isinstance(size, bool) or size < 2:
+    if not _is_int(size) or size < 2:
         raise MatrixParseError("'size' must be an integer >= 2")
     if not isinstance(entries, list) or len(entries) != size:
         raise MatrixParseError(f"'entries' must be a {size}x{size} array")
@@ -124,7 +126,7 @@ def read_matrix(path: str | Path) -> TropMatrix:
 
 def check_precision(precision: int) -> int:
     """Validate a count of significant digits: an ``int`` (not a ``bool``), at least 1."""
-    if not isinstance(precision, int) or isinstance(precision, bool):
+    if not _is_int(precision):
         raise ValueError(f"precision must be an integer, not {precision!r}")
     if precision < 1:
         raise ValueError("precision must be at least 1 significant digit")

@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar, Union
 
-from ._record import Record
+from ._record import Record, _require_ints
 
 
 class _NegInf:
@@ -311,10 +311,8 @@ def _check_selection(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     rows, cols = tuple(rows), tuple(cols)
     # Before ``set`` merges ``True`` into ``1``.
-    for what, given in (("row", rows), ("column", cols)):
-        for v in given:
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise TypeError(f"{what} indices must be ints, got {v!r}")
+    _require_ints(rows, "row indices must be ints")
+    _require_ints(cols, "column indices must be ints")
     row_idx = tuple(sorted(set(rows)))
     col_idx = tuple(sorted(set(cols)))
     if len(row_idx) != len(col_idx):
@@ -380,8 +378,7 @@ def laplace_terms(
     of the full minor.
     """
     row_idx, col_idx = _check_selection(a.n, rows, cols)
-    if isinstance(expansion_col, bool) or not isinstance(expansion_col, int):
-        raise TypeError(f"expansion column must be an int, got {expansion_col!r}")
+    _require_ints((expansion_col,), "expansion column must be an int")
     if expansion_col not in col_idx:
         raise ValueError(f"expansion column {expansion_col} not in selection")
     grid, den = a._grid

@@ -258,6 +258,22 @@ def _connected(part: int, reach: Sequence[int]) -> bool:
         comp = grown
 
 
+def _connected_by_neighbours(part: int, neighbours: Sequence[int]) -> bool:
+    """True when the node set ``part`` is connected, node ``i``'s neighbours being ``neighbours[i]``.
+
+    One search from the lowest node, a node at a time: no table over subsets.
+    """
+    frontier = part & -part
+    left = part ^ frontier
+    while frontier and left:
+        low = frontier & -frontier
+        frontier ^= low
+        grown = neighbours[low.bit_length() - 1] & left
+        left ^= grown
+        frontier |= grown
+    return not left
+
+
 def tight_order(bound, x):
     """``ups`` and ``tight`` of the grounded vertex ``x`` of the closed table ``bound``, from scratch.
 

@@ -130,6 +130,8 @@ LABEL_DIM_TEXT = "^dimension must be an integer >= 2$"
     (lambda: fvector_tables("3"), TypeError, "^dmax must be an int, got '3'$"),
     (lambda: fvector_tables(None), TypeError, "^dmax must be an int, got None$"),
     (lambda: label_text(check_label([1.0, 2], 3)), TypeError, r"^label elements must be ints, got 1\.0$"),
+    (lambda: check_label([None], 3), TypeError, "^label elements must be ints, got None$"),
+    (lambda: check_label(["1"], 3), TypeError, "^label elements must be ints, got '1'$"),
     (lambda: valence([True], 3), TypeError, "^label elements must be ints, got True$"),
     (lambda: distance({1}, {"2"}, 3), TypeError, "^label elements must be ints, got '2'$"),
     (lambda: verify_unique_vertex(IsocantedSpec(3, 2, 1), [True]), TypeError,
@@ -150,6 +152,7 @@ LABEL_DIM_TEXT = "^dimension must be an integer >= 2$"
      "^label elements must be ints, got True$"),
     (lambda: FaceInterval(frozenset(), frozenset({"2"})), TypeError,
      "^label elements must be ints, got '2'$"),
+    (lambda: FaceInterval([None], [None, 1]), TypeError, "^label elements must be ints, got None$"),
     (lambda: FaceInterval(frozenset({0}), frozenset()), ValueError,
      "^label elements must be at least 1, got 0$"),
     (lambda: FaceInterval(frozenset(), frozenset({-1, 2})), ValueError,
@@ -160,10 +163,10 @@ LABEL_DIM_TEXT = "^dimension must be an integer >= 2$"
 ], ids=[
     "valence-d1", "valence-bool", "distance-float", "antipode-float", "check_label-float",
     "check_label-d0", "tables-bool", "tables-float", "tables-str", "tables-none", "label-float-element",
-    "valence-bool-element", "distance-str-element", "unique_vertex-bool-element",
+    "label-none-element", "label-str-element", "valence-bool-element", "distance-str-element", "unique_vertex-bool-element",
     "antipode_interval-d1", "antipode_interval-float", "antipode_interval-empty-bottom",
     "antipode_interval-full-top", "face-float-element", "face-bool-element",
-    "face-str-before-empty-bottom", "face-zero-before-containment", "face-negative-before-empty-bottom",
+    "face-str-before-empty-bottom", "face-none-element", "face-zero-before-containment", "face-negative-before-empty-bottom",
     "face-empty", "face-not-contained",
 ])
 def test_label_functions_and_tables_refuse_a_bad_dimension(call, error, text):
