@@ -5,9 +5,11 @@ class; on a command-line call that cost about twice the rest of the import.
 ``Record`` reads a subclass's fields from its own annotations when the class
 is created, and every record shares one implementation of each method.
 
-It also holds the package's one int-argument gate: ``_is_int`` is the only
+It also holds the package's two argument gates.  ``_is_int`` is the only
 place an ``int`` that is not a ``bool`` is told apart, and ``_require_ints``
-raises the ``TypeError`` at the first value that fails it.
+raises the ``TypeError`` at the first value that fails it.  Every size cap
+goes through ``_require_at_most``, the only code that writes the refusal
+``"{subject} {value} exceeds {what} limit {limit}"``.
 """
 
 from operator import attrgetter
@@ -24,6 +26,13 @@ def _require_ints(values: Iterable[object], subject: str) -> None:
     for v in values:
         if not _is_int(v):
             raise TypeError(f"{subject}, got {v!r}")
+
+
+def _require_at_most(value: int, limit: int, subject: str, what: str) -> int:
+    """Return ``value``, or raise the cap refusal ``ValueError`` when it is above ``limit``."""
+    if value > limit:
+        raise ValueError(f"{subject} {value} exceeds {what} limit {limit}")
+    return value
 
 
 class Record:

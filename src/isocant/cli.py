@@ -6,7 +6,9 @@ plain text.  Each ``cmd_*`` handler returns its exit code and text, and
 ``main`` writes that text once, to ``--output`` or to stdout.  Exit codes:
 0 success, 1 verification failure (witness printed), 2 usage or parse errors
 (an unwritable ``--output`` included).  Outputs carry no timestamps, so
-identical inputs yield identical bytes.
+identical inputs yield identical bytes.  Argument parsers raise ``ValueError``,
+which ``_arg`` alone turns into argparse's usage error with the same text; the
+size caps go through ``_record._require_at_most``.
 """
 
 from __future__ import annotations
@@ -15,14 +17,14 @@ import argparse
 import contextlib
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterator
 
 from . import combinatorics, conjectures, geometry, matrices, serialize
+from ._record import _require_at_most
 from .combinatorics import label_text
 from .matrices import IsocantedSpec
-from .serialize import MatrixParseError, scalar_to_json
+from .serialize import scalar_to_json
 
 #: Largest ``fvector --dim``.  Time and output grow with the digits of the
 #: counts (d=2,000: 0.3 s and 1.5 MB); far beyond it the counts outgrow
@@ -54,52 +56,41 @@ def _lines(rows: list[str]) -> str:
     return "\n".join(rows) + "\n"
 
 
+def _arg(parse: Callable[[str], object]) -> Callable[[str], object]:
+    """Argparse type that calls ``parse``; a ``ValueError`` becomes a usage error with the same text."""
+
+    def parse_arg(text: str) -> object:
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return parse_arg
+
+
 def _int(text: str) -> int:
     try:
         return int(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-
-
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return serialize.parse_fraction(text)
-    except MatrixParseError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+        raise ValueError(f"not an integer: {text!r}") from exc
 
 
 def _dim_up_to(limit: int, command: str) -> Callable[[str], int]:
     """Argparse type for ``--dim``: an integer no larger than ``limit``."""
-
-    def parse(text: str) -> int:
-        d = _int(text)
-        if d > limit:
-            raise argparse.ArgumentTypeError(f"dimension {d} exceeds {command} limit {limit}")
-        return d
-
-    return parse
+    return _arg(lambda text: _require_at_most(_int(text), limit, "dimension", command))
 
 
 def _parse_range(text: str) -> tuple[int, int]:
     parts = text.split(":")
     if len(parts) != 2:
-        raise argparse.ArgumentTypeError("range must look like LO:HI")
+        raise ValueError("range must look like LO:HI")
     try:
         lo, hi = int(parts[0]), int(parts[1])
     except ValueError as exc:
-        raise argparse.ArgumentTypeError("range bounds must be integers") from exc
+        raise ValueError("range bounds must be integers") from exc
     if lo > hi:
-        raise argparse.ArgumentTypeError("range must satisfy LO <= HI")
-    if hi > VERIFY_DIM_LIMIT:
-        raise argparse.ArgumentTypeError(f"dimension {hi} exceeds verify limit {VERIFY_DIM_LIMIT}")
-    return lo, hi
-
-
-def _parse_precision(text: str) -> int:
-    try:
-        return serialize.check_precision(_int(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+        raise ValueError("range must satisfy LO <= HI")
+    return lo, _require_at_most(hi, VERIFY_DIM_LIMIT, "dimension", "verify")
 
 
 def _spec_from_args(args: argparse.Namespace) -> IsocantedSpec:
@@ -128,8 +119,7 @@ def _infer_labels(a, vset) -> dict | None:
 
 def cmd_classify(args: argparse.Namespace) -> tuple[int, str]:
     a = serialize.read_matrix(args.input)
-    if a.n > CLASSIFY_SIZE_LIMIT:
-        raise ValueError(f"matrix size {a.n} exceeds classify limit {CLASSIFY_SIZE_LIMIT}")
+    _require_at_most(a.n, CLASSIFY_SIZE_LIMIT, "matrix size", "classify")
     if not a.is_finite():
         raise ValueError("classification needs finite entries")
     payload: dict = {
@@ -260,10 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--output", default=None, help="write to file instead of stdout")
 
-    def add_spec(p: argparse.ArgumentParser, required: bool = True, dim_type: Callable = int) -> None:
+    def add_spec(p: argparse.ArgumentParser, required: bool = True, dim_type: Callable = _arg(_int)) -> None:
         p.add_argument("--dim", type=dim_type, required=required, help="ambient dimension d")
-        p.add_argument("--ell", type=_parse_fraction, required=required, help="box edge length")
-        p.add_argument("--a", type=_parse_fraction, required=required, help="cant parameter")
+        p.add_argument("--ell", type=_arg(serialize.parse_fraction), required=required, help="box edge length")
+        p.add_argument("--a", type=_arg(serialize.parse_fraction), required=required, help="cant parameter")
         # Unset in vertices, so that an input file can refuse it; the closed form falls back to vni.
         p.add_argument("--placement", choices=list(matrices.PLACEMENTS), default="vni" if required else None)
 
@@ -282,16 +272,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--extended", action="store_true", help="append the top face count 1")
 
     with command("lattice", cmd_lattice, "full face listing") as p:
-        p.add_argument("--dim", type=int, required=True)
+        p.add_argument("--dim", type=_arg(_int), required=True)
 
     with command("verify", cmd_verify, "run the exact verification sweeps") as p:
         p.add_argument("checks", nargs="?", default="all", help="comma list or 'all'")
-        p.add_argument("--range", type=_parse_range, default=(2, 60), help="LO:HI dimensions")
+        p.add_argument("--range", type=_arg(_parse_range), default=(2, 60), help="LO:HI dimensions")
 
     with command("export", cmd_export, "write a d=3 mesh (OFF or OBJ)",
                  formats=tuple(serialize.MESH_FORMATS)) as p:
         add_spec(p)
-    p.add_argument("--precision", type=_parse_precision, default=serialize.DEFAULT_PRECISION)
+    p.add_argument("--precision", type=_arg(lambda text: serialize.check_precision(_int(text))),
+                   default=serialize.DEFAULT_PRECISION)
 
     return parser
 
@@ -305,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             sys.stdout.write(text)
         return code
-    except (MatrixParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable, Iterator
 
-from ._record import Record, _is_int, _require_ints
+from ._record import Record, _is_int, _require_at_most, _require_ints
 
 VertexLabel = frozenset[int]
 FVector = tuple[int, ...]
@@ -236,8 +236,7 @@ def _face_groups(d: int, split: bool) -> list[list[list[FaceInterval]]]:
     group keeps the lattice order.
     """
     _check_dim(d)
-    if d > LATTICE_DIM_LIMIT:
-        raise ValueError(f"dimension {d} exceeds lattice limit {LATTICE_DIM_LIMIT}")
+    _require_at_most(d, LATTICE_DIM_LIMIT, "dimension", "lattice")
     table = _subset_table(d)
     pole = 1 << d
     groups = [[[] for _ in range(d)] for _ in range(3 if split else 1)]

@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from ._record import Record, _require_ints
+from ._record import Record, _require_at_most, _require_ints
 from .combinatorics import _binomial_row, all_vertex_labels, check_label
 from .matrices import (
     IsocantedSpec, Rational, _require_finite, _visualized, decompose, isocanted_vni,
@@ -69,7 +69,8 @@ class HRep(Record):
 
     ``single[i-1] = (lo, hi)`` bounds ``x_i`` for ``i`` in ``1..d``; each
     ``(i, j, lo, hi)`` in ``diff`` bounds ``x_i - x_j`` for distinct ``i, j`` in
-    ``1..d``.  Bounds are exact rationals with ``lo <= hi``, read through :meth:`_bounds`.
+    ``1..d``.  Bounds are exact rationals, read through :meth:`_bounds`.  A hand-built
+    pair with ``lo > hi`` gives the empty polytope; only ``hrep_from_matrix`` refuses one.
     """
 
     d: int
@@ -210,8 +211,9 @@ def polytope_extremes(a: TropMatrix) -> tuple[Point, Point]:
     """Coordinatewise minimum and maximum of the polytope of an NI matrix.
 
     The minimum is the last column of the auxiliary matrix, the maximum its
-    diagonal, read off ``a`` itself; both are attained because NI matrices
-    describe their polytope tightly.
+    diagonal, read off ``a`` itself for any finite matrix; only an NI matrix
+    is sure to attain them.  The normal ``[[0, 0, -5], [-3, 0, -1], [0, 0, 0]]``
+    gives -5 as the least ``x_1``, but its vertices reach only -1.
     """
     _require_finite(a)
     e = a.entries
@@ -278,8 +280,7 @@ def _closed_bounds(h: HRep) -> tuple[list[list[int]], int]:
     negative diagonal entry, which is a negative cycle: the system has no
     solution.
     """
-    if h.d > ORACLE_DIM_LIMIT:
-        raise ValueError(f"dimension {h.d} exceeds oracle limit {ORACLE_DIM_LIMIT}")
+    _require_at_most(h.d, ORACLE_DIM_LIMIT, "dimension", "oracle")
     bound, den = h._grid
     nodes = range(h.d + 1)
     for k in nodes:

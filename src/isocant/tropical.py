@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar, Union
 
-from ._record import Record, _require_ints
+from ._record import Record, _require_at_most, _require_ints
 
 
 class _NegInf:
@@ -325,15 +325,13 @@ def _check_selection(
     for j in col_idx:
         if not 1 <= j <= n:
             raise ValueError(f"column index {j} out of range")
-    if len(row_idx) > PERMANENT_SIZE_LIMIT:
-        raise ValueError(f"minor order {len(row_idx)} exceeds permanent limit {PERMANENT_SIZE_LIMIT}")
+    _require_at_most(len(row_idx), PERMANENT_SIZE_LIMIT, "minor order", "permanent")
     return row_idx, col_idx
 
 
 def trop_permanent(a: TropMatrix) -> MinorEvaluation:
     """Tropical permanent of the whole matrix, with its attainment multiplicity."""
-    if a.n > PERMANENT_SIZE_LIMIT:
-        raise ValueError(f"matrix size {a.n} exceeds permanent limit {PERMANENT_SIZE_LIMIT}")
+    _require_at_most(a.n, PERMANENT_SIZE_LIMIT, "matrix size", "permanent")
     return _grid_permanent(*a._grid)
 
 

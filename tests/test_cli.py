@@ -119,6 +119,22 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command, options", [
+    ("fvector", []),
+    ("vertices", ["--ell", "2", "--a", "1"]),
+    ("build", ["--ell", "2", "--a", "1"]),
+    ("lattice", []),
+    ("export", ["--ell", "2", "--a", "1"]),
+])
+def test_non_integer_dim_gives_one_message(capsys, command, options):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *options, "--dim", "x"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: argument --dim: not an integer: 'x'\n")
+
+
 @pytest.mark.parametrize("bad", ["\u0663/\u0664", "1e0", "0.5", " 1/2 ", "1/0"])
 @pytest.mark.parametrize("option", ["--ell", "--a"])
 def test_rational_options_use_the_matrix_file_grammar(capsys, option, bad):
@@ -187,6 +203,17 @@ def test_classify_size_cap_refuses_before_any_class_test(tmp_path, capsys, monke
     monkeypatch.setattr(matrices, "is_normal", never)
     n = CLASSIFY_SIZE_LIMIT + 1
     assert classify(n) == (2, "", f"error: matrix size {n} exceeds classify limit {CLASSIFY_SIZE_LIMIT}\n")
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["vertices", "FILE"], "dimension 9 exceeds oracle limit 8"),
+    (["lattice", "--dim", "9"], "dimension 9 exceeds lattice limit 8"),
+], ids=["oracle", "lattice"])
+def test_library_caps_exit_2_through_the_cli(tmp_path, capsys, argv, text):
+    path = tmp_path / "d9.json"
+    assert run_cli(capsys, "build", "--dim", "9", "--ell", "2", "--a", "1", "--output", str(path))[0] == 0
+    argv = [str(path) if arg == "FILE" else arg for arg in argv]
+    assert run_cli(capsys, *argv) == (2, "", f"error: {text}\n")
 
 
 def test_vertices_closed_form(capsys):
