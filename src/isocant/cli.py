@@ -69,10 +69,9 @@ def _arg(parse: Callable[[str], object]) -> Callable[[str], object]:
 
 
 def _int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise ValueError(f"not an integer: {text!r}") from exc
+    if not serialize._INT_RE.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def _dim_up_to(limit: int, command: str) -> Callable[[str], int]:
@@ -85,7 +84,7 @@ def _parse_range(text: str) -> tuple[int, int]:
     if len(parts) != 2:
         raise ValueError("range must look like LO:HI")
     try:
-        lo, hi = int(parts[0]), int(parts[1])
+        lo, hi = map(_int, parts)
     except ValueError as exc:
         raise ValueError("range bounds must be integers") from exc
     if lo > hi:

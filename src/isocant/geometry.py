@@ -276,11 +276,10 @@ def _closed_bounds(h: HRep) -> tuple[list[list[int]], int]:
     Floyd-Warshall closes the system's table of stated bounds, ``h._grid``,
     so a system is scaled at most once (the Kleene star).  Each closed entry
     is then the attained maximum of ``x_i - x_j`` over the polytope.  Raises
-    the oracle's errors: a dimension above ``ORACLE_DIM_LIMIT``, and a
-    negative diagonal entry, which is a negative cycle: the system has no
-    solution.
+    the empty-polytope error at a negative diagonal entry, which is a
+    negative cycle: the system has no solution.  It costs ``O(d^3)``, so it
+    has no dimension cap; the walk has one.
     """
-    _require_at_most(h.d, ORACLE_DIM_LIMIT, "dimension", "oracle")
     bound, den = h._grid
     nodes = range(h.d + 1)
     for k in nodes:
@@ -525,15 +524,16 @@ def _walk(bound: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], 
 def enumerate_vertices_oracle(h: HRep) -> VertexSet:
     """All vertices of the polytope, by walking its edge graph from the maximum point.
 
-    The bounds are scaled to integers once and closed (:func:`_closed_bounds`,
-    which also raises the cap and empty-polytope errors).  The walk starts at
-    the vertex where every ``x_i`` sits at its closed upper bound.  Every edge
-    of an alcoved polytope runs along a cut direction ``+1_S`` for a proper
-    nonempty node set ``S`` (ground included, points re-grounded to
-    ``x_0 = 0``).  Each vertex carries, until it is expanded, ``ups[i]``,
-    the nodes ``j`` with ``x_i - x_j`` at its bound, which ``i`` cannot rise
-    without, and ``tight[i]``, the nodes tight with ``i`` either way, and
-    reads its edges off them (:func:`_edge_cuts`).  Every edge changes
+    A dimension above ``ORACLE_DIM_LIMIT`` is refused first.  The bounds are
+    scaled to integers once and closed (:func:`_closed_bounds`, which raises
+    the empty-polytope error).  The walk starts at the vertex where every
+    ``x_i`` sits at its closed upper bound.  Every edge of an alcoved
+    polytope runs along a cut direction ``+1_S`` for a proper nonempty node
+    set ``S`` (ground included, points re-grounded to ``x_0 = 0``).  Each
+    vertex carries, until it is expanded, ``ups[i]``, the nodes ``j`` with
+    ``x_i - x_j`` at its bound, which ``i`` cannot rise without, and
+    ``tight[i]``, the nodes tight with ``i`` either way, and reads its edges
+    off them (:func:`_edge_cuts`).  Every edge changes
     ``x_1 + ... + x_d``, so the start is the one top and every other vertex
     has an edge going up: the walk steps only the edges going down, those
     whose ``S`` holds the ground, and so steps each edge once.  The step
@@ -549,6 +549,7 @@ def enumerate_vertices_oracle(h: HRep) -> VertexSet:
     ``_faces``.  The name keeps "oracle" from the exhaustive
     hyperplane-subset sweep this replaced, for compatibility.
     """
+    _require_at_most(h.d, ORACLE_DIM_LIMIT, "dimension", "oracle")
     bound, den = _closed_bounds(h)
     grid, faces = _walk(bound)
     vset = VertexSet(h.d, tuple(p[1:] for p in _unscaled(grid, den)))
@@ -696,7 +697,8 @@ def central_symmetry_check(a: TropMatrix) -> bool:
     Each closed bound (:func:`_closed_bounds`) is the attained maximum of
     ``x_i - x_j`` over the polytope, and the negated polytope's closed bounds
     are their transpose, so the check is that the closed table is symmetric.
-    No vertex is enumerated; the oracle's cap and empty-polytope errors hold.
+    No vertex is enumerated, so the oracle's cap does not apply; an empty
+    polytope raises the oracle's error.
     """
     bound, _ = _closed_bounds(hrep_from_matrix(a))
     return bound == [list(col) for col in zip(*bound)]
@@ -718,7 +720,7 @@ def zonotope_check(spec: IsocantedSpec) -> bool:
     direction ``e_i - e_j``, the box's plus the segment's.  An alcoved
     polytope is fixed by its closed table (:func:`_closed_bounds`), so the
     check is that the isocanted polytope's closed table is this one.  No
-    vertex is enumerated; the oracle's cap and empty-polytope errors hold.
+    vertex is enumerated, so the oracle's cap does not apply.
     """
     ell, a = spec.edge_length, spec.cant
     nodes = range(spec.d + 1)
@@ -733,11 +735,8 @@ def oracle_face_counts(h: HRep, vset: VertexSet) -> tuple[int, ...]:
     highest vertex as it goes (:func:`_walk`) and keeps the counts with its
     vertex set; a hand-built set walks the table of its own extremes and
     must be exactly that walk's vertices (``VertexSet._faces``).  An empty
-    set has no faces.
+    set of the right dimension has no faces.
     """
-    xs, _ = vset._grid
-    if not xs:
-        return (0,) * h.d
     if vset.d != h.d:
         raise ValueError(f"point dimension {vset.d} != {h.d}")
-    return vset._faces
+    return vset._faces if vset.points else (0,) * h.d

@@ -22,7 +22,8 @@ from .geometry import Point, closed_form_vertices
 from .matrices import IsocantedSpec
 from .tropical import NEG_INF, TropMatrix, TropScalar, _NegInf
 
-_FRACTION_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_INT_RE = re.compile(r"-?[0-9]+")  # a rational's numerator, and every integer the command line reads
+_FRACTION_RE = re.compile(rf"({_INT_RE.pattern})(?:/([0-9]+))?")
 
 #: Vertex color key by label length: generators blue, then yellow, magenta, green.
 COLOR_BY_LENGTH = {

@@ -23,10 +23,11 @@ scaled grid: one program over all rows of a grid gives the Laplace terms of
 every row subset of a given size, so the unique-vertex check in ``geometry``
 scales its matrix once and compares ``int`` terms.
 
-Exact numbers cross one boundary, kept here: ``_exact_rows`` is the gate into
-every record of number rows, ``_scaled`` clears a grid's denominators once per
-call (a ``TropMatrix`` keeps its own, ``_grid``, which permanents, minors and
-Laplace terms read), and ``_unscaled`` is the only way back to scalars.
+Exact numbers cross one boundary, kept here: ``as_rational`` admits a number,
+never text (``as_scalar`` adds ``-inf``), ``_exact_rows`` is the gate into every
+record of number rows, ``_scaled`` clears a grid's denominators once per call
+(a ``TropMatrix`` keeps its own, ``_grid``, which permanents, minors and Laplace
+terms read), and ``_unscaled`` is the only way back to scalars.
 """
 
 from __future__ import annotations
@@ -64,27 +65,22 @@ _SquareT = TypeVar("_SquareT", bound="_Square")
 PERMANENT_SIZE_LIMIT = 10
 
 
-def as_scalar(value: object) -> TropScalar:
-    """Coerce ``value`` to a tropical scalar (exact rational or ``NEG_INF``).
-
-    Floats are rejected: tolerating them would silently destroy exactness.
-    """
-    if isinstance(value, _NegInf):
-        return NEG_INF
+def as_rational(value: object) -> Fraction:
+    """``value`` as a ``Fraction``: only a ``Fraction`` or an ``int`` that is not a ``bool`` is admitted."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise TypeError("bool is not a tropical scalar")
     if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, _NegInf):
+        raise TypeError("-inf is not an exact rational")
     raise TypeError(f"tropical scalars are exact rationals or -inf, got {value!r}")
 
 
-def as_rational(value: object) -> Fraction:
-    """``Fraction(value)``, except that floats and bools raise as in :func:`as_scalar`."""
-    if isinstance(value, (bool, float)):
-        as_scalar(value)
-    return Fraction(value)
+def as_scalar(value: object) -> TropScalar:
+    """``value`` as a tropical scalar: ``NEG_INF`` as it is, anything else through :func:`as_rational`."""
+    return NEG_INF if isinstance(value, _NegInf) else as_rational(value)
 
 
 def _exact_rows(rows: Iterable[Iterable[object]], kinds: set[type], convert: Callable) -> tuple:

@@ -119,6 +119,11 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+# Python's int() reads all but the first; integer options take the matrix
+# files' grammar, ASCII digits with an optional minus sign.
+NOT_ASCII_INTEGERS = ["x", "1_0", "+3", "\u0663", " 3 "]
+
+
 @pytest.mark.parametrize("command, options", [
     ("fvector", []),
     ("vertices", ["--ell", "2", "--a", "1"]),
@@ -127,12 +132,23 @@ def test_usage_error_exit_code(capsys):
     ("export", ["--ell", "2", "--a", "1"]),
 ])
 def test_non_integer_dim_gives_one_message(capsys, command, options):
-    with pytest.raises(SystemExit) as exc:
-        main([command, *options, "--dim", "x"])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.endswith("error: argument --dim: not an integer: 'x'\n")
+    for text in NOT_ASCII_INTEGERS:
+        with pytest.raises(SystemExit) as exc:
+            main([command, *options, "--dim", text])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument --dim: not an integer: {text!r}\n")
+
+
+def test_non_integer_precision_gives_the_same_message(capsys):
+    for text in NOT_ASCII_INTEGERS:
+        with pytest.raises(SystemExit) as exc:
+            main(["export", "--dim", "3", "--ell", "2", "--a", "1", "--precision", text])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument --precision: not an integer: {text!r}\n")
 
 
 @pytest.mark.parametrize("bad", ["\u0663/\u0664", "1e0", "0.5", " 1/2 ", "1/0"])
@@ -395,6 +411,8 @@ def test_verify_bad_range_usage(capsys):
     ("a:3", "range bounds must be integers"),
     ("2:3.5", "range bounds must be integers"),
     ("5:3", "range must satisfy LO <= HI"),
+    ("\u0662:1_0", "range bounds must be integers"),
+    ("1_0:12", "range bounds must be integers"),
 ])
 def test_verify_range_refuses_bad_bounds_while_parsing(capsys, bounds, text):
     with pytest.raises(SystemExit) as exc:

@@ -244,10 +244,16 @@ def test_oracle_rejects_large_dimension():
     message = f"^dimension {d} exceeds oracle limit {ORACLE_DIM_LIMIT}$"
     with pytest.raises(ValueError, match=message):
         enumerate_vertices_oracle(hrep_from_matrix(isocanted_vni(spec)))
+    # The cap comes before the empty-polytope error.
+    empty = HRep(d, ((F(0), F(1)),) * d, ((1, 2, F(3), F(3)),))
     with pytest.raises(ValueError, match=message):
-        central_symmetry_check(isocanted_vni(spec))
-    with pytest.raises(ValueError, match=message):
-        zonotope_check(spec)
+        enumerate_vertices_oracle(empty)
+    # The closed-table checks walk nothing, so the cap is the walk's alone.
+    for k in (d, 12, 24):
+        spec = IsocantedSpec(k, F(2), F(1))
+        assert central_symmetry_check(isocanted_sni(spec)) is True
+        assert central_symmetry_check(isocanted_vni(spec)) is False
+        assert zonotope_check(spec) is True
 
 
 def test_oracle_empty_polytope():
@@ -420,6 +426,10 @@ def test_face_counts_of_an_empty_vertex_set_and_a_wrong_length_point():
     for point in ((F(0), F(0)), (F(0),) * 4):
         with pytest.raises(ValueError, match=f"^point dimension {len(point)} != 3$"):
             oracle_face_counts(h, VertexSet(len(point), (point,)))
+    # An empty set of another dimension is refused as a non-empty one is.
+    for d in (2, 4):
+        with pytest.raises(ValueError, match=f"^point dimension {d} != 3$"):
+            oracle_face_counts(HRep(3, ((0, 1),) * 3, ()), VertexSet(d, ()))
 
 
 def test_vertex_set_refuses_points_of_another_dimension():
@@ -1617,8 +1627,6 @@ def test_central_symmetry_matches_vertex_negation_reference():
                 cases[f"symmetric {d} {t} {flat}"] = (TropMatrix.from_rows(rows), True)
                 cases[f"symmetric star {d} {t} {flat}"] = (_kleene_star(rows), True)
             cases[f"empty {d} {t}"] = (TropMatrix.from_rows(_empty_rows(rng, d)), None)
-    over = IsocantedSpec(ORACLE_DIM_LIMIT + 1, F(2), F(1))
-    cases["over the cap"] = (isocanted_sni(over), None)
     answers = {}
     for name, (a, expected) in cases.items():
         answer = _vertices_or_error(central_symmetry_check, a)
@@ -1626,7 +1634,11 @@ def test_central_symmetry_matches_vertex_negation_reference():
         assert expected is None or answer is expected, name
         answers[name] = answer
     assert answers["empty 4 3"] == "empty polytope: no feasible vertex found"
-    assert answers["over the cap"] == f"dimension {ORACLE_DIM_LIMIT + 1} exceeds oracle limit {ORACLE_DIM_LIMIT}"
+    # Over the cap the reference cannot walk, and the closed-table check still answers.
+    over = isocanted_sni(IsocantedSpec(ORACLE_DIM_LIMIT + 1, F(2), F(1)))
+    message = f"dimension {ORACLE_DIM_LIMIT + 1} exceeds oracle limit {ORACLE_DIM_LIMIT}"
+    assert _vertices_or_error(reference.central_symmetry_by_vertices, over) == message
+    assert central_symmetry_check(over) is True
     assert sum(a is False for a in answers.values()) >= 30
     symmetric_non_ni = [n for n in cases if n.startswith("symmetric ") and not is_ni(cases[n][0])]
     assert len(symmetric_non_ni) >= 10
@@ -1967,8 +1979,9 @@ def test_walk_grid_and_hand_built_grid_read_alike():
             assert walks[0] == walks[1] == walks[2], (kind, a)
             if kind == "empty":
                 assert walks[0] == "empty polytope: no feasible vertex found"
-                # An empty set has no point of the wrong dimension.
-                assert {_face_counts_or_error(h, VertexSet(k, ())) for k in (d - 1, d)} == {(0,) * d}
+                # An empty set has no faces, but still has to have the polytope's dimension.
+                assert _face_counts_or_error(h, VertexSet(d, ())) == (0,) * d
+                assert _face_counts_or_error(h, VertexSet(d - 1, ())) == f"point dimension {d - 1} != {d}"
                 seen["empty"] += 1
                 continue
             vset, loose_vset = walks[0], walks[2]

@@ -2,6 +2,7 @@
 
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -100,8 +101,11 @@ def test_isocanted_spec_validation():
         IsocantedSpec(3, F(2), F(2))
     with pytest.raises(ValueError):
         IsocantedSpec(3, F(2), F(0))
-    spec = IsocantedSpec(3, 2, "1/2")
+    spec = IsocantedSpec(3, 2, F(1, 2))
     assert spec.edge_length == F(2) and spec.cant == F(1, 2)
+    # Text becomes a number only where a file or the command line is parsed.
+    with pytest.raises(TypeError, match="^tropical scalars are exact rationals or -inf, got '1/2'$"):
+        IsocantedSpec(3, 2, "1/2")
 
 
 @pytest.mark.parametrize("cube", [cube_vni, cube_sni])
@@ -149,6 +153,26 @@ INEXACT_CALLS = [
 def test_builders_reject_floats_and_bools(call, value):
     if isinstance(value, bool):
         message = "^bool is not a tropical scalar$"
+    else:
+        message = f"^tropical scalars are exact rationals or -inf, got {re.escape(repr(value))}$"
+    with pytest.raises(TypeError, match=message):
+        call(value)
+
+
+# Values that ``Fraction()`` parses or that are numbers of another kind; text
+# becomes a number only where a matrix file or the command line is parsed.
+NON_NUMBERS = ["1/2", "0.5", Decimal("0.5"), Decimal("-Infinity"), None]
+
+
+@pytest.mark.parametrize("call, value", [
+    pytest.param(call, value, id=f"{name}-{value!r}")
+    for name, call, *_ in INEXACT_CALLS
+    # Every slot but the tropical matrix's entries is rational-only.
+    for value in NON_NUMBERS + ([] if name == "trop_matrix_constructor" else [NEG_INF])
+])
+def test_builders_take_only_numbers(call, value):
+    if value is NEG_INF:
+        message = "^-inf is not an exact rational$"
     else:
         message = f"^tropical scalars are exact rationals or -inf, got {re.escape(repr(value))}$"
     with pytest.raises(TypeError, match=message):

@@ -185,7 +185,7 @@ def test_mesh_quads_match_lattice_two_faces():
 
 
 @pytest.mark.parametrize("placement", ["vni", "sni"])
-@pytest.mark.parametrize("ell, cant", [("2", "1"), ("5/2", "1/3"), ("3", "299/100"), ("7", "1/100")],
+@pytest.mark.parametrize("ell, cant", [(F(2), F(1)), (F(5, 2), F(1, 3)), (F(3), F(299, 100)), (F(7), F(1, 100))],
                          ids=["share-half", "share-small", "share-near-one", "share-near-zero"])
 def test_mesh_faces_oriented_outward(ell, cant, placement):
     # The mesh orients each facet by the parity of its labels; this checks

@@ -1,7 +1,7 @@
 """Rules on the package source that no behaviour test sees.
 
-Stdlib only, floats only for meshes, one int gate, one cap refusal and one
-argparse adapter.
+Stdlib only, floats only for meshes, one int gate, one cap refusal, one
+argparse adapter, one number admission and one command-line integer grammar.
 """
 
 import ast
@@ -11,7 +11,8 @@ from pathlib import Path
 
 import isocant
 from isocant._record import _is_int, _require_at_most
-from isocant.cli import _arg
+from isocant.cli import _arg, _int
+from isocant.tropical import as_rational
 
 
 def test_source_imports_only_the_stdlib_and_makes_floats_only_in_serialize():
@@ -83,3 +84,25 @@ def test_argument_type_error_is_raised_only_in_the_cli_adapter():
         return isinstance(node, ast.Raise) and name == "ArgumentTypeError"
 
     assert _sites_inside(_arg, raises) == [("cli.py", True)]
+
+
+def test_the_fraction_test_is_written_only_in_the_admission_function():
+    # Every number enters a record through ``tropical.as_rational`` (``as_scalar``
+    # adds only ``-inf``), so no other code asks whether a value is a ``Fraction``.
+    def fraction_test(node):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"):
+            return False
+        kinds = getattr(node.args[-1], "elts", node.args[-1:])
+        return "Fraction" in [getattr(k, "id", None) for k in kinds]
+
+    assert _sites_inside(as_rational, fraction_test) == [("tropical.py", True)]
+
+
+def test_the_command_line_reads_integers_only_in_its_integer_parser():
+    # Every integer option and both ``--range`` bounds go through ``cli._int``,
+    # which holds them to the matrix files' grammar before it calls ``int``.
+    def int_use(node):
+        values = [node.func, *node.args, *(k.value for k in node.keywords)] if isinstance(node, ast.Call) else []
+        return "int" in [getattr(v, "id", None) for v in values]
+
+    assert [site for site in _sites_inside(_int, int_use) if site[0] == "cli.py"] == [("cli.py", True)]
