@@ -427,6 +427,7 @@ def fatness_f03(d: int = 4) -> tuple[Fraction, int]:
     """
     if d != 4:
         raise ValueError("fatness and f03 are defined here for dimension 4 only")
+    _check_dim(d)  # 4.0 passes the test above
     f = isocanted_fvector(4)
     fatness = Fraction(f[1] + f[2] - 20, f[0] + f[3] - 10)
     f03 = sum(2 ** face.dim for face in facet_intervals(4))

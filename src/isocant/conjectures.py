@@ -94,6 +94,7 @@ def _stirling_row(n: int, k: int) -> list[int]:
 
 def stirling2(n: int, k: int) -> int:
     """Stirling numbers of the second kind, by the standard recurrence."""
+    _require_ints((n, k), "indices must be ints")
     return _stirling_row(n, k)[k]
 
 
@@ -102,11 +103,13 @@ def short_cubical_h(f: Sequence[int], d: int) -> tuple[int, ...]:
 
     Coefficients of ``sum_j f_j (2t)^j (1 - t)^(d-1-j)`` as a polynomial in
     ``t``; for the boundary of a cubical polytope this equals the sum of the
-    simplicial h-vectors of all vertex links.  ``d`` is an int ``>= 1``.
+    simplicial h-vectors of all vertex links.  ``d`` is an int ``>= 1``, and
+    so is every face count.
     """
     _check_dim(d, 1)
     if len(f) != d:
         raise ValueError("need face counts f_0 .. f_{d-1}")
+    _require_ints(f, "face counts must be ints")
     out = [0] * d
     for j, fj in enumerate(f):
         weight = fj * 2**j

@@ -9,12 +9,13 @@ one table that every reader goes through; closing its dense integer form
 Every edge of such a polytope runs along a cut direction ``+1_S`` for a node
 set ``S``, and ``S`` is an up-set of the vertex's tight order (the tight part
 of the closed table), so the vertex enumerator walks the edge graph from the
-maximum point without any linear programming.  Three rules read a vertex's
-edges off its tight order: a spanning tree, a complete bipartite order (every
-vertex of an isocanted polytope whose label has 2 to ``d - 1`` elements) and
-any other order (``_edge_cuts``).  The walk steps only the downward edges
-under ``x_1 + ... + x_d``, which no edge leaves level, and counts the faces,
-each at its highest vertex, from that vertex's edges (``_walk``).  Each closed
+maximum point without any linear programming.  One function picks a
+vertex's rule from its tight order, a spanning tree, a complete bipartite
+order (every vertex of an isocanted polytope whose label has 2 to ``d - 1``
+elements) or any other order, and by that rule returns the vertex's edges
+and counts the faces whose highest vertex under ``x_1 + ... + x_d`` it is
+(``_vertex_cone``).  The walk only steps the downward edges, since no edge
+is level under that sum (``_walk``).  Each closed
 bound is the attained maximum of ``x_i - x_j``, so the closed table alone
 fixes the polytope, and central symmetry and the zonotope identity are
 read from it without enumerating vertices; a hand-built vertex set gets its
@@ -361,34 +362,39 @@ def _cone_faces(edges: Sequence[int], ups: Sequence[int], counts: list[int]) -> 
         counts[dim] += 1
 
 
-def _two_layer(ups: Sequence[int], arcs: int) -> int:
-    """The tops of a two-layer tight order with ``arcs`` tight arcs, or ``0`` for any other order.
+def _two_layer(ups: list[int]) -> int:
+    """The tops of a two-layer tight order, or ``0`` for any other order.
 
     The tops are the nodes whose up-set is only themselves.  The order is
-    two-layer when every other node, a bottom, has as its up-set itself and
-    every top, and there are at least two of each: the order is complete
-    bipartite, ``K_{a,b}`` with ``a`` bottoms, ``b`` tops and ``a·b`` arcs.
-    Since each bottom holds every top, the arc count rules out any further
-    arc, so a pair tight both ways never passes and a flat polytope has no
-    two-layer vertex.
+    two-layer when there are at least two tops and two other nodes, the
+    bottoms, and each bottom's up-set is exactly itself and every top: the
+    order is complete bipartite, ``K_{a,b}`` with ``a`` bottoms and ``b``
+    tops.  A pair tight both ways holds two bottoms, one in the other's
+    up-set, so it never passes and a flat polytope has no two-layer vertex.
     """
     n = len(ups)
     tops = sum([u for u in ups if not u & u - 1])
     b = tops.bit_count()
-    if b < 2 or n - b < 2 or arcs != b * (n - b) or any(u & tops not in (u, tops) for u in ups):
+    if b < 2 or n - b < 2 or ups != [1 << k if tops >> k & 1 else tops | 1 << k for k in range(n)]:
         return 0
     return tops
 
 
-def _edge_cuts(ups: Sequence[int], tight: Sequence[int], arcs: int, tops: int) -> list[int]:
-    """A vertex's edges, each as the cut ``S`` of its direction ``+1_S``, from its tight order.
+def _vertex_cone(ups: list[int], tight: list[int], dim_p: int, hvec: list[int], counts: list[int]) -> list[int]:
+    """A vertex's edges, each as the cut ``S`` of its direction ``+1_S``, after it counts the faces it tops.
 
     ``ups[i]`` holds ``i`` and the nodes ``j`` with ``x_i - x_j`` at its
-    bound; ``tight[i]`` the nodes tight with ``i`` either way; ``arcs`` is
-    the number of tight arcs, the pairs ``(i, j)`` with ``j != i`` in
-    ``ups[i]``; ``tops`` is :func:`_two_layer`'s answer for the order.
-    Each edge is an extreme ray of the vertex's order cone (Stanley, "Two
-    poset polytopes", 1986), and three rules read them:
+    bound; ``tight[i]`` the nodes tight with ``i`` either way; ``dim_p`` is
+    ``dim P``.  Each edge is an extreme ray of the vertex's order cone
+    (Stanley, "Two poset polytopes", 1986), and it goes down under
+    ``c(x) = x_1 + ... + x_d`` exactly when ``S`` holds the ground.  Each
+    non-empty face is counted at its one highest vertex, its top.  Where
+    every set of ``k`` downward rays spans a ``k``-face with that top, the
+    vertex adds 1 to ``hvec`` at its downward ray count, and the walk turns
+    the h-vector into counts (Ziegler, *Lectures on Polytopes*, 8.3); other
+    faces go into ``counts[k]`` here.  The tight arcs are the pairs
+    ``(i, j)`` with ``j != i`` in ``ups[i]``, and one of three rules reads
+    the order:
 
     - *Tree.*  A vertex needs tight arcs of rank ``d``, and a pair tight
       both ways spends two arcs on one unit of it, so a vertex with exactly
@@ -396,19 +402,32 @@ def _edge_cuts(ups: Sequence[int], tight: Sequence[int], arcs: int, tops: int) -
       ``(i, j)`` gives one edge, the side of ``j`` once the arc is dropped.
       With the tree rooted at the ground, that side is the subtree
       ``below[k]`` under the arc from ``k`` to its parent ``p`` when ``k``
-      is in ``ups[p]``, else its complement.
-    - *Two-layer.*  When the order is complete bipartite (``tops`` is not 0),
-      the cone's vertex figure is a free sum of two simplices and its
+      is in ``ups[p]``, else its complement.  The vertex is simple, so it
+      adds to the h-vector.
+    - *Two-layer.*  When the order is complete bipartite
+      (:func:`_two_layer`), the cone's vertex figure is the free sum of two
+      simplices, one on the bottom rays and one on the top rays.  Its
       ``d + 1`` edges are ``{t}`` for each top ``t`` and all nodes but
-      ``l`` for each bottom ``l``, tops first.
+      ``l`` for each bottom ``l``, tops first, and a set of rays spans a
+      face, of dimension its size, unless it holds every ray of one layer.
+      A top's ray goes down only when the top is the ground, a bottom's
+      unless the bottom is the ground.  With the ground a bottom, every set
+      of the other ``a - 1`` bottom rays spans a face, as at a simple
+      vertex.  With the ground a top, the downward rays are the ``a`` bottom
+      rays and the ground's, and only the two sets holding every bottom
+      ray, of sizes ``a`` and ``a + 1``, span no face.  Either way the
+      vertex adds to the h-vector, and in the second it takes one face off
+      each of dimensions ``a`` and ``a + 1``.
     - *General.*  Any other vertex tries the distinct proper nonempty
       unions of its up-sets, the cuts no tight bound blocks, and keeps
       those whose two sides the tight pairs not crossing the cut leave
-      connected (:func:`_connected`).
+      connected (:func:`_connected`).  A vertex with ``dim_p`` edges is
+      simple and adds to the h-vector; any other counts its cone's
+      downward faces (:func:`_cone_faces`).
     """
     d = len(ups) - 1
     full = (1 << (d + 1)) - 1
-    if arcs == d:
+    if sum([u.bit_count() for u in ups]) == 2 * d + 1:  # d arcs besides the d + 1 nodes themselves
         # (node, parent) pairs in visiting order from the ground; the list grows as it is read.
         tree, reached = [(0, 0)], 1
         for k, _ in tree:
@@ -423,43 +442,35 @@ def _edge_cuts(ups: Sequence[int], tight: Sequence[int], arcs: int, tops: int) -
         for k, p in reversed(tree[1:]):
             below[p] |= below[k]
             edges.append(below[k] if ups[p] >> k & 1 else full ^ below[k])
-        return edges
-    if tops:
+    elif tops := _two_layer(ups):
         ones = [1 << k for k in range(d + 1)]
-        return [one for one in ones if one & tops] + [full ^ one for one in ones if not one & tops]
-    cuts = {0}
-    for u in ups:
-        cuts |= {c | u for c in cuts}
-    return [cut for cut in cuts - {0, full} if _connected(cut, tight) and _connected(full ^ cut, tight)]
+        edges = [one for one in ones if one & tops] + [full ^ one for one in ones if not one & tops]
+        if tops & 1:  # the ground is a top: the sets holding every bottom ray span no face
+            a = d + 1 - tops.bit_count()
+            counts[a] -= 1
+            counts[a + 1] -= 1
+    else:
+        cuts = {0}
+        for u in ups:
+            cuts |= {c | u for c in cuts}
+        edges = [cut for cut in cuts - {0, full} if _connected(cut, tight) and _connected(full ^ cut, tight)]
+        if len(edges) != dim_p:
+            _cone_faces(edges, ups, counts)
+            return edges
+    hvec[sum([cut & 1 for cut in edges])] += 1
+    return edges
 
 
 def _walk(bound: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """The grounded integer vertices of a closed table, sorted, and its face counts by dimension.
 
-    See :func:`enumerate_vertices_oracle` for the walk and :func:`_edge_cuts`
-    for each vertex's edges; the walk counts each vertex's tight arcs once
-    and passes the count on.  Each non-empty face has one highest vertex
-    under ``c(x) = x_1 + ... + x_d``, its top, and is counted there while
-    the walk has the vertex's edges at hand.  An edge along ``+1_S`` goes
-    down exactly when ``S`` holds the ground.  At a simple vertex, one with
-    ``dim P`` edges, every set of ``k`` downward edges spans a ``k``-face
-    with that top, so the vertex adds to the h-vector entry of its downward
-    edge count and ``f_k = sum_i C(i, k) h_i`` (Ziegler, *Lectures on
-    Polytopes*, 8.3).  At a two-layer vertex with ``a`` bottoms the vertex
-    figure is the free sum of two simplices, one on the bottom rays and one
-    on the top rays (Stanley, "Two poset polytopes", 1986), so a set of
-    rays spans a face, of dimension its size, unless it holds every ray of
-    one layer.  A top's ray ``+1_{t}`` goes down only when ``t`` is the
-    ground, and a bottom's ray unless the bottom is the ground.  With the
-    ground a bottom, the downward rays are the other ``a - 1`` bottom rays,
-    and every set of them spans a face, as at a simple vertex.  With the
-    ground a top, they are the ``a`` bottom rays and the ground's, and only
-    the two sets holding every bottom ray, of sizes ``a`` and ``a + 1``,
-    span no face, so the vertex adds to the h-vector too and takes one face
-    off each of those two dimensions.  Any other vertex counts its cone's
-    downward faces (:func:`_cone_faces`).  ``dim P`` is the number of
-    classes of nodes with a fixed difference, minus one, and ``f_{dim P}``,
-    the polytope itself, is dropped.
+    See :func:`enumerate_vertices_oracle` for the walk.  Each vertex's rule,
+    its edges and the faces it tops come from :func:`_vertex_cone`, which
+    adds to the h-vector ``hvec`` or to ``counts`` directly.  At the end
+    ``f_k = sum_i C(i, k) h_i`` (Ziegler, *Lectures on Polytopes*, 8.3) joins
+    the direct counts.  ``dim P`` is the number of classes of nodes with a
+    fixed difference, minus one, and ``f_{dim P}``, the polytope itself, is
+    dropped.
     """
     d = len(bound) - 1
     nodes = range(d + 1)
@@ -477,10 +488,7 @@ def _walk(bound: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], 
     work = [(start, ups, [u | sum(1 << j for j in nodes if ups[j] >> i & 1) for i, u in enumerate(ups)])]
     while work:
         x, ups, tight = work.pop()
-        arcs = sum([u.bit_count() for u in ups]) - d - 1
-        tops = arcs != d and _two_layer(ups, arcs)  # d arcs form a tree, never a·b
-        edges = _edge_cuts(ups, tight, arcs, tops)
-        for cut in edges:
+        for cut in _vertex_cone(ups, tight, dim_p, hvec, counts):
             if not cut & 1:
                 continue
             rest = full ^ cut
@@ -506,14 +514,6 @@ def _walk(bound: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], 
                         both[j] |= 1 << i
                 seen.add(y)
                 work.append((y, up, both))
-        if len(edges) == dim_p or tops:
-            down = sum([cut & 1 for cut in edges])
-            hvec[down] += 1
-            if tops & 1:  # the two sets holding every bottom ray span no face
-                counts[down - 1] -= 1
-                counts[down] -= 1
-        else:
-            _cone_faces(edges, ups, counts)
     for i, n in enumerate(hvec):
         for k, c in enumerate(_binomial_row(i, i + 1)):
             counts[k] += c * n
@@ -533,7 +533,7 @@ def enumerate_vertices_oracle(h: HRep) -> VertexSet:
     vertex carries, until it is expanded, ``ups[i]``, the nodes ``j`` with
     ``x_i - x_j`` at its bound, which ``i`` cannot rise without, and
     ``tight[i]``, the nodes tight with ``i`` either way, and reads its edges
-    off them (:func:`_edge_cuts`).  Every edge changes
+    off them (:func:`_vertex_cone`).  Every edge changes
     ``x_1 + ... + x_d``, so the start is the one top and every other vertex
     has an edge going up: the walk steps only the edges going down, those
     whose ``S`` holds the ground, and so steps each edge once.  The step
@@ -542,7 +542,7 @@ def enumerate_vertices_oracle(h: HRep) -> VertexSet:
     ``tight`` from the edge that found it: pairs on one side of the cut keep
     their state, and a crossing pair whose slack is the step becomes tight,
     so only the start vertex compares all ``(d+1)^2`` pairs.  Each vertex
-    also counts the faces whose highest vertex it is (:func:`_walk`).
+    also counts the faces whose highest vertex it is (:func:`_vertex_cone`).
     Points are sorted as integer tuples and turned back into scalars by
     ``tropical._unscaled``; the sorted tuples, grounded and over the bounds'
     denominator, fill the result's ``_grid``, and the face counts its
@@ -647,11 +647,13 @@ def unique_vertex_conditions(c: TropMatrix, w: Iterable[int], point: Sequence[Fr
     equal terms are maximizing permutations with distinct rows in the slot
     (all ``k!`` attain ``-inf``), and an empty label has ``k = 1`` and fails.
     A label holding every index ``1..n`` leaves no slot and is an error, as
-    is a label entry outside ``1..n``.
+    is a label entry that is not an int or lies outside ``1..n``.
     The extended matrix is scaled to integers once, and one assignment
     program yields the ``int`` terms of every row subset
     (``tropical._laplace_terms``).
     """
+    w = tuple(w)
+    _require_ints(w, "column indices must be ints")  # before set() merges True into 1
     label = sorted(set(w))
     n = c.n
     if len(point) != n or point[-1] != 0:

@@ -155,6 +155,7 @@ class PerturbationMatrix(_Square, Record):
         c = as_rational(cant)
         if c < 0:
             raise ValueError("cant must be non-negative")
+        _require_ints((n,), "matrix size must be an int")
         rows = [[0 if i == j or i == n - 1 or j == n - 1 else -c for j in range(n)] for i in range(n)]
         return cls(rows)
 

@@ -217,13 +217,22 @@ def mesh_to_obj(mesh: MeshExport) -> str:
 
 
 def parse_off(text: str) -> dict:
-    """Re-parse a COFF export: counts, float vertices, colors, face cycles."""
+    """Re-parse a COFF export: counts, float vertices, colors, face cycles.
+
+    Text cut short is refused: a missing counts line, fewer vertex or face
+    lines than the counts give, or a face line with fewer indices than its
+    arity raises ``ValueError``.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     if not lines or lines[0].strip() not in ("OFF", "COFF"):
         raise ValueError("not an OFF/COFF file")
-    counts = lines[1].split()
+    counts = lines[1].split() if len(lines) > 1 else []
+    if len(counts) < 2:
+        raise ValueError("OFF counts line must give vertex and face counts")
     nv, nf = int(counts[0]), int(counts[1])
     n_edges = int(counts[2]) if len(counts) > 2 else 0
+    if len(lines) < 2 + nv + nf:
+        raise ValueError(f"OFF counts give {nv} vertex and {nf} face lines, file has {len(lines) - 2}")
     vertices = []
     colors = []
     for ln in lines[2 : 2 + nv]:
@@ -234,6 +243,8 @@ def parse_off(text: str) -> dict:
     for ln in lines[2 + nv : 2 + nv + nf]:
         parts = ln.split()
         arity = int(parts[0])
+        if len(parts) <= arity:
+            raise ValueError(f"OFF face line {ln.strip()!r} has fewer than {arity} indices")
         faces.append(tuple(int(p) for p in parts[1 : 1 + arity]))
     return {
         "n_vertices": nv,

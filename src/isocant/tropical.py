@@ -126,6 +126,8 @@ class _Square:
         return len(self.entries)
 
     def entry(self, i: int, j: int) -> object:
+        _require_ints((i,), "row indices must be ints")
+        _require_ints((j,), "column indices must be ints")
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise IndexError(f"index ({i}, {j}) out of range for size {self.n}")
         return self.entries[i - 1][j - 1]
@@ -150,14 +152,19 @@ class TropMatrix(_Square, Record):
             raise ValueError("matrix must be square")
 
     def row(self, i: int) -> tuple[TropScalar, ...]:
+        _require_ints((i,), "row indices must be ints")
         if not 1 <= i <= self.n:
             raise IndexError(f"row {i} out of range for size {self.n}")
         return self.entries[i - 1]
 
     def column(self, j: int) -> tuple[TropScalar, ...]:
+        self._check_column(j)
+        return tuple(row[j - 1] for row in self.entries)
+
+    def _check_column(self, j: int) -> None:
+        _require_ints((j,), "column indices must be ints")
         if not 1 <= j <= self.n:
             raise IndexError(f"column {j} out of range for size {self.n}")
-        return tuple(row[j - 1] for row in self.entries)
 
     def is_finite(self) -> bool:
         return not any(v is NEG_INF for row in self.entries for v in row)
@@ -166,6 +173,7 @@ class TropMatrix(_Square, Record):
         """Return a copy with column ``j`` (1-based) replaced by ``values``."""
         if len(values) != self.n:
             raise ValueError("replacement column has wrong length")
+        self._check_column(j)
         rows = [
             tuple(values[r] if c == j - 1 else row[c] for c in range(self.n))
             for r, row in enumerate(self.entries)

@@ -532,6 +532,11 @@ def test_fatness_and_f03():
     assert fatness <= 5
     with pytest.raises(ValueError):
         fatness_f03(3)
+    # 4.0 once gave the d = 4 answer; True keeps the dimension-4 text.
+    with pytest.raises(ValueError, match="^dimension must be an integer >= 2$"):
+        fatness_f03(4.0)
+    with pytest.raises(ValueError, match="^fatness and f03 are defined here for dimension 4 only$"):
+        fatness_f03(True)
 
 
 def test_check_label_validation():

@@ -117,6 +117,15 @@ def test_stirling_and_short_h_refuse_bad_arguments():
     for f in ((1, 2), (1, 2, 3, 4)):
         with pytest.raises(ValueError, match=r"^need face counts f_0 \.\. f_\{d-1\}$"):
             short_cubical_h(f, 3)
+    # stirling2(True, 1) once gave 1, and a float raised Python's own error.
+    for n, k, bad in ((True, 1, "True"), (2.5, 1, r"2\.5"), (3, "1", "'1'")):
+        with pytest.raises(TypeError, match=f"^indices must be ints, got {bad}$"):
+            stirling2(n, k)
+    # A float face count once gave a float h-vector, (1.5, 2.5).
+    for fn in (short_cubical_h, long_cubical_h):
+        for f, bad in (([1.5, 2], r"1\.5"), ([1, True], "True")):
+            with pytest.raises(TypeError, match=f"^face counts must be ints, got {bad}$"):
+                fn(f, 2)
 
 
 def test_stirling_values():

@@ -15,10 +15,10 @@ from isocant.geometry import (
     _closed_bounds,
     _cone_faces,
     _constraint_rank,
-    _edge_cuts,
     _has_closed_table,
     _lone_vertex,
     _two_layer,
+    _vertex_cone,
     _walk,
     HRep,
     VertexSet,
@@ -622,6 +622,21 @@ def test_up_set_walk_matches_cut_scan():
     assert seen["empty"] == 14 and seen["point"] >= 4 and seen["non-simple"] >= 30, seen
 
 
+def _vertex_edges(ups, tight):
+    """``_vertex_cone``'s edges at one vertex; the edges do not depend on ``dim P``, so ``d`` stands in for it."""
+    return _vertex_cone(ups, tight, len(ups) - 1, [0] * len(ups), [0] * len(ups))
+
+
+def _vertex_tally(ups, tight, dim_p):
+    """``_vertex_cone``'s edges at one vertex and its count of the faces the vertex tops, h-vector row expanded."""
+    hvec, counts = [0] * (len(ups) + 1), [0] * (len(ups) + 1)
+    edges = _vertex_cone(ups, tight, dim_p, hvec, counts)
+    for i, h in enumerate(hvec):
+        for k in range(i + 1):
+            counts[k] += comb(i, k) * h
+    return edges, counts
+
+
 def test_edge_cuts_match_the_up_set_union_filter_at_every_vertex(monkeypatch):
     # At every vertex, the edge cuts against the reference's test of an edge:
     # a cut closed under the up-sets whose two sides the tight pairs not
@@ -666,8 +681,8 @@ def test_edge_cuts_match_the_up_set_union_filter_at_every_vertex(monkeypatch):
             ups, tight = reference.tight_order(bound, x)
             checks.clear()
             arcs = sum(u.bit_count() for u in ups) - (h.d + 1)
-            tops = _two_layer(ups, arcs)
-            edges = _edge_cuts(ups, tight, arcs, tops)
+            tops = _two_layer(ups)
+            edges = _vertex_edges(ups, tight)
             tree = arcs == h.d
             rule = "tree" if tree else "two-layer" if tops else "general"
             assert len(set(edges)) == len(edges)
@@ -685,8 +700,59 @@ def test_edge_cuts_match_the_up_set_union_filter_at_every_vertex(monkeypatch):
                     "nonni": {"tree", "general"}, "isocanted": {"tree", "two-layer"}}, seen
 
 
+def test_vertex_cone_tally_matches_the_cone_count_at_every_vertex():
+    # At every vertex, the faces _vertex_cone counts as that vertex's (its
+    # h-vector entry expanded, plus what it adds directly) against
+    # _cone_faces on the same edges, the count of the cone's downward faces
+    # that the general rule runs.  Walk totals check only the sum over all
+    # vertices; this checks each vertex's share.  Maximal polytropes have
+    # only tree vertices, the isocanted ones tree and two-layer vertices
+    # with the ground on either side, and the seeded systems general ones,
+    # simple or not.  A flat system takes the walk's dim P, which is below d.
+    def walked(kind, a):
+        h = hrep_from_matrix(a)
+        return kind, h, enumerate_vertices_oracle(h)
+
+    rng = random.Random(39)
+    pool = [F(-1, 2), F(-1), F(-3, 2), F(-2), F(-3), F(-7, 3)]
+    cases = [("maximal", *_maximal(d, 0)[1:]) for d in range(2, 8)]
+    for d in range(2, 6):
+        cases += [walked(kind, a) for kind, a in _seeded_cases(rng, d, pool)]
+    for d in range(2, 8):
+        spec = IsocantedSpec(d, F(rng.randint(5, 9), 2), F(rng.randint(1, 5), 3))
+        cases += [walked("isocanted", isocanted_vni(spec)), walked("isocanted", isocanted_sni(spec))]
+    seen = {}
+    for kind, h, vset in cases:
+        bound, _ = _closed_bounds(h)
+        grid, _ = vset._grid
+        nodes = range(h.d + 1)
+        fixed = [(i, j) for i in nodes for j in range(i) if bound[i][j] + bound[j][i] == 0]
+        dim_p = h.d - _constraint_rank(h.d, fixed)
+        for x in grid:
+            ups, tight = reference.tight_order(bound, x)
+            edges, tally = _vertex_tally(ups, tight, dim_p)
+            counts = [0] * len(tally)
+            _cone_faces(edges, ups, counts)
+            assert tally == counts, (kind, h, x)
+            tops = reference.two_layer_tops(ups)
+            if sum(u.bit_count() for u in ups) == 2 * h.d + 1:
+                rule = "tree"
+            elif tops:
+                rule = "two-layer, ground top" if tops & 1 else "two-layer, ground bottom"
+            else:
+                rule = "general, simple" if len(edges) == dim_p else "general"
+            seen.setdefault(kind, set()).add(rule)
+    assert seen == {
+        "maximal": {"tree"},
+        "isocanted": {"tree", "two-layer, ground top", "two-layer, ground bottom"},
+        "ni": {"tree", "two-layer, ground bottom", "general, simple", "general"},
+        "nonni": {"tree", "general, simple", "general"},
+        "flat": {"general, simple", "general"},
+    }, seen
+
+
 def _closed_order(n, arcs):
-    """``ups``, ``tight`` and the arc count of the order on the nodes ``0..n-1`` that the arcs ``(i, j)`` generate."""
+    """``ups`` and ``tight`` of the order on the nodes ``0..n-1`` that the arcs ``(i, j)`` generate."""
     ups = [1 << k for k in range(n)]
     for i, j in arcs:
         ups[i] |= 1 << j
@@ -696,18 +762,18 @@ def _closed_order(n, arcs):
             break
         ups = grown
     tight = [u | sum(1 << j for j in range(n) if ups[j] >> i & 1) for i, u in enumerate(ups)]
-    return ups, tight, sum(u.bit_count() for u in ups) - n
+    return ups, tight
 
 
-def _check_two_layer(ups, tight, arcs):
-    """At a two-layer order: the closed-form cuts are the reference filter's and the walk's folded counts ``_cone_faces``'."""
-    tops = _two_layer(ups, arcs)
+def _check_two_layer(ups, tight):
+    """At a two-layer order: the closed-form cuts are the reference filter's and the vertex's tally ``_cone_faces``'."""
+    tops = _two_layer(ups)
     assert tops == reference.two_layer_tops(ups), ups
     if not tops:
         return 0
     n, full = len(ups), (1 << len(ups)) - 1
     a = n - tops.bit_count()
-    edges = _edge_cuts(ups, tight, arcs, tops)
+    edges, tally = _vertex_tally(ups, tight, n - 1)
     assert len(edges) == n and set(edges) == reference.edge_cuts_by_up_set_unions(ups, tight), ups
     assert set(edges[:n - a]) == {1 << k for k in range(n) if tops >> k & 1}
     assert set(edges[n - a:]) == {full ^ 1 << k for k in range(n) if not tops >> k & 1}
@@ -718,6 +784,7 @@ def _check_two_layer(ups, tight, arcs):
     # C(down, k), less the two sets holding every bottom ray when the ground is a top.
     closed = [comb(down, k) - (ground_top and k in (down - 1, down)) for k in range(n + 1)]
     assert counts == closed, (ups, counts, closed)
+    assert tally == counts, (ups, tally, counts)
     return tops
 
 
@@ -761,7 +828,7 @@ def test_two_layer_rule_matches_the_union_filter_and_the_cone_count():
         label_of = {} if spec is None else {at[p]: w for w, p in label_vertices(spec, vset, placement).labels}
         for x in grid:
             ups, tight = reference.tight_order(bound, x)
-            got = _check_two_layer(ups, tight, sum(u.bit_count() for u in ups) - h.d - 1)
+            got = _check_two_layer(ups, tight)
             seen[kind] = seen.get(kind, 0) + bool(got)
             if spec is not None:
                 w = label_of[x]
@@ -781,9 +848,9 @@ def test_two_layer_rule_matches_the_union_filter_and_the_cone_count():
         "an arc moved": [(0, 1), (1, 3), (1, 4), (2, 3)],
     }
     for name, arcs in refused.items():
-        ups, tight, count = _closed_order(max(map(max, arcs)) + 1, arcs)
-        assert _check_two_layer(ups, tight, count) == 0, name
-        assert set(_edge_cuts(ups, tight, count, 0)) == reference.edge_cuts_by_up_set_unions(ups, tight), name
+        ups, tight = _closed_order(max(map(max, arcs)) + 1, arcs)
+        assert _check_two_layer(ups, tight) == 0, name
+        assert set(_vertex_edges(ups, tight)) == reference.edge_cuts_by_up_set_unions(ups, tight), name
 
 
 def test_walk_is_unchanged_with_the_two_layer_rule_off(monkeypatch):
@@ -808,7 +875,7 @@ def test_walk_is_unchanged_with_the_two_layer_rule_off(monkeypatch):
     walks = [_walk(t) for t in isocanted]
     assert general == []
     walks += [_walk(t) for t in ni]
-    monkeypatch.setattr(geometry, "_two_layer", lambda ups, arcs: 0)
+    monkeypatch.setattr(geometry, "_two_layer", lambda ups: 0)
     assert [_walk(t) for t in isocanted + ni] == walks
 
 
@@ -1163,8 +1230,8 @@ def test_walk_names_a_cut_whose_step_is_not_positive(monkeypatch):
     # now names the cut and stops.
     import isocant.geometry as geometry
 
-    edge_cuts = geometry._edge_cuts
-    monkeypatch.setattr(geometry, "_edge_cuts", lambda *order: [*edge_cuts(*order), 0b011])
+    vertex_cone = geometry._vertex_cone
+    monkeypatch.setattr(geometry, "_vertex_cone", lambda *order: [*vertex_cone(*order), 0b011])
     # x_1 = x_2 on the unit square: the tight x_1 - x_2 <= 0 blocks the cut {ground, x_1}.
     h = HRep(2, ((0, 1), (0, 1)), ((1, 2, 0, 0),))
     with pytest.raises(RuntimeError, match=r"^cut 0b11 at \(0, 1, 1\) steps 0: not an edge$"):
@@ -1280,8 +1347,7 @@ def test_geometric_edges_are_the_skeleton(d):
         geometric = set()
         for x in grid:
             ups, tight = reference.tight_order(bound, x)
-            arcs = sum(u.bit_count() for u in ups) - d - 1
-            for cut in _edge_cuts(ups, tight, arcs, _two_layer(ups, arcs)):
+            for cut in _vertex_edges(ups, tight):
                 # x + step * 1_cut, re-grounded; the step is the least slack leaving the cut.
                 outs = [j for j in nodes if not cut >> j & 1]
                 step = min(bound[i][j] - x[i] + x[j] for i in nodes if cut >> i & 1 for j in outs)
@@ -1444,6 +1510,10 @@ def test_unique_vertex_conditions_rejects_labels_outside_range():
         unique_vertex_conditions(cube_vni(2, 1), {1, 2, 5, 6}, [0, 0, 0])
     for label, bad in (({2, 3, 4}, 4), ({0, 1}, 0), ({1, 5}, 5)):
         with pytest.raises(ValueError, match=f"^column index {bad} out of range$"):
+            unique_vertex_conditions(cube_vni(2, 1), label, [0, 0, 0])
+    # A text label element once raised Python's own error from sorting.
+    for label, bad in ((["1"], "'1'"), ([True], "True"), ([1, True], "True"), ([2.0], r"2\.0")):
+        with pytest.raises(TypeError, match=f"^column indices must be ints, got {bad}$"):
             unique_vertex_conditions(cube_vni(2, 1), label, [0, 0, 0])
 
 

@@ -248,6 +248,10 @@ def test_perturbation_validation():
             PerturbationMatrix.from_rows(rows)
     with pytest.raises(ValueError, match="^cant must be non-negative$"):
         PerturbationMatrix.constant(3, -1)
+    # A float size once raised Python's own error from range().
+    for n in (3.0, True, "3"):
+        with pytest.raises(TypeError, match=f"^matrix size must be an int, got {re.escape(repr(n))}$"):
+            PerturbationMatrix.constant(n, 1)
     with pytest.raises(ValueError):
         PerturbationMatrix.from_rows([[0, -1], [0, 0]])  # nonzero last column
     with pytest.raises(ValueError):

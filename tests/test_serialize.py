@@ -267,3 +267,15 @@ def test_write_mesh_matches_mesh_text(tmp_path):
 def test_parse_off_rejects_other_files():
     with pytest.raises(ValueError):
         parse_off("PLY\n")
+    # Text cut short once parsed silently, or raised IndexError without a counts line.
+    lines = mesh_to_off(build_mesh(_spec3())).splitlines()
+    short = {
+        "OFF": "^OFF counts line must give vertex and face counts$",
+        "OFF\n14": "^OFF counts line must give vertex and face counts$",
+        "\n".join(lines[:5]): "^OFF counts give 14 vertex and 12 face lines, file has 2$",
+        "\n".join(lines[:-1]): "^OFF counts give 14 vertex and 12 face lines, file has 25$",
+        "OFF\n1 1 0\n0 0 0\n4 0 1 2\n": "^OFF face line '4 0 1 2' has fewer than 4 indices$",
+    }
+    for text, message in short.items():
+        with pytest.raises(ValueError, match=message):
+            parse_off(text)

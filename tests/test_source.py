@@ -1,7 +1,8 @@
 """Rules on the package source that no behaviour test sees.
 
 Stdlib only, floats only for meshes, one int gate, one cap refusal, one
-argparse adapter, one number admission and one command-line integer grammar.
+argparse adapter, one number admission, one command-line integer grammar
+and one place that picks a vertex's rule.
 """
 
 import ast
@@ -12,6 +13,7 @@ from pathlib import Path
 import isocant
 from isocant._record import _is_int, _require_at_most
 from isocant.cli import _arg, _int
+from isocant.geometry import _vertex_cone
 from isocant.tropical import as_rational
 
 
@@ -106,3 +108,14 @@ def test_the_command_line_reads_integers_only_in_its_integer_parser():
         return "int" in [getattr(v, "id", None) for v in values]
 
     assert [site for site in _sites_inside(_int, int_use) if site[0] == "cli.py"] == [("cli.py", True)]
+
+
+def test_a_vertex_rule_is_picked_only_in_the_vertex_cone():
+    # ``geometry._vertex_cone`` picks each vertex's rule, returns its edges and
+    # counts the faces it tops, so no other code asks whether an order is
+    # two-layer, filters cuts by connectivity or counts a cone's faces.
+    def rule_call(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) in {
+            "_two_layer", "_cone_faces", "_connected"}
+
+    assert set(_sites_inside(_vertex_cone, rule_call)) == {("geometry.py", True)}

@@ -346,6 +346,20 @@ def test_rows_columns_and_column_replacement_check_their_index_and_length():
     for values in ([1], [1, 2, 3]):
         with pytest.raises(ValueError, match="^replacement column has wrong length$"):
             a.replace_column(1, values)
+    # A column outside 1..n once came back unchanged, and True replaced column 1.
+    for j in (0, 3):
+        with pytest.raises(IndexError, match=f"^column {j} out of range for size 2$"):
+            a.replace_column(j, [0, 0])
+    # Indices take the selection texts: True once read row 1, and a float raised Python's own error.
+    for bad in (True, 1.0, "1", None):
+        text = re.escape(repr(bad))
+        for call in (lambda: a.row(bad), lambda: a.entry(bad, 1)):
+            with pytest.raises(TypeError, match=f"^row indices must be ints, got {text}$"):
+                call()
+        for call in (lambda: a.column(bad), lambda: a.entry(1, bad), lambda: a.replace_column(bad, [0, 0])):
+            with pytest.raises(TypeError, match=f"^column indices must be ints, got {text}$"):
+                call()
+    assert a.replace_column(2, [1, 0]) == TropMatrix.from_rows([[0, 1], [NEG_INF, 0]])
 
 
 def _isocanted_case1_value(r, w, ell, a):
