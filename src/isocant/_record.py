@@ -41,9 +41,12 @@ class Record:
     Construction is positional; missing trailing fields take the class
     attribute of the same name as their default.  ``__post_init__`` runs
     after the fields are set.  Records equal only records of the same class
-    with equal fields, and hash as the tuple of their fields.
+    with equal fields, and hash as the tuple of their fields.  A subclass may
+    declare its fields in ``__slots__``; copies and pickles rebuild through
+    the constructor either way, so they pass its checks again.
     """
 
+    __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs: object) -> None:
@@ -64,12 +67,17 @@ class Record:
 
     def _with_defaults(self, values: tuple) -> tuple:
         cls, missing = type(self), self._fields[len(values):]
-        if len(values) > len(self._fields) or any(n not in cls.__dict__ for n in missing):
+        # A slotted field's class attribute is its slot, never a default.
+        defaults = cls.__dict__.keys() - set(cls.__dict__.get("__slots__", ()))
+        if len(values) > len(self._fields) or not defaults.issuperset(missing):
             raise TypeError(f"{cls.__name__}{self._fields} given {len(values)} values")
         return values + tuple(cls.__dict__[n] for n in missing)
 
     def __post_init__(self) -> None:
         pass
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign {name!r}: records are immutable")

@@ -177,6 +177,7 @@ class FaceInterval(Record):
     bottom contained in the top.
     """
 
+    __slots__ = ("bottom", "top")
     bottom: VertexLabel
     top: VertexLabel
 
@@ -214,12 +215,21 @@ class FaceInterval(Record):
             yield FaceInterval(self.bottom, self.top - {t})
 
 
-def _face(bottom: VertexLabel, top: VertexLabel) -> FaceInterval:
-    """A face whose ``bottom <= top`` holds by construction, made unchecked."""
-    face = object.__new__(FaceInterval)
-    object.__setattr__(face, "bottom", bottom)
-    object.__setattr__(face, "top", top)
-    return face
+def _faces(bottom: VertexLabel, tops: Iterable[VertexLabel]) -> list[FaceInterval]:
+    """The faces ``[bottom, top]`` for each of ``tops``, made unchecked.
+
+    ``bottom <= top`` holds by construction at every caller.  The faces skip
+    ``FaceInterval``'s checks and are written through its slots' setters,
+    each looked up once per run.
+    """
+    new, put_bottom, put_top = object.__new__, FaceInterval.bottom.__set__, FaceInterval.top.__set__
+    faces = []
+    for top in tops:
+        face = new(FaceInterval)
+        put_bottom(face, bottom)
+        put_top(face, top)
+        faces.append(face)
+    return faces
 
 
 def _face_groups(d: int, split: bool) -> list[list[list[FaceInterval]]]:
@@ -244,9 +254,8 @@ def _face_groups(d: int, split: bool) -> list[list[list[FaceInterval]]]:
     def walk(faces: list[list[FaceInterval]], b: int, top: int, rest: list[int], sizes: int) -> None:
         bottom = table[b]
         for size in range(sizes):
-            add = faces[size].append
-            for extra in itertools.combinations(rest, size):
-                add(_face(bottom, table[top | sum(extra)]))
+            tops = [table[top | sum(extra)] for extra in itertools.combinations(rest, size)]
+            faces[size] += _faces(bottom, tops)
 
     for b in _label_masks(d):
         free = [1 << k for k in range(d + 1) if not b >> k & 1]
@@ -272,7 +281,8 @@ def facet_intervals(d: int) -> tuple[FaceInterval, ...]:
     _check_dim(d)
     labels = range(1, d + 2)
     universe = frozenset(labels)
-    return tuple(_face(frozenset({i}), universe - {j}) for i in labels for j in labels if i != j)
+    runs = (_faces(frozenset({i}), [universe - {j} for j in labels if j != i]) for i in labels)
+    return tuple(itertools.chain.from_iterable(runs))
 
 
 class SkeletonGraph(Record):

@@ -219,9 +219,11 @@ def mesh_to_obj(mesh: MeshExport) -> str:
 def parse_off(text: str) -> dict:
     """Re-parse a COFF export: counts, float vertices, colors, face cycles.
 
-    Text cut short is refused: a missing counts line, fewer vertex or face
-    lines than the counts give, or a face line with fewer indices than its
-    arity raises ``ValueError``.
+    Text cut short or out of range is refused: a missing counts line, a
+    negative count, fewer vertex or face lines than the counts give, a vertex
+    line with fewer than three coordinates, a face line with a negative arity
+    or fewer indices than it, or a face index that names no vertex raises
+    ``ValueError``.
     """
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     if not lines or lines[0].strip() not in ("OFF", "COFF"):
@@ -231,21 +233,31 @@ def parse_off(text: str) -> dict:
         raise ValueError("OFF counts line must give vertex and face counts")
     nv, nf = int(counts[0]), int(counts[1])
     n_edges = int(counts[2]) if len(counts) > 2 else 0
+    if min(nv, nf, n_edges) < 0:
+        raise ValueError(f"OFF counts must be non-negative, got {lines[1].strip()!r}")
     if len(lines) < 2 + nv + nf:
         raise ValueError(f"OFF counts give {nv} vertex and {nf} face lines, file has {len(lines) - 2}")
     vertices = []
     colors = []
     for ln in lines[2 : 2 + nv]:
         parts = ln.split()
+        if len(parts) < 3:
+            raise ValueError(f"OFF vertex line {ln.strip()!r} has fewer than 3 coordinates")
         vertices.append(tuple(float(p) for p in parts[:3]))
         colors.append(tuple(float(p) for p in parts[3:7]))
     faces = []
     for ln in lines[2 + nv : 2 + nv + nf]:
         parts = ln.split()
         arity = int(parts[0])
+        if arity < 0:
+            raise ValueError(f"OFF face line {ln.strip()!r} has a negative arity")
         if len(parts) <= arity:
             raise ValueError(f"OFF face line {ln.strip()!r} has fewer than {arity} indices")
-        faces.append(tuple(int(p) for p in parts[1 : 1 + arity]))
+        face = tuple(int(p) for p in parts[1 : 1 + arity])
+        for i in face:
+            if not 0 <= i < nv:
+                raise ValueError(f"OFF face line {ln.strip()!r} has index {i}, but the file has {nv} vertices")
+        faces.append(face)
     return {
         "n_vertices": nv,
         "n_faces": nf,

@@ -49,6 +49,10 @@ class _NegInf:
     def __repr__(self) -> str:
         return "-inf"
 
+    def __reduce__(self) -> str:
+        # Copies and pickles are the module's one NEG_INF, which callers test with ``is``.
+        return "NEG_INF"
+
     def __neg__(self) -> "_NegInf":
         raise ArithmeticError("negation of -inf is undefined here")
 

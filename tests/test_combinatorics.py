@@ -555,7 +555,10 @@ def test_unchecked_faces_equal_validated_faces():
             for face in faces:
                 assert type(face) is FaceInterval
                 assert face == FaceInterval(face.bottom, face.top)
-                assert vars(face) == {"bottom": face.bottom, "top": face.top}
+                # Unchecked and checked faces alike hold their ends in slots only.
+                checked = FaceInterval(face.bottom, face.top)
+                assert not hasattr(face, "__dict__") and not hasattr(checked, "__dict__")
+                assert (face.bottom, face.top) == (checked.bottom, checked.top)
     with pytest.raises(ValueError, match="bottom must be contained in top"):
         FaceInterval(frozenset({1, 2}), frozenset({1, 3}))
 

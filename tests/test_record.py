@@ -1,5 +1,8 @@
 """The shared immutable record base: equality, hashing, immutability, repr, import cost."""
 
+import copy
+import pickle
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -51,6 +54,10 @@ MAKERS = {
 }
 
 
+# The records whose last field has a default; every other field is required.
+DEFAULTED = {VertexSet, ConjectureReport, MeshExport}
+
+
 def field_values(record):
     return tuple(getattr(record, name) for name in record._fields)
 
@@ -92,10 +99,32 @@ def test_record_semantics(cls):
 
     with pytest.raises(TypeError):
         cls(*values, None)
+    # Too few values are refused by the one arity text, before any check runs.
+    required = len(values) - (cls in DEFAULTED)
+    for given in range(required):
+        arity = re.escape(f"{cls.__name__}{cls._fields} given {given} values")
+        with pytest.raises(TypeError, match=f"^{arity}$"):
+            cls(*values[:given])
 
     if "__repr__" not in cls.__dict__:
         body = ", ".join(f"{n}={v!r}" for n, v in zip(cls._fields, values))
         assert repr(record) == f"{cls.__name__}({body})"
+
+
+@pytest.mark.parametrize("cls", list(MAKERS), ids=lambda c: c.__name__)
+def test_copies_and_pickles_rebuild_equal_records(cls):
+    # Each copy goes through the constructor, so a grid cached on the record
+    # (HRep's is filled by hrep_from_matrix) is not carried over.
+    record = MAKERS[cls]()
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is cls and twin == record
+        assert "_grid" not in getattr(twin, "__dict__", {})
+
+
+def test_copies_keep_the_one_neg_inf():
+    a = TropMatrix.from_rows([[0, NEG_INF], [-1, 0]])
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert twin == a and twin.entries[0][1] is NEG_INF
 
 
 def test_construction_defaults_and_validation():

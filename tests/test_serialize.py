@@ -276,6 +276,15 @@ def test_parse_off_rejects_other_files():
         "\n".join(lines[:-1]): "^OFF counts give 14 vertex and 12 face lines, file has 25$",
         "OFF\n1 1 0\n0 0 0\n4 0 1 2\n": "^OFF face line '4 0 1 2' has fewer than 4 indices$",
     }
+    # Counts, coordinates and indices out of range once parsed silently too.
+    short.update({
+        "OFF\n-1 0 0\n": "^OFF counts must be non-negative, got '-1 0 0'$",
+        "OFF\n0 0 -1\n": "^OFF counts must be non-negative, got '0 0 -1'$",
+        "OFF\n1 0 0\n0 0\n": "^OFF vertex line '0 0' has fewer than 3 coordinates$",
+        "OFF\n1 1 0\n0 0 0\n-1 0\n": "^OFF face line '-1 0' has a negative arity$",
+        "OFF\n1 1 0\n0 0 0\n3 0 0 7\n": "^OFF face line '3 0 0 7' has index 7, but the file has 1 vertices$",
+        "OFF\n1 1 0\n0 0 0\n1 -1\n": "^OFF face line '1 -1' has index -1, but the file has 1 vertices$",
+    })
     for text, message in short.items():
         with pytest.raises(ValueError, match=message):
             parse_off(text)
