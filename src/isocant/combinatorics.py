@@ -8,9 +8,11 @@ counts, and the antipodal map (complementation) realizes central symmetry at
 the lattice level.
 
 Each face-count closed form has one row builder on ``_binomial_row``:
-``_isocanted_row`` writes ``(2**(d+1-j) - 2) * C(d+1, j)`` for ``j < d``,
-``_box_row`` and ``_cask_row`` the box and polar-cask forms; the recursion
-``iso(d, j) = 2 * cask(d, j) + iso(d-1, j-1)`` ties the last two rows together.
+``_isocanted_row`` multiplies ``C(d+1, j)`` by the factor row
+``2**(d+1-j) - 2`` (``_factor_row``, or ``_factor_step`` from ``d-1``), and
+``_box_row`` and ``_cask_row`` write the box and polar-cask forms; the
+recursion ``iso(d, j) = 2 * cask(d, j) + iso(d-1, j-1)`` ties the last two
+rows together.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import itertools
 from functools import cached_property
 from fractions import Fraction
 from math import factorial
+from operator import mul
 from typing import Iterable, Iterator
 
 from ._record import Record, _is_int, _require_at_most, _require_ints
@@ -94,13 +97,23 @@ def _binomial_row(n: int, length: int) -> list[int]:
     return row
 
 
-def _isocanted_row(d: int, binomials: list[int]) -> FVector:
-    """``f_0 .. f_{d-1}`` from a row that starts ``C(d+1, 0) .. C(d+1, d-1)``.
+def _factor_row(d: int) -> list[int]:
+    """``2**(d+1-j) - 2`` for ``j = 0 .. d-1``: the closed form's two-power factor."""
+    return [(2 << k) - 2 for k in range(d, 0, -1)]
 
-    The one place the closed form ``(2**(d+1-j) - 2) * C(d+1, j)`` is written;
-    entries of ``binomials`` past index ``d-1`` are not read.
+
+def _factor_step(factors: list[int], d: int) -> list[int]:
+    """The factor row of ``d`` from that of ``d-1``: entry ``j`` of ``d`` is entry ``j-1`` of ``d-1``."""
+    return [(2 << d) - 2, *factors]
+
+
+def _isocanted_row(factors: list[int], binomials: list[int]) -> FVector:
+    """``f_0 .. f_{d-1}`` from the factor row of ``d`` and a row that starts ``C(d+1, 0) .. C(d+1, d-1)``.
+
+    The one place the closed form ``(2**(d+1-j) - 2) * C(d+1, j)`` is
+    multiplied out; entries of ``binomials`` past index ``d-1`` are not read.
     """
-    return tuple([((1 << (d + 1 - j)) - 2) * c for j, c in zip(range(d), binomials)])
+    return tuple(map(mul, factors, binomials))
 
 
 def _box_row(d: int, length: int) -> FVector:
@@ -116,7 +129,7 @@ def _cask_row(d: int, length: int) -> FVector:
 def isocanted_fvector(d: int, extended: bool = False) -> FVector:
     """Face counts ``f_0 .. f_{d-1}``, optionally extended with ``f_d = 1``."""
     _check_dim(d)
-    counts = _isocanted_row(d, _binomial_row(d + 1, d))
+    counts = _isocanted_row(_factor_row(d), _binomial_row(d + 1, d))
     return counts + (1,) if extended else counts
 
 
@@ -165,7 +178,7 @@ def fvector_tables(dmax: int) -> FVectorTables:
     two_power = tuple(tuple([1 << k for k in range(d, -1, -1)]) for d in rows)
     pascal = tuple(tuple(_binomial_row(d, d + 1)) for d in rows)
     box = tuple(_box_row(d, d + 1) for d in rows)
-    halves = (_isocanted_row(d, _binomial_row(d + 1, d + 1)) for d in rows)
+    halves = (_isocanted_row(_factor_row(d), _binomial_row(d + 1, d + 1)) for d in rows)
     half = tuple(tuple([Fraction(f // 2) for f in row]) + (Fraction(1, 2),) for row in halves)
     return FVectorTables(two_power, pascal, box, half)
 

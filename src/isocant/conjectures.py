@@ -1,8 +1,11 @@
 """Exact verification sweeps over the face-count sequences.
 
-One loop walks the dimension range once.  At each dimension it builds the
-face-count row once, from the binomial row carried over from the dimension
-before, and hands both to every check still open; a check is a predicate
+One loop walks the dimension range once.  Every per-dimension quantity steps
+from the dimension before: the binomial row by Pascal's rule, the two-power
+factor row by one new entry in front, and inside the checks ``3**d``,
+``S(d+2, 3)`` and the factor identity.  At each dimension the loop multiplies
+the two rows into the face-count row once and hands the row and the binomials
+to every check still open; a check is a predicate
 ``(d, row, binomials) -> (ok, witness)`` in arbitrary-precision integers,
 and the witnesses are its per-dimension evidence.  A check closes at its first
 failure, which lands in the report's counterexample slot, so the suite is
@@ -29,6 +32,8 @@ from .combinatorics import (
     FVector,
     _binomial_row,
     _check_dim,
+    _factor_row,
+    _factor_step,
     _isocanted_row,
     count_flags,
     count_flags_by_chains,
@@ -217,17 +222,18 @@ def _barany(d: int, row: FVector, binomials: list[int]) -> tuple[bool, dict]:
 
 
 def _three_d(d_min: int) -> Predicate:
-    # S(d+2, 3) moves one recurrence step per dimension from the first one.
+    # 3**d and S(d+2, 3) move one step per dimension from the first one.
+    power = 3**d_min
     stirling = _stirling_row(d_min + 2, 3)
 
     def per_d(d: int, row: FVector, binomials: list[int]) -> tuple[bool, dict]:
-        nonlocal stirling
+        nonlocal power, stirling
         total = sum(row) + 1  # f_d = 1 extends the row
-        power = 3**d
         closed = 3 * power - (4 << d) + 2
         stirling_form = 2 * stirling[3] + 1
-        stirling = _stirling_step(stirling)
         ok = total == closed == stirling_form and total > power
+        power *= 3
+        stirling = _stirling_step(stirling)
         return ok, {"d": d, "total": total, "closed_form": closed, "stirling_form": stirling_form}
 
     return per_d
@@ -267,37 +273,46 @@ def _sweep_once(sweeps: list[tuple[str, int]], d_max: int) -> list[ConjectureRep
     """Walk ``d`` once for validated ``(name, first dimension)`` sweeps.
 
     Each dimension builds its row at most once, for the checks that are due
-    and still open; a check closes at its first failure.  The binomial row
-    ``C(d+1, 0..d+1)`` under it moves to the next dimension by Pascal's rule,
-    additions only, and is built from scratch only where the dimension
-    before built no row.
+    and still open; a check closes at its first failure, and the due checks
+    are listed again only where one opens or closes.  The binomial row
+    ``C(d+1, 0..d+1)`` and the factor row ``2**(d+1-j) - 2`` move to the next
+    dimension in one step each (Pascal's rule, one new entry in front), and
+    are built from scratch only where the dimension before built no row.
     """
     firsts = [lo for _, lo in sweeps]
+    opening = set(firsts)
     reads_row = [_PREDICATES[name][3] for name, _ in sweeps]
     predicates = [_PREDICATES[name][4](lo) for name, lo in sweeps]
     witnesses: list[list[dict]] = [[] for _ in sweeps]
     failures: list[dict | None] = [None] * len(sweeps)
     still_open = list(range(len(sweeps)))
-    binomials = row = None
+    binomials = factors = row = None
+    stale = True
     for d in range(min(firsts, default=d_max + 1), d_max + 1):
-        due = [k for k in still_open if firsts[k] <= d]
-        if any(reads_row[k] for k in due):
+        if stale or d in opening:
+            still_open = [k for k in still_open if failures[k] is None]
+            if not still_open:
+                break
+            due = [k for k in still_open if firsts[k] <= d]
+            reads = any([reads_row[k] for k in due])
+            stale = False
+        if reads:
             # Set at d-1 or reset there: C(d+1, j) = C(d, j-1) + C(d, j).
             if binomials is None:
                 binomials = _binomial_row(d + 1, d + 2)
+                factors = _factor_row(d)
             else:
                 binomials = [1, *map(add, binomials, binomials[1:]), 1]
-            row = _isocanted_row(d, binomials)
+                factors = _factor_step(factors, d)
+            row = _isocanted_row(factors, binomials)
         else:
-            binomials = row = None
+            binomials = factors = row = None
         for k in due:
             ok, witness = predicates[k](d, row, binomials)
             witnesses[k].append(witness)
             if not ok:
                 failures[k] = dict(witness)
-        still_open = [k for k in still_open if failures[k] is None]
-        if not still_open:
-            break
+                stale = True
     return [
         ConjectureReport(name, lo, d_max, failures[k] is None, tuple(witnesses[k]), failures[k])
         for k, (name, lo) in enumerate(sweeps)

@@ -22,7 +22,7 @@ from .geometry import Point, closed_form_vertices
 from .matrices import IsocantedSpec
 from .tropical import NEG_INF, TropMatrix, TropScalar, _NegInf
 
-_INT_RE = re.compile(r"-?[0-9]+")  # a rational's numerator, and every integer the command line reads
+_INT_RE = re.compile(r"-?[0-9]+")  # a rational's numerator, and every integer the command line or OFF reader reads
 _FRACTION_RE = re.compile(rf"({_INT_RE.pattern})(?:/([0-9]+))?")
 
 #: Vertex color key by label length: generators blue, then yellow, magenta, green.
@@ -216,14 +216,23 @@ def mesh_to_obj(mesh: MeshExport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _off_ints(tokens: list[str], line: str) -> list[int]:
+    """OFF counts, arities and indices: ASCII digits with an optional minus, as ``_INT_RE`` reads them."""
+    for token in tokens:
+        if not _INT_RE.fullmatch(token):
+            raise ValueError(f"OFF line {line.strip()!r} has {token!r} where an integer belongs")
+    return [int(token) for token in tokens]
+
+
 def parse_off(text: str) -> dict:
     """Re-parse a COFF export: counts, float vertices, colors, face cycles.
 
     Text cut short or out of range is refused: a missing counts line, a
-    negative count, fewer vertex or face lines than the counts give, a vertex
-    line with fewer than three coordinates, a face line with a negative arity
-    or fewer indices than it, or a face index that names no vertex raises
-    ``ValueError``.
+    count, arity or face index that is not ASCII digits with an optional
+    minus, a negative count, fewer vertex or face lines than the counts give,
+    a vertex line with fewer than three coordinates, a face line with a
+    negative arity or fewer indices than it, or a face index that names no
+    vertex raises ``ValueError``.
     """
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     if not lines or lines[0].strip() not in ("OFF", "COFF"):
@@ -231,8 +240,8 @@ def parse_off(text: str) -> dict:
     counts = lines[1].split() if len(lines) > 1 else []
     if len(counts) < 2:
         raise ValueError("OFF counts line must give vertex and face counts")
-    nv, nf = int(counts[0]), int(counts[1])
-    n_edges = int(counts[2]) if len(counts) > 2 else 0
+    nv, nf, *edges = _off_ints(counts[:3], lines[1])
+    n_edges = edges[0] if edges else 0
     if min(nv, nf, n_edges) < 0:
         raise ValueError(f"OFF counts must be non-negative, got {lines[1].strip()!r}")
     if len(lines) < 2 + nv + nf:
@@ -248,12 +257,12 @@ def parse_off(text: str) -> dict:
     faces = []
     for ln in lines[2 + nv : 2 + nv + nf]:
         parts = ln.split()
-        arity = int(parts[0])
+        arity = _off_ints(parts[:1], ln)[0]
         if arity < 0:
             raise ValueError(f"OFF face line {ln.strip()!r} has a negative arity")
         if len(parts) <= arity:
             raise ValueError(f"OFF face line {ln.strip()!r} has fewer than {arity} indices")
-        face = tuple(int(p) for p in parts[1 : 1 + arity])
+        face = tuple(_off_ints(parts[1 : 1 + arity], ln))
         for i in face:
             if not 0 <= i < nv:
                 raise ValueError(f"OFF face line {ln.strip()!r} has index {i}, but the file has {nv} vertices")

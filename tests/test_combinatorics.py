@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from isocant import combinatorics
 from isocant.combinatorics import (
     FaceInterval,
     all_vertex_labels,
@@ -98,6 +99,15 @@ def test_row_builders_match_the_per_entry_formulas():
             _same_row(getattr(got, name), getattr(want, name))
             for row, ref_row in zip(getattr(got, name), getattr(want, name)):
                 _same_row(row, ref_row)
+
+
+def test_factor_step_matches_the_row_built_from_scratch():
+    # The sweep steps the factor row 2**(d+1-j) - 2 by one new entry in
+    # front; each step must give the row of the next dimension.
+    factors = combinatorics._factor_row(1)
+    for d in range(2, 301):
+        factors = combinatorics._factor_step(factors, d)
+        assert factors == combinatorics._factor_row(d) == [2 ** (d + 1 - j) - 2 for j in range(d)], d
 
 
 @pytest.mark.parametrize("count, floor", [

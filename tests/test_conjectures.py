@@ -416,10 +416,12 @@ _COMB_ROWS = {d: ([math.comb(d + 1, j) for j in range(d + 2)], reference.fvector
 
 
 def test_sweep_carries_binomial_row_along_the_range(monkeypatch):
+    # Both rows step from the dimension before, from every first dimension
+    # the sweep can start at, up to the lattice cap and past it.
     seen = _spy_on_rows(monkeypatch, "barany")
-    for names, lo, hi in [
-        (None, 2, 300), (None, 3, 300), (None, 4, 257), (None, 5, 300),
-        (["barany"], 2, 3), (["barany"], 5, 5), (["extremes", "barany"], 2, 90),
+    starts = [(None, lo, 300) for lo in range(2, 9)]
+    for names, lo, hi in starts + [
+        (None, 4, 257), (["barany"], 2, 3), (["barany"], 5, 5), (["extremes", "barany"], 2, 90),
     ]:
         seen.clear()
         run_all(names, lo, hi)
@@ -436,6 +438,17 @@ def test_sweep_builds_binomial_row_where_none_came_before(monkeypatch):
     assert [d for d, _, _ in seen] == list(range(4, 121))
     for d, row, binomials in seen:
         assert (binomials, row) == _COMB_ROWS[d], d
+
+
+def test_three_d_carries_the_power_of_three_from_every_start():
+    # 3**d steps by one multiplication per dimension from the first one.
+    for lo in range(2, 9):
+        report = next(r for r in run_all(None, lo, 300) if r.name == "3d")
+        assert report.passed, lo
+        assert [w["d"] for w in report.witnesses] == list(range(lo, 301)), lo
+        for w in report.witnesses:
+            d = w["d"]
+            assert w["closed_form"] == 3 ** (d + 1) - 2 ** (d + 2) + 2 == w["total"], (lo, d)
 
 
 def test_bench_shaped_sweeps_match_reference():

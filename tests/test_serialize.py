@@ -285,6 +285,15 @@ def test_parse_off_rejects_other_files():
         "OFF\n1 1 0\n0 0 0\n3 0 0 7\n": "^OFF face line '3 0 0 7' has index 7, but the file has 1 vertices$",
         "OFF\n1 1 0\n0 0 0\n1 -1\n": "^OFF face line '1 -1' has index -1, but the file has 1 vertices$",
     })
+    # Counts, arities and indices that Python's int() took but the format's
+    # integers are not: digit separators, non-ASCII digits and a plus sign.
+    short.update({
+        "OFF\n1_0 0 0\n" + "0 0 0\n" * 10: "^OFF line '1_0 0 0' has '1_0' where an integer belongs$",
+        "OFF\n\u0661 \u0661 0\n0 0 0\n1 +0\n": "^OFF line '\u0661 \u0661 0' has '\u0661' where an integer belongs$",
+        "OFF\n1 1 0\n0 0 0\n1 +0\n": "^OFF line '1 \\+0' has '\\+0' where an integer belongs$",
+        "OFF\n1 1 0\n0 0 0\n\u0661 0\n": "^OFF line '\u0661 0' has '\u0661' where an integer belongs$",
+        "OFF\n1 1 0\n0 0 0\n1 0_0\n": "^OFF line '1 0_0' has '0_0' where an integer belongs$",
+    })
     for text, message in short.items():
         with pytest.raises(ValueError, match=message):
             parse_off(text)
